@@ -11,9 +11,11 @@ Commands map one-to-one onto the toolkit's figure-class computations:
 * ``hierarchy``       sum-rule audit over random amplitude sets
 
 Artifacts are byte-identical for identical (command, config, seed)
-regardless of the BORNLAB_THREADS worker cap: floats are serialized with
-17 significant digits, row values never depend on the work split, and
-the manifest carries no timestamps or machine identifiers.
+regardless of the BORNLAB_THREADS worker cap: CSV floats carry 17
+significant digits and JSON floats the shortest repr that round-trips,
+row values never depend on the work split, and the manifest carries no
+timestamps or machine identifiers.  A command's files replace the
+previous ones only once all of them are written.
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import re
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +42,7 @@ from .config import (
     load_config,
     probability_rule,
 )
-from .experiment import estimate_rho_series, rho_per_repetition, run_experiment
+from .experiment import RhoSeries, rho_per_repetition, run_experiment
 from .interference import (
     COMBINATIONS,
     ProbabilityVector,
@@ -79,56 +84,102 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _cell(name: str, value) -> str:
-    if name.endswith("_defined"):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _fmt(value)
+#: A JSON row template writes non-finite floats as ``repr`` does; tables
+#: carry ``null`` for NaN and ``Infinity``/``-Infinity`` as ``json.dumps``
+#: writes them.  A value ends at ``,`` plus newline or at a newline, and a
+#: newline never occurs inside an encoded key or string, so the pattern
+#: matches values only.
+_JSON_NONFINITE = re.compile(r": (?:nan|-?inf)(?=,?\n)")
+_JSON_NONFINITE_TEXT = {": nan": ": null", ": inf": ": Infinity",
+                        ": -inf": ": -Infinity"}
 
 
-def _json_value(name: str, value):
-    if name == "combination":
-        return value
-    if name.endswith("_defined"):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    v = float(value)
-    return None if math.isnan(v) else v
+def _json_nonfinite(match) -> str:
+    return _JSON_NONFINITE_TEXT[match[0]]
+
+
+def _json_flag(value) -> str:
+    return "true" if value else "false"
+
+
+def _field(fmt: str, name: str, kind: type):
+    """Format spec and converter (or None) of one cell, chosen by the
+    column name and the cell's type.
+
+    CSV: strings as they are, flags and integers in decimal, floats with
+    17 significant digits.  JSON: strings through ``json.dumps``, flags
+    as ``true``/``false``, integers in decimal, floats as ``json`` writes
+    them, except that NaN becomes ``null``.
+    """
+    if issubclass(kind, str):
+        return "", (json.dumps if fmt == "json" else None)
+    if name.endswith("_defined") and fmt == "json":
+        return "", _json_flag
+    if name.endswith("_defined") or issubclass(kind, int):
+        return ":d", None
+    return (":.17g" if fmt == "csv" else ""), None
+
+
+def _row_template(fmt: str, header, kinds) -> tuple[str, list]:
+    """``str.format`` template of one table row for these cell types, and
+    the ``(column, converter)`` pairs to apply before formatting."""
+    fields = [_field(fmt, name, kind) for name, kind in zip(header, kinds)]
+    converters = [(i, conv) for i, (_spec, conv) in enumerate(fields) if conv]
+    cells = [f"{{{i}{spec}}}" for i, (spec, _conv) in enumerate(fields)]
+    if fmt == "csv":
+        return ",".join(cells) + "\n", converters
+    # one object of json.dumps(rows, indent=2, sort_keys=True), led by the
+    # newline after "[" or ","; a repeated key keeps its last value
+    column = {name: i for i, name in enumerate(header)}
+    members = ",\n".join(
+        "    " + json.dumps(name).replace("{", "{{").replace("}", "}}")
+        + ": " + cells[column[name]]
+        for name in sorted(column)
+    )
+    return "\n  {{\n" + members + "\n  }}", converters
+
+
+def _encoded_rows(fmt: str, header, rows):
+    """Each row as text, from one template per combination of cell types."""
+    templates: dict = {}
+    for row in rows:
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = _row_template(fmt, header, kinds)
+        text, converters = template
+        if converters:
+            row = list(row)
+            for i, conv in converters:
+                row[i] = conv(row[i])
+        yield text.format(*row)
+
+
+def _json_array(encoded):
+    sep = "["
+    for text in encoded:
+        yield sep + _JSON_NONFINITE.sub(_json_nonfinite, text)
+        sep = ","
+    yield "\n]\n" if sep == "," else "[]\n"
 
 
 def _write_table(path: Path, header, rows, fmt: str) -> None:
-    if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(
-                v if isinstance(v, str) else _cell(name, v)
-                for name, v in zip(header, row)
-            ))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        payload = [
-            {name: (v if isinstance(v, str) else _json_value(name, v))
-             for name, v in zip(header, row)}
-            for row in rows
-        ]
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    """Stream ``rows`` (sequences of Python scalars, in ``header`` order)
+    to ``path`` as CSV or as a JSON array of objects."""
+    encoded = _encoded_rows(fmt, header, rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        if fmt == "csv":
+            fh.write(",".join(header) + "\n")
+            fh.writelines(encoded)
+        else:
+            fh.writelines(_json_array(encoded))
 
 
 def _sweep_rows(sweep: RhoSweep, extras: dict[str, np.ndarray]):
     c = sweep.curves
-    for i in range(sweep.u.size):
-        row = [
-            sweep.u[i],
-            *(sweep.patterns[j, i] for j in range(8)),
-            c.i_ab[i], c.i_bc[i], c.i_ca[i],
-            c.epsilon[i], c.delta[i], c.rho[i], c.rho_defined[i],
-        ]
-        row.extend(extras[name][i] for name in extras)
-        yield row
+    columns = (sweep.u, *sweep.patterns, c.i_ab, c.i_bc, c.i_ca,
+               c.epsilon, c.delta, c.rho, c.rho_defined, *extras.values())
+    return zip(*(col.tolist() for col in columns))
 
 
 def _write_sweep(path: Path, sweep: RhoSweep, fmt: str,
@@ -155,7 +206,34 @@ def _u_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(cfg.u_min, cfg.u_max, cfg.u_points)
 
 
-def _manifest(out: Path, command: str, cfg: RunConfig, summary: dict,
+class _OutputSet:
+    """The files of one command, written under temporary names in the
+    output directory and renamed into place together by :meth:`commit`,
+    so a failed command leaves the previous set as it was."""
+
+    def __init__(self, out: Path):
+        self.out = out
+        self.names: list[str] = []
+
+    def _staged(self, name: str) -> Path:
+        return self.out / f".{name}.tmp"
+
+    def path(self, name: str) -> Path:
+        """Where to write output ``name`` until the set is committed."""
+        self.names.append(name)
+        return self._staged(name)
+
+    def commit(self) -> None:
+        for name in self.names:
+            os.replace(self._staged(name), self.out / name)
+
+    def discard(self) -> None:
+        """Remove every staged file not committed."""
+        for name in self.names:
+            self._staged(name).unlink(missing_ok=True)
+
+
+def _manifest(path: Path, command: str, cfg: RunConfig, summary: dict,
               outputs: list[str]) -> None:
     payload = {
         "command": command,
@@ -166,7 +244,7 @@ def _manifest(out: Path, command: str, cfg: RunConfig, summary: dict,
         "summary": summary,
         "outputs": outputs,
     }
-    (out / "manifest.json").write_text(
+    path.write_text(
         json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
                    default=str) + "\n",
         encoding="utf-8",
@@ -184,17 +262,15 @@ def _clean(obj):
     return obj
 
 
-def cmd_patterns(cfg: RunConfig, out: Path, fmt: str) -> dict:
+def cmd_patterns(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     plate, mask, _optical, _power, _detector = build_objects(cfg)
     u = _u_grid(cfg)
     stacked = stack_patterns(pattern_set(plate, mask, u, normalize=True))
     sweep = RhoSweep(u, stacked, sorkin_curves(stacked, cfg.guard))
-    name = f"patterns.{fmt}"
-    summary = _write_sweep(out / name, sweep, fmt)
-    return {"summary": summary, "outputs": [name]}
+    return _write_sweep(tables.path(f"patterns.{fmt}"), sweep, fmt)
 
 
-def cmd_sweep_power(cfg: RunConfig, out: Path, fmt: str) -> dict:
+def cmd_sweep_power(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     plate, mask, _optical, power, _detector = build_objects(cfg)
     u = _u_grid(cfg)
     stacked = stack_patterns(pattern_set(plate, mask, u, normalize=True))
@@ -205,16 +281,15 @@ def cmd_sweep_power(cfg: RunConfig, out: Path, fmt: str) -> dict:
         "delta_rho_unit": unit,
         "delta_rho": unit * power.relative_fluctuation,
     }
-    name = f"power_sweep.{fmt}"
-    summary = _write_sweep(out / name, sweep, fmt, extras)
+    summary = _write_sweep(tables.path(f"power_sweep.{fmt}"), sweep, fmt, extras)
     defined = curves.rho_defined
     summary["max_delta_rho_unit"] = (
         float(np.max(unit[defined])) if np.any(defined) else None
     )
-    return {"summary": summary, "outputs": [name]}
+    return summary
 
 
-def cmd_sweep_mask(cfg: RunConfig, out: Path, fmt: str) -> dict:
+def cmd_sweep_mask(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     plate, mask, _optical, _power, _detector = build_objects(cfg)
     sampler = uniform_displacement_sampler(
         cfg.displacement_low, cfg.displacement_high
@@ -222,55 +297,51 @@ def cmd_sweep_mask(cfg: RunConfig, out: Path, fmt: str) -> dict:
     sweep, displacements = misalignment_rho_sweep(
         plate, mask, sampler, _u_grid(cfg), seed=cfg.seed, guard=cfg.guard
     )
-    name = f"mask_sweep.{fmt}"
-    summary = _write_sweep(out / name, sweep, fmt)
+    summary = _write_sweep(tables.path(f"mask_sweep.{fmt}"), sweep, fmt)
     summary["displacements"] = {k: displacements[k] for k in COMBINATIONS}
-    return {"summary": summary, "outputs": [name]}
+    return summary
 
 
-def cmd_sweep_detector(cfg: RunConfig, out: Path, fmt: str) -> dict:
+def cmd_sweep_detector(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     plate, mask, _optical, _power, detector = build_objects(cfg)
     u = _u_grid(cfg)
     sweep = detector_rho_sweep(
         plate, mask, detector, u,
         peak_rate=cfg.peak_rate, dynamic_range=cfg.dynamic_range, guard=cfg.guard,
     )
-    name = f"detector_sweep.{fmt}"
-    summary = _write_sweep(out / name, sweep, fmt)
+    summary = _write_sweep(tables.path(f"detector_sweep.{fmt}"), sweep, fmt)
     center = int(np.argmin(np.abs(u)))
     if sweep.curves.rho_defined[center]:
         summary["rho_at_center"] = float(sweep.curves.rho[center])
     else:
         summary["rho_at_center"] = None
-    return {"summary": summary, "outputs": [name]}
+    return summary
 
 
-def cmd_run(cfg: RunConfig, out: Path, fmt: str) -> dict:
+def cmd_run(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     plate, mask, _optical, power, detector = build_objects(cfg)
     records = run_experiment(
         plate, mask, power, detector,
         detector_u=cfg.detector_u, repetitions=cfg.repetitions,
         seed=cfg.seed, poisson=cfg.poisson,
     )
-    counts_name = f"run_counts.{fmt}"
     header = ("repetition", "combination", "counts", "dwell_s",
               "timestamp_index", "monitor_counts")
 
     def count_rows():
+        no_monitor = [math.nan] * len(COMBINATIONS)
         for rec in records:
-            for idx, combo in enumerate(COMBINATIONS):
-                mon = math.nan if rec.monitor is None else rec.monitor[idx]
-                yield (rec.repetition, combo, rec.counts[idx],
-                       rec.dwell_time, int(rec.timestamps[idx]), mon)
+            monitor = no_monitor if rec.monitor is None else rec.monitor.tolist()
+            yield from zip(repeat(rec.repetition), COMBINATIONS, rec.counts.tolist(),
+                           repeat(rec.dwell_time), rec.timestamps.tolist(), monitor)
 
-    _write_table(out / counts_name, header, count_rows(), fmt)
+    _write_table(tables.path(f"run_counts.{fmt}"), header, count_rows(), fmt)
 
     rho, defined = rho_per_repetition(records, cfg.guard)
-    series_name = f"run_rho.{fmt}"
     _write_table(
-        out / series_name,
+        tables.path(f"run_rho.{fmt}"),
         ("repetition", "rho", "rho_defined"),
-        ((i, rho[i], defined[i]) for i in range(len(records))),
+        zip(range(len(records)), rho.tolist(), defined.tolist()),
         fmt,
     )
     summary: dict = {
@@ -278,7 +349,7 @@ def cmd_run(cfg: RunConfig, out: Path, fmt: str) -> dict:
         "rho_defined_repetitions": int(np.count_nonzero(defined)),
     }
     try:
-        series = estimate_rho_series(records, cfg.guard)
+        series = RhoSeries.aggregate(rho, defined)
         summary.update(
             mean_rho=series.mean,
             sample_std=series.sample_std,
@@ -289,7 +360,7 @@ def cmd_run(cfg: RunConfig, out: Path, fmt: str) -> dict:
         print("warning: rho undefined in every repetition", file=sys.stderr)
         summary.update(mean_rho=None, sample_std=None, sem=None,
                        n_undefined=len(records))
-    return {"summary": summary, "outputs": [counts_name, series_name]}
+    return summary
 
 
 def read_counts_file(path) -> ProbabilityVector:
@@ -323,13 +394,12 @@ def read_counts_file(path) -> ProbabilityVector:
     return ProbabilityVector.from_array([rates[c] for c in COMBINATIONS])
 
 
-def cmd_sorkin(cfg: RunConfig, out: Path, fmt: str, counts_path) -> dict:
+def cmd_sorkin(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> dict:
     pv = read_counts_file(counts_path)
     res = sorkin(pv, cfg.guard)
     stacked = pv.array.reshape(8, 1)
     sweep = RhoSweep(np.array([math.nan]), stacked, sorkin_curves(stacked, cfg.guard))
-    name = f"sorkin.{fmt}"
-    _write_sweep(out / name, sweep, fmt)
+    _write_sweep(tables.path(f"sorkin.{fmt}"), sweep, fmt)
     if not res.rho_defined:
         print("warning: rho undefined (delta below guard)", file=sys.stderr)
     print(
@@ -343,7 +413,7 @@ def cmd_sorkin(cfg: RunConfig, out: Path, fmt: str, counts_path) -> dict:
         "rho_defined": res.rho_defined,
         "signs": {"AB": res.s_ab, "BC": res.s_bc, "CA": res.s_ca},
     }
-    return {"summary": summary, "outputs": [name]}
+    return summary
 
 
 def _order_k_max(rule, rng, k: int, samples: int) -> tuple[float, float]:
@@ -362,7 +432,7 @@ def _order_k_max(rule, rng, k: int, samples: int) -> tuple[float, float]:
     return float(np.max(np.abs(total))), float(np.max(rel))
 
 
-def cmd_hierarchy(cfg: RunConfig, out: Path, fmt: str) -> dict:
+def cmd_hierarchy(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     rule = probability_rule(cfg)
     rng = substream(cfg.seed, TAG_HIERARCHY)
     tol = 1e-12
@@ -391,50 +461,56 @@ def cmd_hierarchy(cfg: RunConfig, out: Path, fmt: str) -> dict:
         "order_2_equal_amplitudes": pair,
         "orders": orders,
     }
-    name = "hierarchy.json"
-    (out / name).write_text(
+    tables.path("hierarchy.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return {"summary": payload, "outputs": [name]}
+    return payload
 
 
 def dispatch(command: str, cfg: RunConfig, out_dir=None, fmt: str = "csv",
              counts_path=None) -> int:
-    """Run one command; writes artifacts + manifest, returns exit status."""
+    """Run one command; writes artifacts + manifest, returns exit status.
+
+    The artifacts and then the manifest replace the previous ones only
+    once all of them are written; on failure the output directory keeps
+    its previous contents.
+    """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    tables = _OutputSet(out)
     try:
         out.mkdir(parents=True, exist_ok=True)
         if command == "patterns":
-            result = cmd_patterns(cfg, out, fmt)
+            summary = cmd_patterns(cfg, tables, fmt)
         elif command == "sorkin":
             if counts_path is None:
                 raise ConfigError("sorkin requires a counts file")
-            result = cmd_sorkin(cfg, out, fmt, counts_path)
+            summary = cmd_sorkin(cfg, tables, fmt, counts_path)
         elif command == "run":
-            result = cmd_run(cfg, out, fmt)
+            summary = cmd_run(cfg, tables, fmt)
         elif command == "sweep-power":
-            result = cmd_sweep_power(cfg, out, fmt)
+            summary = cmd_sweep_power(cfg, tables, fmt)
         elif command == "sweep-mask":
-            result = cmd_sweep_mask(cfg, out, fmt)
+            summary = cmd_sweep_mask(cfg, tables, fmt)
         elif command == "sweep-detector":
-            result = cmd_sweep_detector(cfg, out, fmt)
+            summary = cmd_sweep_detector(cfg, tables, fmt)
         elif command == "hierarchy":
-            result = cmd_hierarchy(cfg, out, fmt)
+            summary = cmd_hierarchy(cfg, tables, fmt)
         else:
             print(f"error: unknown command {command!r}", file=sys.stderr)
             return 2
+        outputs = list(tables.names)
+        _manifest(tables.path("manifest.json"), command, cfg, _clean(summary),
+                  outputs)
+        tables.commit()
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: i/o failure: {exc}", file=sys.stderr)
         return 2
-    try:
-        _manifest(out, command, cfg, _clean(result["summary"]), result["outputs"])
-    except OSError as exc:
-        print(f"error: cannot write manifest: {exc}", file=sys.stderr)
-        return 2
-    for name in result["outputs"]:
+    finally:
+        tables.discard()
+    for name in outputs:
         print(f"wrote {out / name}")
     return 0
 

@@ -83,6 +83,25 @@ class RhoSeries:
     n_defined: int
     n_undefined: int
 
+    @classmethod
+    def aggregate(cls, rho: np.ndarray, defined: np.ndarray) -> "RhoSeries":
+        """Aggregates of per-repetition values, as from
+        :func:`rho_per_repetition`; raises if no ``rho`` is defined."""
+        n_def = int(np.count_nonzero(defined))
+        if n_def == 0:
+            raise ValueError("rho is undefined in every repetition")
+        vals = rho[defined]
+        std = float(np.std(vals, ddof=1)) if n_def > 1 else 0.0
+        return cls(
+            rho=rho,
+            defined=defined,
+            mean=float(np.mean(vals)),
+            sample_std=std,
+            sem=std / math.sqrt(n_def),
+            n_defined=n_def,
+            n_undefined=rho.size - n_def,
+        )
+
 
 def run_experiment(
     plate: SlitPlate,
@@ -205,21 +224,6 @@ def estimate_rho_series(
     Undefined repetitions are excluded from the aggregates and counted
     separately; raises if no repetition has a defined ``rho``.
     """
-    rho, defined = rho_per_repetition(
+    return RhoSeries.aggregate(*rho_per_repetition(
         records, guard, dead_time_correction, use_monitor
-    )
-    n_def = int(np.count_nonzero(defined))
-    if n_def == 0:
-        raise ValueError("rho is undefined in every repetition")
-    vals = rho[defined]
-    mean = float(np.mean(vals))
-    std = float(np.std(vals, ddof=1)) if n_def > 1 else 0.0
-    return RhoSeries(
-        rho=rho,
-        defined=defined,
-        mean=mean,
-        sample_std=std,
-        sem=std / math.sqrt(n_def),
-        n_defined=n_def,
-        n_undefined=len(records) - n_def,
-    )
+    ))

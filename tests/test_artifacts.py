@@ -1,0 +1,114 @@
+"""Artifact bytes: pinned hashes of the bundled configs' outputs, and the
+table writer against the per-cell encoders it replaced."""
+
+import hashlib
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import bornlab
+from bornlab.cli import _write_table, main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads(
+    (ROOT / "tests" / "data" / "artifact_sha256.json").read_text(encoding="utf-8")
+)
+
+
+def _manifest_bytes(data: bytes) -> bytes:
+    """Manifest with the package and numpy version strings blanked, so the
+    hash pins the layout, config echo and summary but not the versions."""
+    text = data.decode("utf-8")
+    for key, version in (("bornlab", bornlab.__version__), ("numpy", np.__version__)):
+        line = f'"{key}": "{version}"'
+        assert text.count(line) == 1
+        text = text.replace(line, f'"{key}": ""')
+    return text.encode("utf-8")
+
+
+@pytest.mark.skipif(bornlab.BACKEND != "numpy",
+                    reason="hashes pin the numpy Fourier kernel's last ulp")
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: c.replace(" ", "-"))
+def test_bundled_config_artifacts_match_pinned_hashes(case, tmp_path):
+    config, command, fmt = case.split()
+    out = tmp_path / "out"
+    argv = ["--config", str(ROOT / "configs" / f"{config}.cfg"),
+            "--out", str(out), "--format", fmt, command]
+    assert main(argv) == 0
+    got = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            data = _manifest_bytes(data)
+        got[path.name] = hashlib.sha256(data).hexdigest()
+    assert got == GOLDEN[case]
+
+
+# -- the per-cell encoders the writer had before its row templates,
+# -- kept verbatim as the reference
+
+
+def _oracle_cell(name, value):
+    if name.endswith("_defined"):
+        return str(int(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+def _oracle_json_value(name, value):
+    if name == "combination":
+        return value
+    if name.endswith("_defined"):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    v = float(value)
+    return None if math.isnan(v) else v
+
+
+def _oracle_table(header, rows, fmt):
+    if fmt == "csv":
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(
+                v if isinstance(v, str) else _oracle_cell(name, v)
+                for name, v in zip(header, row)
+            ))
+        return "\n".join(lines) + "\n"
+    payload = [
+        {name: (v if isinstance(v, str) else _oracle_json_value(name, v))
+         for name, v in zip(header, row)}
+        for row in rows
+    ]
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+EDGE_HEADER = ("value", "count", "label", "mixed", "x_defined", "{brace}")
+EDGE_ROWS = [
+    (math.nan, 0, "plain", 1, True, 0.5),
+    (math.inf, 10**20, "Åλ日本", 2, False, -0.0),
+    (-math.inf, -(2**63), 'quote " back\\slash\n{x}', 3.5, 1, 1e300),
+    (-0.0, True, "nan", 4.25, 0, 5e-324),
+    (5e-324, False, ": nan,", -7, True, math.nan),
+    (1.7976931348623157e308, 12345678901234567890, "", 2**53 + 1, False, 0.1),
+]
+
+TABLES = {
+    "edge-values": (EDGE_HEADER, EDGE_ROWS),
+    "zero-rows": (EDGE_HEADER, []),
+    "int-and-float-column": (
+        ("rho", "rho_defined"), [(0.25, True), (3, False), (math.nan, False)]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_writer_matches_per_cell_encoders(table, fmt, tmp_path):
+    header, rows = TABLES[table]
+    path = tmp_path / f"table.{fmt}"
+    _write_table(path, header, iter(rows), fmt)
+    assert path.read_bytes() == _oracle_table(header, rows, fmt).encode("utf-8")

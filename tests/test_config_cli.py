@@ -19,6 +19,8 @@ from bornlab.config import (
     serialize_config,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 class TestParseConfig:
     def test_empty_text_gives_defaults(self):
@@ -205,6 +207,25 @@ class TestCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_failed_rerun_keeps_previous_output_set(self, tmp_path, capsys):
+        # the rerun writes its counts table, then finds zero monitor
+        # counts and fails: the earlier run's files must stay as they were
+        bundled = ROOT / "configs" / "overnight_run.cfg"
+        out = tmp_path / "out"
+        assert main(["--config", str(bundled), "--out", str(out), "run"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(before) == {"run_counts.csv", "run_rho.csv", "manifest.json"}
+        rerun = tmp_path / "rerun.cfg"
+        rerun.write_text(
+            bundled.read_text(encoding="utf-8").replace(
+                "repetitions = 100", "repetitions = 3")
+            + "monitor_counts = 1e-9\n",
+            encoding="utf-8",
+        )
+        assert main(["--config", str(rerun), "--out", str(out), "run"]) == 2
+        assert "zero monitor counts" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_json_format(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("u_points = 11\n", encoding="utf-8")
@@ -315,7 +336,7 @@ class TestCli:
     def test_detector_sweep_summary_band(self, tmp_path):
         # bundled nonlinear-detector configuration lands in the
         # documented band for the pattern-wide maximum
-        cfg = Path(__file__).resolve().parent.parent / "configs" / "nonlinear_detector_sweep.cfg"
+        cfg = ROOT / "configs" / "nonlinear_detector_sweep.cfg"
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), "sweep-detector"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
