@@ -528,7 +528,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="output directory")
     parser.add_argument("--format", choices=("csv", "json"),
                         default=argparse.SUPPRESS if suppress else "csv",
-                        help="artifact table format")
+                        help="artifact table format (hierarchy always writes JSON)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,17 +16,17 @@ no matter how the work is scheduled.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._streams import TAG_COUNTS, TAG_MONITOR, TAG_ORDER, TAG_POWER, substream
+from ._streams import TAG_COUNTS, TAG_MONITOR, TAG_ORDER, TAG_POWER, substreams
 from .interference import (
     COMBINATIONS,
     DEFAULT_GUARD,
-    ProbabilityVector,
-    sorkin,
+    sorkin_curves,
 )
 from .optics import CombinationMask, SlitPlate, pattern_set, stack_patterns
 from .systematics import DetectorModel, PowerModel, detector_response
@@ -103,6 +103,11 @@ class RhoSeries:
         )
 
 
+#: Repetitions simulated per block of array arithmetic: bounds the
+#: memory of the temporaries, which the records do not keep.
+_BLOCK_REPETITIONS = 512
+
+
 def run_experiment(
     plate: SlitPlate,
     mask: CombinationMask,
@@ -119,55 +124,104 @@ def run_experiment(
     at the detector coordinate ``detector_u``; the other combinations
     scale by their ideal intensity ratios.  Deterministic for a fixed
     seed.
+
+    Repetition ``rep`` measures the combinations in the order
+    ``substream(seed, TAG_ORDER, rep).permutation(8)`` when randomized,
+    else canonically.  The dwell in slot ``s`` has the global index
+    ``t = 8 * rep + s`` and the power factor
+    ``(1 + drift * t / 8) * (1 + fluctuation * xi)``, where ``xi`` is the
+    first normal draw of ``substream(seed, TAG_POWER, rep, comb)``.
+    Negative factors are clamped to 0 with a ``RuntimeWarning`` that
+    gives their number.  Counts and monitor counts are the first Poisson
+    draws of the dwell's ``TAG_COUNTS`` / ``TAG_MONITOR`` substreams.
+    Only those draws run stream by stream; all other arithmetic runs on
+    (repetitions, 8) arrays, a block of repetitions at a time, with the
+    same bits as dwell by dwell.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1 (got {repetitions})")
     curves = pattern_set(plate, mask, np.array([detector_u]), normalize=True)
     base_rates = power.mean_power * stack_patterns(curves)[:, 0]
 
-    dwell = detector.dwell_time
-    randomized = power.sequence_order == "randomized"
-    records = []
-    for rep in range(repetitions):
-        if randomized:
-            order = substream(seed, TAG_ORDER, rep).permutation(8)
-        else:
-            order = np.arange(8)
-        counts = np.empty(8)
-        stamps = np.empty(8, dtype=int)
-        monitor = np.empty(8) if power.monitor_counts > 0.0 else None
-        for slot, comb_idx in enumerate(order):
-            t = rep * 8 + slot
-            factor = 1.0 + power.linear_drift_rate * (t / 8.0)
-            if power.relative_fluctuation > 0.0:
-                xi = substream(seed, TAG_POWER, rep, comb_idx).standard_normal()
-                factor *= 1.0 + power.relative_fluctuation * xi
-            factor = max(factor, 0.0)
-            rate = detector_response(detector, factor * base_rates[comb_idx])
-            mu = rate * dwell
-            if poisson:
-                counts[comb_idx] = substream(seed, TAG_COUNTS, rep, comb_idx).poisson(mu)
-            else:
-                counts[comb_idx] = mu
-            stamps[comb_idx] = t
-            if monitor is not None:
-                mu_mon = factor * power.monitor_counts
-                if poisson:
-                    monitor[comb_idx] = substream(
-                        seed, TAG_MONITOR, rep, comb_idx
-                    ).poisson(mu_mon)
-                else:
-                    monitor[comb_idx] = mu_mon
-        records.append(
+    records: list[CountsRecord] = []
+    n_clamped = 0
+    for first in range(0, repetitions, _BLOCK_REPETITIONS):
+        reps = np.arange(first, min(first + _BLOCK_REPETITIONS, repetitions))
+        counts, stamps, monitor, clamped = _simulate_block(
+            seed, reps, base_rates, power, detector, poisson
+        )
+        n_clamped += clamped
+        records += (
             CountsRecord(
                 repetition=rep,
-                counts=counts,
-                dwell_time=dwell,
-                timestamps=stamps,
-                monitor=monitor,
+                counts=counts[i],
+                dwell_time=detector.dwell_time,
+                timestamps=stamps[i],
+                monitor=None if monitor is None else monitor[i],
             )
+            for i, rep in enumerate(reps.tolist())
+        )
+    if n_clamped:
+        warnings.warn(
+            f"power factor clamped to 0 in {n_clamped} of {8 * repetitions} dwells",
+            RuntimeWarning,
+            stacklevel=2,
         )
     return records
+
+
+def _simulate_block(
+    seed: int,
+    reps: np.ndarray,
+    base_rates: np.ndarray,
+    power: PowerModel,
+    detector: DetectorModel,
+    poisson: bool,
+):
+    """Counts, timestamps, monitor counts (or None) and the number of
+    clamped power factors of repetitions ``reps``; arrays are (len(reps), 8)
+    and indexed by combination."""
+    combs = np.arange(8)
+    if power.sequence_order == "randomized":
+        perms = (g.permutation(8) for g in substreams(seed, TAG_ORDER, reps))
+        order = np.fromiter(perms, dtype=(int, 8), count=reps.size)
+    else:
+        order = np.broadcast_to(combs, (reps.size, 8))
+    # stamps[i, comb]: global dwell index at which comb was measured
+    stamps = np.empty((reps.size, 8), dtype=int)
+    np.put_along_axis(stamps, order, 8 * reps[:, None] + combs, axis=1)
+
+    factor = 1.0 + power.linear_drift_rate * (stamps / 8.0)
+    if power.relative_fluctuation > 0.0:
+        xi = _first_draws(seed, TAG_POWER, reps)
+        factor *= 1.0 + power.relative_fluctuation * xi
+    clamped = factor < 0.0
+    n_clamped = np.count_nonzero(clamped)
+    # as max(factor, 0.0); np.maximum would also turn a -0.0 into +0.0
+    factor[clamped] = 0.0
+    mu = detector_response(detector, factor * base_rates) * detector.dwell_time
+    counts = _first_draws(seed, TAG_COUNTS, reps, mu) if poisson else mu
+    monitor = None
+    if power.monitor_counts > 0.0:
+        mu_mon = factor * power.monitor_counts
+        monitor = _first_draws(seed, TAG_MONITOR, reps, mu_mon) if poisson else mu_mon
+    return counts, stamps, monitor, n_clamped
+
+
+def _first_draws(seed: int, tag: int, reps: np.ndarray, lam=None) -> np.ndarray:
+    """First draw of each ``substream(seed, tag, rep, comb)``, shape (len(reps), 8).
+
+    Standard normal draws, or Poisson draws of mean ``lam[i, comb]``.
+    """
+    streams = substreams(seed, tag, reps[:, None], np.arange(8))
+    if lam is None:
+        draws = (g.standard_normal() for g in streams)
+    else:
+        draws = (g.poisson(m) for g, m in zip(streams, lam.flat))
+    return np.fromiter(draws, dtype=float, count=8 * reps.size).reshape(reps.size, 8)
+
+
+_NO_MONITOR = np.ones(8)
 
 
 def rho_per_repetition(
@@ -183,34 +237,42 @@ def rho_per_repetition(
     variation.  ``dead_time_correction`` optionally inverts a
     non-paralyzable dead time of that length on the measured rates
     (off by default, so simulated dead-time bias stays visible).
+    All repetitions go through one :func:`sorkin_curves` call, which
+    agrees bitwise with :func:`sorkin` on each of them.  A check that
+    fails raises ``ValueError`` naming the first failing repetition.
     """
     if dead_time_correction < 0.0:
         raise ValueError("dead_time_correction must be >= 0")
     if not records:
         raise ValueError("need at least one repetition")
-    rho = np.empty(len(records))
-    defined = np.empty(len(records), dtype=bool)
-    for i, rec in enumerate(records):
-        rates = rec.counts / rec.dwell_time
-        if use_monitor and rec.monitor is not None:
-            if np.any(rec.monitor <= 0.0):
-                raise ValueError(
-                    f"repetition {rec.repetition}: zero monitor counts cannot "
-                    "normalize rates"
-                )
-            rates = rates * (np.mean(rec.monitor) / rec.monitor)
+    rates = np.array([rec.counts for rec in records])
+    zero_monitor = np.zeros(len(records), dtype=bool)
+    saturated = np.zeros(len(records), dtype=bool)
+    # failing repetitions are reported below, before any of their values is used
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rates /= np.array([rec.dwell_time for rec in records])[:, None]
+        if use_monitor and any(rec.monitor is not None for rec in records):
+            # a record without monitor counts gets the exact factor 1.0
+            mon = np.array([_NO_MONITOR if rec.monitor is None else rec.monitor
+                            for rec in records])
+            zero_monitor = np.any(mon <= 0.0, axis=1)
+            rates *= np.divide(np.mean(mon, axis=1, keepdims=True), mon, out=mon)
         if dead_time_correction > 0.0:
             occupancy = dead_time_correction * rates
-            if np.any(occupancy >= 1.0):
-                raise ValueError(
-                    f"repetition {rec.repetition}: measured rate at or above "
-                    "1/dead_time; correction impossible"
-                )
-            rates = rates / (1.0 - occupancy)
-        res = sorkin(ProbabilityVector.from_array(rates), guard)
-        rho[i] = res.rho
-        defined[i] = res.rho_defined
-    return rho, defined
+            saturated = np.any(occupancy >= 1.0, axis=1)
+            rates /= np.subtract(1.0, occupancy, out=occupancy)
+    checks = (
+        (zero_monitor, "zero monitor counts cannot normalize rates"),
+        (saturated, "measured rate at or above 1/dead_time; correction impossible"),
+        (~np.all(np.isfinite(rates), axis=1), "rates must be finite"),
+    )
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        i = int(np.argmax(failed))
+        why = next(msg for mask, msg in checks if mask[i])
+        raise ValueError(f"repetition {records[i].repetition}: {why}")
+    curves = sorkin_curves(rates.T, guard)
+    return curves.rho, curves.rho_defined
 
 
 def estimate_rho_series(

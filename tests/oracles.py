@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values from first principles without
 touching the package's own code paths: raw bitmask inclusion-exclusion,
-union-merging recursion, Monte Carlo resampling, and quadrature.
+union-merging recursion, Monte Carlo resampling, quadrature, and the
+dwell-by-dwell loops that the package runs on arrays.
 """
 
 from __future__ import annotations
@@ -111,3 +112,77 @@ def single_slit_energy_quadrature(amplitude_fn, width: float, lobes: int = 200) 
     si_val, _ci = sici(2.0 * s)
     tail = (width / np.pi) * (np.pi / 2.0 - si_val + np.sin(s) ** 2 / s)
     return total + 2.0 * tail
+
+
+def run_experiment_scalar(base_rates, power, detector, repetitions: int,
+                          seed: int = 0, poisson: bool = True):
+    """Dwell-by-dwell simulation of ``run_experiment``.
+
+    The per-slot loop that ``run_experiment`` replaced by array
+    arithmetic: one fresh ``SeedSequence([seed, tag, rep, comb])``
+    stream per draw, the detector response inlined on Python floats.
+    ``base_rates`` are the eight expected incident rates.  Returns
+    ``(counts, timestamps, monitor or None, clamped)``, arrays of shape
+    (repetitions, 8) in canonical combination order, ``clamped`` the
+    number of power factors clamped to 0.
+    """
+    def stream(*path):
+        return np.random.default_rng(np.random.SeedSequence([seed, *path]))
+
+    def response(rate):
+        out = rate + detector.dark_rate
+        if detector.dead_time > 0.0:
+            out = out / (1.0 + out * detector.dead_time)
+        if detector.nonlinearity > 0.0:
+            out = out * (1.0 - detector.nonlinearity * out / detector.full_scale_rate)
+        return out
+
+    dwell = detector.dwell_time
+    with_monitor = power.monitor_counts > 0.0
+    counts = np.empty((repetitions, 8))
+    stamps = np.empty((repetitions, 8), dtype=int)
+    monitor = np.empty((repetitions, 8)) if with_monitor else None
+    clamped = 0
+    for rep in range(repetitions):
+        if power.sequence_order == "randomized":
+            order = stream(1, rep).permutation(8)
+        else:
+            order = np.arange(8)
+        for slot, comb in enumerate(order):
+            t = rep * 8 + slot
+            factor = 1.0 + power.linear_drift_rate * (t / 8.0)
+            if power.relative_fluctuation > 0.0:
+                xi = stream(2, rep, comb).standard_normal()
+                factor *= 1.0 + power.relative_fluctuation * xi
+            clamped += factor < 0.0
+            factor = max(factor, 0.0)
+            mu = response(factor * float(base_rates[comb])) * dwell
+            counts[rep, comb] = stream(3, rep, comb).poisson(mu) if poisson else mu
+            stamps[rep, comb] = t
+            if with_monitor:
+                mu_mon = factor * power.monitor_counts
+                monitor[rep, comb] = (
+                    stream(4, rep, comb).poisson(mu_mon) if poisson else mu_mon
+                )
+    return counts, stamps, monitor, clamped
+
+
+def rho_per_repetition_scalar(records, guard: float, dead_time_correction: float = 0.0,
+                              use_monitor: bool = True):
+    """Record-by-record ``rho`` and defined flag, on Python floats."""
+    rho, defined = [], []
+    for rec in records:
+        rates = rec.counts / rec.dwell_time
+        if use_monitor and rec.monitor is not None:
+            rates = rates * (np.mean(rec.monitor) / rec.monitor)
+        if dead_time_correction > 0.0:
+            rates = rates / (1.0 - dead_time_correction * rates)
+        p0, pa, pb, pc, pab, pbc, pca, pabc = map(float, rates)
+        i_ab = pab - pa - pb + p0
+        i_bc = pbc - pb - pc + p0
+        i_ca = pca - pc - pa + p0
+        eps = pabc - pab - pbc - pca + pa + pb + pc - p0
+        delta = abs(i_ab) + abs(i_bc) + abs(i_ca)
+        defined.append(delta >= guard)
+        rho.append(eps / delta if delta >= guard else float("nan"))
+    return np.array(rho), np.array(defined)

@@ -7,6 +7,7 @@ import pytest
 
 from bornlab.cli import (
     SWEEP_COLUMNS,
+    build_parser,
     dispatch,
     main,
     read_counts_file,
@@ -298,6 +299,15 @@ class TestCli:
         for k in ("3", "4", "5"):
             assert report["orders"][k]["null_satisfied"] is True
         assert report["order_2_equal_amplitudes"] == 2.0
+
+    def test_hierarchy_writes_json_under_csv_format(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--format", "csv", "--out", str(out), "hierarchy"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["hierarchy.json", "manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["hierarchy.json"]
+        help_text = " ".join(build_parser().format_help().split())
+        assert "hierarchy always writes JSON" in help_text
 
     def test_hierarchy_cubic_rule_violates(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

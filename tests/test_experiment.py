@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bornlab import experiment
 from bornlab.experiment import (
     CountsRecord,
     estimate_rho_series,
@@ -10,7 +11,10 @@ from bornlab.experiment import (
     run_experiment,
 )
 from bornlab.interference import ProbabilityVector, sorkin
+from bornlab.optics import pattern_set, stack_patterns
 from bornlab.systematics import DetectorModel, PowerModel, poisson_sigma
+
+from oracles import rho_per_repetition_scalar, run_experiment_scalar
 
 
 def record_with_rho(rho, repetition=0, n=1000.0, dwell=2.0):
@@ -200,3 +204,112 @@ class TestEstimate:
         pred = poisson_sigma(cv, sorkin(cv))
         assert series.sample_std == pytest.approx(pred, rel=0.10)
         assert abs(series.mean) <= 3 * series.sem
+
+
+def scalar_run(plate, mask, power, det, u, repetitions, seed, poisson=True):
+    base = power.mean_power * stack_patterns(
+        pattern_set(plate, mask, np.array([u]), normalize=True))[:, 0]
+    return run_experiment_scalar(base, power, det, repetitions, seed, poisson)
+
+
+class TestAgainstScalarLoop:
+    @pytest.mark.parametrize("order", ["fixed", "randomized"])
+    @pytest.mark.parametrize("poisson", [True, False])
+    @pytest.mark.parametrize("fluctuation", [0.0, 1e-3])
+    @pytest.mark.parametrize("monitor", [0.0, 1e6])
+    def test_bitwise_equal(self, plate, mask, monkeypatch, order, poisson,
+                           fluctuation, monitor):
+        # small blocks, so that block edges fall inside the run
+        monkeypatch.setattr(experiment, "_BLOCK_REPETITIONS", 7)
+        power = PowerModel(mean_power=3e5, relative_fluctuation=fluctuation,
+                           linear_drift_rate=2e-3, sequence_order=order,
+                           monitor_counts=monitor)
+        det = DetectorModel(dead_time=50e-9, nonlinearity=0.02, dark_rate=40.0,
+                            dwell_time=2.5)
+        seed = 31 + 2 * poisson + 4 * (fluctuation > 0) + 8 * (monitor > 0)
+        recs = run_experiment(plate, mask, power, det, 500.0, 30, seed=seed,
+                              poisson=poisson)
+        counts, stamps, mon, clamped = scalar_run(plate, mask, power, det, 500.0,
+                                                  30, seed, poisson)
+        assert clamped == 0
+        assert [r.repetition for r in recs] == list(range(30))
+        assert np.array_equal(np.array([r.counts for r in recs]), counts)
+        assert np.array_equal(np.array([r.timestamps for r in recs]), stamps)
+        if monitor:
+            assert np.array_equal(np.array([r.monitor for r in recs]), mon)
+        else:
+            assert all(r.monitor is None for r in recs)
+
+    def test_bitwise_equal_across_default_blocks(self, plate, mask):
+        power = PowerModel(mean_power=9e5, relative_fluctuation=1e-3,
+                           linear_drift_rate=1e-4, sequence_order="randomized",
+                           monitor_counts=1e6)
+        det = DetectorModel(dead_time=50e-9)
+        n = experiment._BLOCK_REPETITIONS + 3
+        recs = run_experiment(plate, mask, power, det, 0.0, n, seed=5)
+        counts, stamps, mon, _ = scalar_run(plate, mask, power, det, 0.0, n, 5)
+        assert np.array_equal(np.array([r.counts for r in recs]), counts)
+        assert np.array_equal(np.array([r.timestamps for r in recs]), stamps)
+        assert np.array_equal(np.array([r.monitor for r in recs]), mon)
+
+    @pytest.mark.parametrize("poisson", [True, False])
+    def test_clamped_power_warns_with_count(self, plate, mask, monkeypatch, poisson):
+        monkeypatch.setattr(experiment, "_BLOCK_REPETITIONS", 7)
+        power = PowerModel(mean_power=1e5, relative_fluctuation=0.8,
+                           linear_drift_rate=-1e-2, sequence_order="randomized")
+        det = DetectorModel(dwell_time=1.0)
+        counts, _, _, clamped = scalar_run(plate, mask, power, det, 0.0, 25, 8, poisson)
+        assert clamped > 5
+        with pytest.warns(RuntimeWarning, match=f"clamped to 0 in {clamped} of 200 dwells"):
+            recs = run_experiment(plate, mask, power, det, 0.0, 25, seed=8,
+                                  poisson=poisson)
+        assert np.array_equal(np.array([r.counts for r in recs]), counts)
+
+    def test_no_warning_without_clamps(self, plate, mask, recwarn):
+        run_experiment(plate, mask, PowerModel(mean_power=1e5, relative_fluctuation=1e-3),
+                       DetectorModel(), 0.0, 5, seed=1)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+class TestRhoPerRepetition:
+    @pytest.mark.parametrize("dead_time_correction", [0.0, 50e-9])
+    @pytest.mark.parametrize("use_monitor", [True, False])
+    @pytest.mark.parametrize("poisson", [True, False])
+    def test_bitwise_equal_to_record_loop(self, plate, mask, dead_time_correction,
+                                          use_monitor, poisson):
+        # expected-value monitor counts are not integers, so their means
+        # depend on the summation order
+        power = PowerModel(mean_power=9e5, relative_fluctuation=1e-3,
+                           sequence_order="randomized", monitor_counts=1e6)
+        det = DetectorModel(dead_time=50e-9)
+        recs = run_experiment(plate, mask, power, det, 0.0, 60, seed=3, poisson=poisson)
+        recs.append(CountsRecord(60, np.full(8, 100.0), 1.0, np.arange(8)))  # undefined
+        rho, defined = rho_per_repetition(recs, 1e-9, dead_time_correction, use_monitor)
+        ref_rho, ref_defined = rho_per_repetition_scalar(
+            recs, 1e-9, dead_time_correction, use_monitor)
+        assert np.array_equal(defined, ref_defined)
+        assert not defined[-1]
+        assert np.array_equal(rho, ref_rho, equal_nan=True)
+
+    def test_errors_name_first_failing_repetition(self):
+        ok = record_with_rho(0.0, repetition=10)
+        zero_mon = CountsRecord(11, ok.counts, ok.dwell_time, ok.timestamps,
+                                monitor=np.array([1.0] * 7 + [0.0]))
+        hot = record_with_rho(0.0, repetition=12, n=1e6)
+        with pytest.raises(ValueError, match="repetition 11: zero monitor"):
+            rho_per_repetition([ok, zero_mon, hot], dead_time_correction=1e-6)
+        with pytest.raises(ValueError, match="repetition 12: measured rate"):
+            rho_per_repetition([ok, hot, zero_mon], dead_time_correction=1e-6)
+        # both checks fail on one repetition: the monitor check comes first
+        both = CountsRecord(13, hot.counts, hot.dwell_time, hot.timestamps,
+                            monitor=zero_mon.monitor)
+        with pytest.raises(ValueError, match="repetition 13: zero monitor"):
+            rho_per_repetition([ok, both, hot], dead_time_correction=1e-6)
+        # a disabled monitor is not checked
+        rho, defined = rho_per_repetition([ok, zero_mon], use_monitor=False)
+        assert defined.all()
+
+    def test_overflowing_rates_rejected(self):
+        rec = CountsRecord(4, np.full(8, 1e300), 1e-10, np.arange(8))
+        with pytest.raises(ValueError, match="repetition 4: rates must be finite"):
+            rho_per_repetition([record_with_rho(0.0), rec])
