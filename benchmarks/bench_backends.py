@@ -1,8 +1,9 @@
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Benchmark the hot kernels.
 
-Times the two hot kernels (piecewise Fourier transform, pointwise
-interference statistics) on sweep-sized workloads, checks that both
-backends agree, and prints a comparison table.
+Times the far-field Fourier pass (one ``pattern_set`` call: the eight
+apertures of the leaky blocking mask) and the pointwise interference
+statistics kernel of every available backend on sweep-sized workloads,
+checks that the statistics backends agree bitwise, and prints a table.
 
 Run:  python benchmarks/bench_backends.py [--points N] [--repeats R]
 """
@@ -15,9 +16,11 @@ import time
 import numpy as np
 
 from bornlab._backend import available_backends
+from bornlab.interference import COMBINATIONS
 from bornlab.optics import (
     build_combination_aperture,
     combination_mask_for_plate,
+    pattern_set,
     triple_slit_plate,
 )
 
@@ -41,49 +44,36 @@ def main() -> None:
 
     plate = triple_slit_plate(leakage_amplitude=0.1)
     mask = combination_mask_for_plate(plate, "blocking", leakage_amplitude=0.1)
-    aperture = build_combination_aperture(plate, mask, "AB")
-    lo = np.ascontiguousarray(aperture.edges[:-1])
-    hi = np.ascontiguousarray(aperture.edges[1:])
-    val = np.ascontiguousarray(aperture.values)
+    intervals = sum(build_combination_aperture(plate, mask, c).values.size
+                    for c in COMBINATIONS)
     u = np.linspace(-5e4, 5e4, args.points)
 
     rng = np.random.default_rng(0)
     stack = np.ascontiguousarray(rng.uniform(0.0, 2.0, size=(8, args.points)))
 
     backends = available_backends()
-    print(f"kernel workload: {len(val)} intervals x {args.points} grid points")
+    print(f"fourier workload: 8 apertures, {intervals} intervals x {args.points} grid points")
     if "numba" not in backends:
-        print("numba not importable; benchmarking the numpy fallback only")
+        print("numba not importable; benchmarking the numpy statistics kernel only")
 
-    results: dict[str, dict[str, float]] = {}
-    fourier_out = {}
+    rows = [("fourier", "numpy",
+             time_call(pattern_set, plate, mask, u, False, repeats=args.repeats))]
     stats_out = {}
-    for name, (fourier, stats) in backends.items():
-        fourier(lo, hi, val, u[:64])  # warm up / jit compile
-        stats(stack[:, :64], 1e-9)
-        results[name] = {
-            "fourier": time_call(fourier, lo, hi, val, u, repeats=args.repeats),
-            "stats": time_call(stats, stack, 1e-9, repeats=args.repeats),
-        }
-        fourier_out[name] = fourier(lo, hi, val, u)
+    for name, stats in backends.items():
+        stats(stack[:, :64], 1e-9)  # warm up / jit compile
+        rows.append(("stats", name, time_call(stats, stack, 1e-9, repeats=args.repeats)))
         stats_out[name] = stats(stack, 1e-9)
 
     if "numba" in backends:
-        gap = np.max(np.abs(fourier_out["numba"] - fourier_out["numpy"]))
-        scale = np.max(np.abs(fourier_out["numpy"]))
-        assert gap <= 1e-12 * scale, f"fourier backends disagree: {gap}"
         for a, b in zip(stats_out["numba"], stats_out["numpy"]):
             af, bf = np.asarray(a, float), np.asarray(b, float)
-            mismatch = ~(np.isclose(af, bf, rtol=0, atol=0) | (np.isnan(af) & np.isnan(bf)))
+            mismatch = ~((af == bf) | (np.isnan(af) & np.isnan(bf)))
             assert not mismatch.any(), "stats backends disagree"
-        print("backend agreement: fourier within 1e-12 relative, stats bitwise")
+        print("backend agreement: stats bitwise")
 
-    print(f"\n{'kernel':<22}{'backend':<10}{'best time':>12}{'speedup':>10}")
-    for kernel in ("fourier", "stats"):
-        base = results["numpy"][kernel]
-        for name in sorted(results):
-            t = results[name][kernel]
-            print(f"{kernel:<22}{name:<10}{t * 1e3:>10.2f} ms{base / t:>9.1f}x")
+    print(f"\n{'kernel':<22}{'backend':<10}{'best time':>12}")
+    for kernel, name, t in rows:
+        print(f"{kernel:<22}{name:<10}{t * 1e3:>10.2f} ms")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
-"""Hot numeric kernels: numba-compiled loops with a pure-numpy fallback.
+"""The pointwise interference-statistics kernel: a numba-compiled loop
+with a pure-numpy fallback.
 
-Two kernels dominate sweep runtime: the piecewise-constant Fourier sum
-(far-field amplitude over a detector grid) and the pointwise interference
-statistics over eight intensity curves.  Both exist in two functionally
-identical versions:
+``sorkin_grid`` evaluates the interference terms, ``epsilon``, ``delta``
+and ``rho`` over eight stacked intensity curves.  It exists in two
+versions that perform the same IEEE operations in the same order and
+agree bit for bit:
 
-* ``*_numba`` -- ``@njit(cache=True, nogil=True)`` scalar loops,
-* ``*_numpy`` -- vectorized numpy.
+* ``sorkin_grid_numba`` -- an ``@njit(cache=True, nogil=True)`` scalar loop,
+* ``sorkin_grid_numpy`` -- vectorized numpy.
 
 Selection, fixed at import time:
 
@@ -15,15 +16,13 @@ Selection, fixed at import time:
 * ``BORNLAB_BACKEND=numpy`` forces the fallback,
 * unset: numba when importable, numpy otherwise.
 
-The interference-statistics kernels perform the same IEEE operations in
-the same order in both versions and agree bit for bit.  The Fourier
-kernels may differ in the last ulp (libm vs. numpy SIMD transcendentals);
-``benchmarks/bench_backends.py`` measures both and checks agreement.
+``BACKEND`` names the selected version; ``manifest.json`` records it.
+The far-field Fourier transform has a single numpy implementation, in
+``optics``.
 """
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
@@ -48,25 +47,6 @@ HAS_NUMBA = _numba is not None
 BACKEND = "numba" if HAS_NUMBA else "numpy"
 
 
-def piecewise_fourier_numpy(lo, hi, val, u):
-    """Fourier transform of a piecewise-constant function at frequencies u.
-
-    The function takes the complex value ``val[j]`` on ``[lo[j], hi[j])``
-    and vanishes elsewhere.  Each interval of width w centered at c
-    contributes ``val * w * sinc(pi w u) * exp(-2i pi c u)``.
-    """
-    out = np.zeros(u.shape, dtype=np.complex128)
-    for j in range(lo.size):
-        width = hi[j] - lo[j]
-        center = 0.5 * (lo[j] + hi[j])
-        x = np.pi * width * u
-        s = np.ones_like(u)
-        nz = x != 0.0
-        s[nz] = np.sin(x[nz]) / x[nz]
-        out += (val[j] * width) * s * np.exp(-2j * np.pi * center * u)
-    return out
-
-
 def sorkin_grid_numpy(p, guard):
     """Pointwise interference statistics for stacked curves.
 
@@ -88,24 +68,6 @@ def sorkin_grid_numpy(p, guard):
 
 
 if HAS_NUMBA:
-
-    @_numba.njit(cache=True, nogil=True)
-    def piecewise_fourier_numba(lo, hi, val, u):  # pragma: no cover - jitted
-        out = np.zeros(u.size, dtype=np.complex128)
-        for i in range(u.size):
-            acc = 0.0 + 0.0j
-            for j in range(lo.size):
-                width = hi[j] - lo[j]
-                center = 0.5 * (lo[j] + hi[j])
-                x = np.pi * width * u[i]
-                if x != 0.0:
-                    s = math.sin(x) / x
-                else:
-                    s = 1.0
-                phase = -2.0 * np.pi * center * u[i]
-                acc += (val[j] * width) * s * complex(math.cos(phase), math.sin(phase))
-            out[i] = acc
-        return out
 
     @_numba.njit(cache=True, nogil=True)
     def sorkin_grid_numba(p, guard):  # pragma: no cover - jitted
@@ -135,18 +97,15 @@ if HAS_NUMBA:
             rho[i] = eps[i] / delta[i] if defined[i] else np.nan
         return i_ab, i_bc, i_ca, eps, delta, rho, defined
 
-    piecewise_fourier = piecewise_fourier_numba
     sorkin_grid = sorkin_grid_numba
 else:
-    piecewise_fourier_numba = None
     sorkin_grid_numba = None
-    piecewise_fourier = piecewise_fourier_numpy
     sorkin_grid = sorkin_grid_numpy
 
 
 def available_backends() -> dict:
-    """Name -> (piecewise_fourier, sorkin_grid) for every usable backend."""
-    table = {"numpy": (piecewise_fourier_numpy, sorkin_grid_numpy)}
+    """Name -> sorkin_grid for every usable backend."""
+    table = {"numpy": sorkin_grid_numpy}
     if HAS_NUMBA:
-        table["numba"] = (piecewise_fourier_numba, sorkin_grid_numba)
+        table["numba"] = sorkin_grid_numba
     return table

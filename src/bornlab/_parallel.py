@@ -1,8 +1,11 @@
 """Grid-evaluation parallelism capped by the BORNLAB_THREADS env var.
 
 Work is split into contiguous index slices and each slice is filled
-independently; per-point arithmetic never depends on the slice layout, so
-results are byte-identical for any worker count.
+independently, in threads: the numpy calls that do the work release the
+interpreter lock.  Per-point arithmetic never depends on the slice
+layout (the Fourier pass of ``optics`` cuts each slice into blocks of
+``u`` and computes every point on its own), so results are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations

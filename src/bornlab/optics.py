@@ -22,17 +22,28 @@ a sum of displaced sinc terms: an interval of width w centered at c with
 value t contributes ``t * w * sinc(pi w u) * exp(-2i pi c u)``.  This is
 exact; no FFT gridding enters, which matters for a null test where
 discretization error would masquerade as signal.
+
+The transform is evaluated in one pass over all apertures of a call (the
+eight of ``pattern_set``, the one of ``far_field_amplitude``).  The
+intervals of the apertures share a few distinct widths and centers: the
+plate slits recur in every combination.  So the grid is cut into blocks
+of ``u``, and per block each distinct width's sinc row and each distinct
+center's phase row is computed once (widths and centers are told apart
+by their float64 bits, so ``-0.0`` and ``0.0`` stay distinct).  Every
+interval's term is then formed from those rows with the same operations
+as the interval-by-interval sum, and added to its aperture's amplitude
+in interval order, starting from zero.  The result has the same bits as
+that sum, for any block layout and any worker count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._backend import piecewise_fourier
 from ._parallel import map_slices
 from .interference import COMBINATIONS
 
@@ -243,19 +254,24 @@ def _plate_pieces(plate: SlitPlate):
 
 
 def build_combination_aperture(
-    plate: SlitPlate, mask: CombinationMask, combination: str
+    plate: SlitPlate,
+    mask: CombinationMask,
+    combination: str,
+    displacement: float | None = None,
 ) -> CombinationAperture:
     """Pointwise product of the plate and the (displaced) mask row.
 
+    ``displacement`` replaces the mask's own displacement when given.
     Raises if the mask defines no feature row for the combination.
     """
     if combination not in mask.features:
         raise ValueError(
             f"mask defines no feature row for combination {combination!r}"
         )
+    shift = mask.displacement if displacement is None else displacement
     plate_edges, plate_values = _plate_pieces(plate)
     feats = [
-        (c + mask.displacement - w / 2, c + mask.displacement + w / 2)
+        (c + shift - w / 2, c + shift + w / 2)
         for c, w in mask.features[combination]
     ]
     if mask.scheme == OPENING:
@@ -298,6 +314,101 @@ def build_combination_aperture(
     )
 
 
+#: Grid points per block of the Fourier pass.  A table or term row takes
+#: 2 kB per block, so the work buffers stay in cache and small enough to
+#: be reused from the heap instead of being mapped afresh on each call.
+_BLOCK = 128
+
+
+def _rows(buf: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The first ``k * n`` elements of a flat buffer as a contiguous (k, n) array."""
+    return buf[: k * n].reshape(k, n)
+
+
+def _fourier_pass(apertures: Sequence[CombinationAperture], u: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Transform every aperture on the contiguous float64 grid ``u``.
+
+    Row k of ``out`` receives the far-field amplitude of ``apertures[k]``
+    if ``out`` is complex, and its squared modulus if ``out`` is float.
+    """
+    # Longest aperture first, and the intervals slot-major: slot i holds
+    # the i-th interval of every aperture that has one, and those
+    # apertures are the first rows of the accumulator.
+    order = sorted(range(len(apertures)), key=lambda k: -apertures[k].values.size)
+    sizes = [apertures[k].values.size for k in order]
+    slot = np.concatenate([np.arange(n) for n in sizes])
+    perm = np.argsort(slot, kind="stable")
+    lo = np.concatenate([apertures[k].edges[:-1] for k in order])[perm]
+    hi = np.concatenate([apertures[k].edges[1:] for k in order])[perm]
+    val = np.concatenate([apertures[k].values for k in order])[perm]
+    rows_in_slot = np.bincount(slot).tolist()
+    slot_start = np.cumsum([0] + rows_in_slot).tolist()
+
+    width = hi - lo
+    center = 0.5 * (lo + hi)
+    coef = (val * width)[:, None]
+    widths, w_row = np.unique(width.view(np.uint64), return_inverse=True)
+    centers, c_row = np.unique(center.view(np.uint64), return_inverse=True)
+    sinc_scale = (np.pi * widths.view(np.float64))[:, None]
+    # the phase argument is (-2j * pi * c) * u, whose real part is zero
+    phase_scale = (-2j * np.pi * centers.view(np.float64)).imag[:, None]
+    n_int, n_w, n_c, n_ap = val.size, widths.size, centers.size, len(apertures)
+    intensity = out.dtype.kind == "f"
+
+    def fill(start: int, stop: int) -> None:
+        cap = min(_BLOCK, stop - start)
+        x_buf = np.empty(n_w * cap)
+        s_buf = np.empty(n_w * cap)
+        # complex sinc rows: a complex coefficient times a float row casts
+        # the row, and casting once per block gives the same bits
+        sinc_buf = np.zeros(n_w * cap, dtype=np.complex128)  # imag stays 0
+        phase_buf = np.empty(n_c * cap, dtype=np.complex128)
+        term_buf = np.empty(n_int * cap, dtype=np.complex128)
+        gather_buf = np.empty(n_int * cap, dtype=np.complex128)
+        acc_buf = np.empty(n_ap * cap, dtype=np.complex128)
+        sq_buf = np.empty(2 * n_ap * cap)
+        for a in range(start, stop, cap):
+            b = min(a + cap, stop)
+            n = b - a
+            ub = u[a:b]
+            x = np.multiply(sinc_scale, ub, out=_rows(x_buf, n_w, n))
+            s = np.sin(x, out=_rows(s_buf, n_w, n))
+            nonzero = x != 0.0
+            np.divide(s, x, out=s, where=nonzero)
+            s[~nonzero] = 1.0
+            sinc = _rows(sinc_buf, n_w, n)
+            sinc.real = s
+            phase = _rows(phase_buf, n_c, n)
+            phase.real = 0.0
+            np.multiply(phase_scale, ub, out=phase.imag)
+            np.exp(phase, out=phase)
+
+            # term = (val * w) * sinc * phase, in the reference's order
+            term = _rows(term_buf, n_int, n)
+            np.take(sinc, w_row, axis=0, out=term, mode="clip")
+            np.multiply(coef, term, out=term)
+            gathered = _rows(gather_buf, n_int, n)
+            np.take(phase, c_row, axis=0, out=gathered, mode="clip")
+            np.multiply(term, gathered, out=term)
+
+            # sequential sums from +0, one slot at a time; a reduction
+            # over the interval axis would not give the same bits
+            acc = _rows(acc_buf, n_ap, n)
+            acc.fill(0.0)
+            for rows, first in zip(rows_in_slot, slot_start):
+                np.add(acc[:rows], term[first:first + rows], out=acc[:rows])
+            if intensity:
+                re2, im2 = sq_buf[: 2 * n_ap * n].reshape(2, n_ap, n)
+                np.multiply(acc.real, acc.real, out=re2)
+                np.multiply(acc.imag, acc.imag, out=im2)
+                out[order, a:b] = np.add(re2, im2, out=re2)
+            else:
+                out[order, a:b] = acc
+
+    map_slices(fill, u.size)
+
+
 def far_field_amplitude(aperture: CombinationAperture, u):
     """Far-field amplitude at frequency(ies) ``u`` (cycles/meter).
 
@@ -305,18 +416,11 @@ def far_field_amplitude(aperture: CombinationAperture, u):
     to floating-point rounding.
     """
     u_arr = np.ascontiguousarray(np.atleast_1d(u), dtype=np.float64)
-    lo = np.ascontiguousarray(aperture.edges[:-1])
-    hi = np.ascontiguousarray(aperture.edges[1:])
-    val = np.ascontiguousarray(aperture.values)
-    out = np.empty(u_arr.size, dtype=np.complex128)
-
-    def fill(a: int, b: int) -> None:
-        out[a:b] = piecewise_fourier(lo, hi, val, u_arr[a:b])
-
-    map_slices(fill, u_arr.size)
+    out = np.empty((1, u_arr.size), dtype=np.complex128)
+    _fourier_pass([aperture], u_arr, out)
     if np.ndim(u) == 0:
-        return complex(out[0])
-    return out
+        return complex(out[0, 0])
+    return out[0]
 
 
 def pattern_set(
@@ -331,25 +435,31 @@ def pattern_set(
     All curves share one normalization; with ``normalize`` the grid peak
     of the all-open curve is scaled to 1.  ``displacements`` optionally
     overrides the mask displacement per combination (one rigid shift per
-    combination measurement).
+    combination measurement); its keys must be combination labels.
     """
     u_arr = np.ascontiguousarray(np.atleast_1d(u_grid), dtype=np.float64)
     if u_arr.size == 0 or not np.all(np.isfinite(u_arr)):
         raise ValueError("u grid must be non-empty and finite")
-    curves: dict[str, np.ndarray] = {}
-    for combo in COMBINATIONS:
-        m = mask
-        if displacements is not None and combo in displacements:
-            m = replace(mask, displacement=float(displacements[combo]))
-        aperture = build_combination_aperture(plate, m, combo)
-        amp = far_field_amplitude(aperture, u_arr)
-        curves[combo] = amp.real * amp.real + amp.imag * amp.imag
+    shifts = dict.fromkeys(COMBINATIONS, mask.displacement)
+    for label, shift in (displacements or {}).items():
+        if label not in shifts:
+            raise ValueError(f"displacements: unknown combination label {label!r}")
+        shift = float(shift)
+        if not math.isfinite(shift):
+            raise ValueError("displacement must be finite")
+        shifts[label] = shift
+    apertures = [
+        build_combination_aperture(plate, mask, combo, shifts[combo])
+        for combo in COMBINATIONS
+    ]
+    stacked = np.empty((len(COMBINATIONS), u_arr.size))
+    _fourier_pass(apertures, u_arr, stacked)
+    curves = dict(zip(COMBINATIONS, stacked))
     if normalize:
         peak = float(np.max(curves["ABC"]))
         if peak <= 0.0:
             raise ValueError("all-open curve vanishes on the grid; cannot normalize")
-        for combo in COMBINATIONS:
-            curves[combo] = curves[combo] / peak
+        stacked /= peak
     return curves
 
 

@@ -29,8 +29,6 @@ def _manifest_bytes(data: bytes) -> bytes:
     return text.encode("utf-8")
 
 
-@pytest.mark.skipif(bornlab.BACKEND != "numpy",
-                    reason="hashes pin the numpy Fourier kernel's last ulp")
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: c.replace(" ", "-"))
 def test_bundled_config_artifacts_match_pinned_hashes(case, tmp_path):
     config, command, fmt = case.split()

@@ -8,26 +8,19 @@ import pytest
 from bornlab import _backend
 from bornlab._parallel import THREADS_ENV, map_slices, worker_count
 from bornlab.optics import (
+    CombinationAperture,
     build_combination_aperture,
     far_field_amplitude,
 )
 
 
-def random_intervals(rng, n=12):
+def random_aperture(rng, n=12):
     edges = np.sort(rng.uniform(-2e-3, 2e-3, n + 1))
     vals = rng.uniform(0, 1, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-    return edges[:-1].copy(), edges[1:].copy(), vals
+    return CombinationAperture(edges, vals, "ABC")
 
 
 class TestKernelAgreement:
-    @pytest.mark.skipif(not _backend.HAS_NUMBA, reason="numba unavailable")
-    def test_piecewise_fourier_backends_agree(self, rng):
-        lo, hi, val = random_intervals(rng)
-        u = np.linspace(-5e4, 5e4, 3001)
-        a = _backend.piecewise_fourier_numpy(lo, hi, val, u)
-        b = _backend.piecewise_fourier_numba(lo, hi, val, u)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-20)
-
     @pytest.mark.skipif(not _backend.HAS_NUMBA, reason="numba unavailable")
     def test_sorkin_grid_backends_agree_bitwise(self, rng):
         p = np.ascontiguousarray(rng.uniform(0, 3, size=(8, 500)))
@@ -41,15 +34,15 @@ class TestKernelAgreement:
 
     def test_fourier_zero_width_grid_point(self, rng):
         # u = 0 exercises the sinc branch
-        lo, hi, val = random_intervals(rng, n=4)
-        out = _backend.piecewise_fourier_numpy(lo, hi, val, np.array([0.0]))
-        assert out[0] == pytest.approx(np.sum(val * (hi - lo)), rel=1e-12)
+        ap = random_aperture(rng, n=4)
+        out = far_field_amplitude(ap, np.array([0.0]))
+        assert out[0] == pytest.approx(np.sum(ap.values * np.diff(ap.edges)), rel=1e-12)
 
     def test_available_backends_table(self):
         table = _backend.available_backends()
-        assert "numpy" in table
+        assert table["numpy"] is _backend.sorkin_grid_numpy
         if _backend.HAS_NUMBA:
-            assert "numba" in table
+            assert table["numba"] is _backend.sorkin_grid_numba
 
 
 class TestBackendSelection:

@@ -1,0 +1,161 @@
+"""The one-pass Fourier transform against the interval-by-interval sum.
+
+``optics`` evaluates all apertures of a call in one pass, with shared
+sinc and phase rows per block of ``u``; these tests require the exact
+bits of the reference loop in ``oracles``, not closeness.
+"""
+
+import numpy as np
+import pytest
+
+from bornlab import optics
+from bornlab._parallel import THREADS_ENV
+from bornlab.interference import COMBINATIONS
+from bornlab.optics import (
+    BLOCKING,
+    OPENING,
+    CombinationAperture,
+    build_combination_aperture,
+    combination_mask_for_plate,
+    far_field_amplitude,
+    pattern_set,
+    triple_slit_plate,
+)
+from oracles import far_field_amplitude_loop, pattern_set_loop
+
+BLOCK = optics._BLOCK
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_curves(got, want):
+    assert list(got) == list(want)
+    for combo in COMBINATIONS:
+        assert_same_bits(got[combo], want[combo])
+
+
+def random_aperture(rng, n):
+    edges = np.sort(rng.uniform(-2e-3, 2e-3, n + 1))
+    values = rng.uniform(0, 1, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    return CombinationAperture(edges, values, "ABC")
+
+
+def leaky_plate():
+    return triple_slit_plate(leakage_amplitude=0.2)
+
+
+def displacements(rng, scale=10e-6):
+    return {c: float(rng.uniform(-scale, scale)) for c in COMBINATIONS}
+
+
+class TestFarFieldAmplitude:
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_random_intervals(self, rng, n):
+        u = np.linspace(-6e4, 6e4, 3 * BLOCK + 17)
+        for _ in range(5):
+            ap = random_aperture(rng, n)
+            assert_same_bits(far_field_amplitude(ap, u), far_field_amplitude_loop(ap, u))
+
+    def test_grid_with_exact_zero(self, rng):
+        # u = 0 takes the guarded sinc branch; the grid is asymmetric so
+        # that the zero sits inside a block, not at its edge
+        u = np.concatenate([np.linspace(-3e4, 0.0, 50), np.linspace(1e3, 4e4, 90)])
+        assert np.count_nonzero(u == 0.0) == 1
+        ap = random_aperture(rng, 9)
+        got = far_field_amplitude(ap, u)
+        assert_same_bits(got, far_field_amplitude_loop(ap, u))
+        zero = int(np.flatnonzero(u == 0.0)[0])
+        assert got[zero] == pytest.approx(np.sum(ap.values * np.diff(ap.edges)), rel=1e-12)
+
+    def test_signed_zero_edges_and_centers(self):
+        # intervals symmetric about 0 have center +0.0; -0.0 as an edge
+        # and as a grid point must not be confused with +0.0
+        edges = np.array([-3e-4, -1e-4, -0.0, 1e-4, 3e-4])
+        ap = CombinationAperture(edges, np.array([0.3, 1.0, 0.5j, 0.3]), "A")
+        sym = CombinationAperture(np.array([-2e-4, 2e-4]), np.array([1.0 + 0j]), "B")
+        u = np.array([-0.0, 0.0, -1e4, 1e4, 5e-324, -5e-324, 2.5e4])
+        for aperture in (ap, sym):
+            assert_same_bits(far_field_amplitude(aperture, u),
+                             far_field_amplitude_loop(aperture, u))
+
+    def test_aperture_without_intervals_gives_zeros(self):
+        empty = CombinationAperture(np.array([0.0]), np.array([], dtype=complex), "0")
+        u = np.linspace(-1e4, 1e4, BLOCK + 3)
+        got = far_field_amplitude(empty, u)
+        assert_same_bits(got, np.zeros(u.size, dtype=np.complex128))
+        assert_same_bits(got, far_field_amplitude_loop(empty, u))
+
+    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_block_edges(self, rng, size):
+        u = np.linspace(-5e4, 4e4, size) if size > 1 else np.array([1234.5])
+        ap = random_aperture(rng, 11)
+        assert_same_bits(far_field_amplitude(ap, u), far_field_amplitude_loop(ap, u))
+
+
+class TestPatternSet:
+    @pytest.mark.parametrize("scheme", [OPENING, BLOCKING])
+    def test_displaced_apertures(self, rng, scheme):
+        plate = leaky_plate()
+        mask = combination_mask_for_plate(plate, scheme, leakage_amplitude=0.1)
+        u = np.linspace(-3e4, 3e4, 601)
+        for _ in range(6):
+            shifts = displacements(rng)
+            assert_same_curves(pattern_set(plate, mask, u, displacements=shifts),
+                               pattern_set_loop(plate, mask, u, displacements=shifts))
+            for combo in COMBINATIONS:
+                ap = build_combination_aperture(plate, mask, combo, shifts[combo])
+                assert_same_bits(far_field_amplitude(ap, u), far_field_amplitude_loop(ap, u))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_undisplaced_and_partly_displaced(self, normalize):
+        plate = leaky_plate()
+        mask = combination_mask_for_plate(plate, BLOCKING, leakage_amplitude=0.1,
+                                          displacement=2e-6)
+        u = np.linspace(-3e4, 3e4, 601)
+        for shifts in (None, {}, {"AB": -3e-6, "0": 0.0}):
+            assert_same_curves(
+                pattern_set(plate, mask, u, normalize=normalize, displacements=shifts),
+                pattern_set_loop(plate, mask, u, normalize=normalize, displacements=shifts))
+
+    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_block_edges_with_exact_zero(self, rng, size):
+        plate = leaky_plate()
+        mask = combination_mask_for_plate(plate, OPENING, leakage_amplitude=0.1)
+        u = np.linspace(-2e4, 2e4, size) if size > 1 else np.array([0.0])
+        u[size // 2] = 0.0
+        shifts = displacements(rng)
+        assert_same_curves(pattern_set(plate, mask, u, displacements=shifts),
+                           pattern_set_loop(plate, mask, u, displacements=shifts))
+
+    def test_curves_identical_across_worker_counts(self, rng, monkeypatch):
+        # 3001 points: two workers split the grid at 1500, which is not a
+        # block edge of the serial pass
+        plate = leaky_plate()
+        mask = combination_mask_for_plate(plate, BLOCKING, leakage_amplitude=0.1)
+        u = np.linspace(-4e4, 4e4, 3001)
+        shifts = displacements(rng)
+        results = []
+        for workers in (None, "1", "2"):
+            if workers is None:
+                monkeypatch.delenv(THREADS_ENV, raising=False)
+            else:
+                monkeypatch.setenv(THREADS_ENV, workers)
+            results.append(pattern_set(plate, mask, u, displacements=shifts))
+        for other in results[1:]:
+            assert_same_curves(other, results[0])
+        assert_same_curves(results[0], pattern_set_loop(plate, mask, u, displacements=shifts))
+
+
+class TestDisplacementKeys:
+    def test_unknown_label_rejected(self, plate, mask):
+        with pytest.raises(ValueError, match="'ab'"):
+            pattern_set(plate, mask, np.array([0.0, 1e3]), displacements={"A": 1e-6, "ab": 0.0})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_displacement_rejected(self, plate, mask, bad):
+        with pytest.raises(ValueError, match="displacement must be finite"):
+            pattern_set(plate, mask, np.array([0.0, 1e3]), displacements={"BC": bad})
