@@ -28,6 +28,7 @@ from .interference import (
     SorkinResult,
     epsilon,
     interference_term,
+    interference_terms,
     rule_probability,
     sorkin,
     sorkin_curves,
@@ -37,13 +38,11 @@ from .optics import (
     OPENING,
     CombinationAperture,
     CombinationMask,
-    OpticalConfig,
     SlitPlate,
     build_combination_aperture,
     combination_mask_for_plate,
     far_field_amplitude,
     pattern_set,
-    stack_patterns,
     triple_slit_plate,
 )
 from .systematics import (
@@ -74,7 +73,6 @@ __all__ = [
     "DetectorModel",
     "HAS_NUMBA",
     "OPENING",
-    "OpticalConfig",
     "PATH_LABELS",
     "PathAmplitudes",
     "PowerModel",
@@ -94,6 +92,7 @@ __all__ = [
     "estimate_rho_series",
     "far_field_amplitude",
     "interference_term",
+    "interference_terms",
     "load_config",
     "misalignment_rho_sweep",
     "parse_config",
@@ -107,7 +106,6 @@ __all__ = [
     "serialize_config",
     "sorkin",
     "sorkin_curves",
-    "stack_patterns",
     "triple_slit_plate",
     "uniform_displacement_sampler",
 ]

@@ -46,10 +46,11 @@ from .experiment import RhoSeries, rho_per_repetition, run_experiment
 from .interference import (
     COMBINATIONS,
     ProbabilityVector,
-    sorkin,
+    SorkinResult,
+    interference_terms,
     sorkin_curves,
 )
-from .optics import pattern_set, stack_patterns
+from .optics import pattern_set
 from .systematics import (
     RhoSweep,
     detector_rho_sweep,
@@ -201,8 +202,6 @@ def _write_sweep(path: Path, sweep: RhoSweep, fmt: str,
 
 
 def _u_grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.u_points == 1:
-        return np.array([cfg.u_min])
     return np.linspace(cfg.u_min, cfg.u_max, cfg.u_points)
 
 
@@ -263,17 +262,17 @@ def _clean(obj):
 
 
 def cmd_patterns(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
-    plate, mask, _optical, _power, _detector = build_objects(cfg)
+    plate, mask, _power, _detector = build_objects(cfg)
     u = _u_grid(cfg)
-    stacked = stack_patterns(pattern_set(plate, mask, u, normalize=True))
+    stacked = pattern_set(plate, mask, u, normalize=True)
     sweep = RhoSweep(u, stacked, sorkin_curves(stacked, cfg.guard))
     return _write_sweep(tables.path(f"patterns.{fmt}"), sweep, fmt)
 
 
 def cmd_sweep_power(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
-    plate, mask, _optical, power, _detector = build_objects(cfg)
+    plate, mask, power, _detector = build_objects(cfg)
     u = _u_grid(cfg)
-    stacked = stack_patterns(pattern_set(plate, mask, u, normalize=True))
+    stacked = pattern_set(plate, mask, u, normalize=True)
     curves = sorkin_curves(stacked, cfg.guard)
     unit = power_sigma_curves(stacked, curves, 1.0)
     sweep = RhoSweep(u, stacked, curves)
@@ -290,7 +289,7 @@ def cmd_sweep_power(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
 
 
 def cmd_sweep_mask(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
-    plate, mask, _optical, _power, _detector = build_objects(cfg)
+    plate, mask, _power, _detector = build_objects(cfg)
     sampler = uniform_displacement_sampler(
         cfg.displacement_low, cfg.displacement_high
     )
@@ -303,7 +302,7 @@ def cmd_sweep_mask(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
 
 
 def cmd_sweep_detector(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
-    plate, mask, _optical, _power, detector = build_objects(cfg)
+    plate, mask, _power, detector = build_objects(cfg)
     u = _u_grid(cfg)
     sweep = detector_rho_sweep(
         plate, mask, detector, u,
@@ -319,7 +318,7 @@ def cmd_sweep_detector(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
 
 
 def cmd_run(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
-    plate, mask, _optical, power, detector = build_objects(cfg)
+    plate, mask, power, detector = build_objects(cfg)
     records = run_experiment(
         plate, mask, power, detector,
         detector_u=cfg.detector_u, repetitions=cfg.repetitions,
@@ -395,10 +394,10 @@ def read_counts_file(path) -> ProbabilityVector:
 
 
 def cmd_sorkin(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> dict:
-    pv = read_counts_file(counts_path)
-    res = sorkin(pv, cfg.guard)
-    stacked = pv.array.reshape(8, 1)
-    sweep = RhoSweep(np.array([math.nan]), stacked, sorkin_curves(stacked, cfg.guard))
+    stacked = read_counts_file(counts_path).array.reshape(8, 1)
+    curves = sorkin_curves(stacked, cfg.guard)
+    res = SorkinResult.from_curves(curves)
+    sweep = RhoSweep(np.array([math.nan]), stacked, curves)
     _write_sweep(tables.path(f"sorkin.{fmt}"), sweep, fmt)
     if not res.rho_defined:
         print("warning: rho undefined (delta below guard)", file=sys.stderr)
@@ -417,17 +416,11 @@ def cmd_sorkin(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> dic
 
 
 def _order_k_max(rule, rng, k: int, samples: int) -> tuple[float, float]:
-    """Max |order-k term| and max scale over random amplitude draws."""
+    """Max |order-k term| and max of it relative to the largest subset
+    probability (at least 1) over random amplitude draws."""
     amps = rng.standard_normal((samples, k)) + 1j * rng.standard_normal((samples, k))
-    total = np.zeros(samples)
-    scale = np.ones(samples)
-    for mask_bits in range(1, 2 ** k):
-        members = [j for j in range(k) if mask_bits >> j & 1]
-        psi = amps[:, members].sum(axis=1)
-        mag2 = psi.real**2 + psi.imag**2
-        p = mag2 if rule.alpha == 0.0 else mag2 + rule.alpha * mag2 * np.sqrt(mag2)
-        total += (-1.0) ** (k - len(members)) * p
-        scale = np.maximum(scale, p)
+    total, probs = interference_terms(rule, amps)
+    scale = np.max(probs, axis=1, initial=1.0)
     rel = np.abs(total) / scale
     return float(np.max(np.abs(total))), float(np.max(rel))
 

@@ -21,7 +21,6 @@ from .optics import (
     BLOCKING,
     OPENING,
     CombinationMask,
-    OpticalConfig,
     SlitPlate,
     combination_mask_for_plate,
     triple_slit_plate,
@@ -36,7 +35,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     """All knobs of a run; defaults reproduce the reference geometry
-    (30 um slits, 100 um separation, 100 um openings, 800 nm)."""
+    (30 um slits, 100 um separation, 100 um openings)."""
 
     # optics geometry
     slit_width: float = 30e-6
@@ -47,7 +46,6 @@ class RunConfig:
     opening_width: float = 100e-6
     mask_leakage: float = 0.0         # intensity fraction
     mask_displacement: float = 0.0    # meters, static (patterns command)
-    wavelength: float = 800e-9
     # detector-coordinate grid / position
     u_min: float = -40000.0
     u_max: float = 40000.0
@@ -113,7 +111,6 @@ _RANGE_CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "opening_width": (lambda v: v > 0, "must be > 0"),
     "mask_leakage": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
     "mask_displacement": (lambda v: math.isfinite(v), "must be finite"),
-    "wavelength": (lambda v: v > 0, "must be > 0"),
     "u_min": (lambda v: math.isfinite(v), "must be finite"),
     "u_max": (lambda v: math.isfinite(v), "must be finite"),
     "u_points": (lambda v: v >= 1, "must be >= 1"),
@@ -235,7 +232,7 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def build_objects(
     cfg: RunConfig,
-) -> tuple[SlitPlate, CombinationMask, OpticalConfig, PowerModel, DetectorModel]:
+) -> tuple[SlitPlate, CombinationMask, PowerModel, DetectorModel]:
     """Model objects for a validated config (leakage converted to amplitude)."""
     plate = triple_slit_plate(
         slit_width=cfg.slit_width,
@@ -250,7 +247,6 @@ def build_objects(
         leakage_amplitude=math.sqrt(cfg.mask_leakage),
         displacement=cfg.mask_displacement,
     )
-    optical = OpticalConfig(wavelength=cfg.wavelength)
     power = PowerModel(
         mean_power=cfg.mean_power,
         relative_fluctuation=cfg.power_fluctuation,
@@ -265,7 +261,7 @@ def build_objects(
         dark_rate=cfg.dark_rate,
         dwell_time=cfg.dwell_time,
     )
-    return plate, mask, optical, power, detector
+    return plate, mask, power, detector
 
 
 def probability_rule(cfg: RunConfig) -> ProbabilityRule:

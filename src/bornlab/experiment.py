@@ -28,7 +28,7 @@ from .interference import (
     DEFAULT_GUARD,
     sorkin_curves,
 )
-from .optics import CombinationMask, SlitPlate, pattern_set, stack_patterns
+from .optics import CombinationMask, SlitPlate, pattern_set
 from .systematics import DetectorModel, PowerModel, detector_response
 
 
@@ -141,7 +141,7 @@ def run_experiment(
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1 (got {repetitions})")
     curves = pattern_set(plate, mask, np.array([detector_u]), normalize=True)
-    base_rates = power.mean_power * stack_patterns(curves)[:, 0]
+    base_rates = power.mean_power * curves[:, 0]
 
     records: list[CountsRecord] = []
     n_clamped = 0

@@ -31,7 +31,7 @@ unit works, ``epsilon``/``delta`` inherit it and ``rho`` is unitless.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -113,12 +113,13 @@ class ProbabilityRule:
     def is_quadratic(self) -> bool:
         return self.alpha == 0.0
 
-    def probability(self, psi: complex) -> float:
-        psi = complex(psi)
-        mag2 = psi.real * psi.real + psi.imag * psi.imag
+    def probability(self, psi):
+        """Probability of the summed amplitude ``psi``, a complex number
+        or an array of them (then elementwise)."""
+        p = psi.real * psi.real + psi.imag * psi.imag
         if self.alpha == 0.0:
-            return mag2
-        return mag2 + self.alpha * mag2 * math.sqrt(mag2)
+            return p
+        return p + self.alpha * p * np.sqrt(p)
 
 
 #: The quadratic (squared-magnitude) rule.
@@ -213,9 +214,13 @@ class SorkinResult:
     s_bc: int
     s_ca: int
 
-
-def _sign(x: float) -> int:
-    return (x > 0.0) - (x < 0.0)
+    @classmethod
+    def from_curves(cls, curves: "SorkinCurves") -> "SorkinResult":
+        """Statistics of one-point curves, as Python scalars."""
+        i_ab, i_bc, i_ca, eps, delta, rho = (float(c[0]) for c in curves[:6])
+        s_ab, s_bc, s_ca = np.sign([i_ab, i_bc, i_ca]).astype(int).tolist()
+        return cls(eps, delta, rho, bool(curves.rho_defined[0]),
+                   i_ab, i_bc, i_ca, s_ab, s_bc, s_ca)
 
 
 def rule_probability(
@@ -232,69 +237,72 @@ def rule_probability(
     total = 0j
     for lab in labels:
         total += amps.amplitude(lab)
-    return rule.probability(total)
+    return float(rule.probability(total))
+
+
+def _check_order(k: int) -> None:
+    if k < 1:
+        raise ValueError("need at least one path")
+    if k > MAX_ORDER:
+        raise ValueError(f"interference order limited to {MAX_ORDER} (got {k})")
+
+
+def interference_terms(rule: ProbabilityRule, amps) -> tuple[np.ndarray, np.ndarray]:
+    """Order-k interference terms of n sets of k path amplitudes.
+
+    ``amps`` has shape (n, k).  Inclusion-exclusion over the nonempty
+    subsets S of the k paths: ``I_k = sum_S (-1)**(k - |S|) p_S``.
+    Order 1 is the single-path probability, order 2 the usual pairwise
+    term, order 3 the first term that vanishes under the quadratic rule.
+    The subsets are visited by bitmask ``m = 1 .. 2**k - 1`` (bit j set
+    when path j is open) and accumulated from zero in that order.
+
+    Returns the n terms and the (n, 2**k - 1) subset probabilities,
+    column ``m - 1`` holding subset ``m``.
+    """
+    a = np.asarray(amps, dtype=np.complex128)
+    if a.ndim != 2:
+        raise ValueError(f"amplitudes must have shape (n, k) (got {a.shape})")
+    n, k = a.shape
+    _check_order(k)
+    total = np.zeros(n)
+    probs = np.empty((n, 2**k - 1))
+    for m in range(1, 2**k):
+        members = [a[:, j] for j in range(k) if m >> j & 1]
+        # summed one path after another: a reduction over the path axis
+        # would sum four or more paths pairwise in a one-row array
+        p = rule.probability(functools.reduce(np.add, members))
+        total += (-1.0) ** (k - len(members)) * p
+        probs[:, m - 1] = p
+    return total, probs
 
 
 def interference_term(
     rule: ProbabilityRule, amps: PathAmplitudes, paths: Sequence[str]
 ) -> float:
-    """Order-k interference term of the given paths.
-
-    Inclusion-exclusion over the nonempty subsets S of ``paths``:
-    ``I_k = sum_S (-1)**(k - |S|) p_S``.  Order 1 is the single-path
-    probability, order 2 the usual pairwise term, order 3 the first term
-    that vanishes under the quadratic rule.
-    """
-    k = len(paths)
-    if k < 1:
-        raise ValueError("need at least one path")
-    if k > MAX_ORDER:
-        raise ValueError(f"interference order limited to {MAX_ORDER} (got {k})")
-    if len(set(paths)) != k:
+    """Order-k interference term of the given paths: the one-set case of
+    :func:`interference_terms`."""
+    _check_order(len(paths))
+    if len(set(paths)) != len(paths):
         raise ValueError(f"duplicate path labels in {tuple(paths)!r}")
-    for lab in paths:
-        amps.amplitude(lab)  # validates presence
-    total = 0.0
-    for m in range(1, k + 1):
-        sign = (-1.0) ** (k - m)
-        for subset in itertools.combinations(paths, m):
-            total += sign * rule_probability(rule, amps, subset)
-    return total
+    row = np.array([[amps.amplitude(lab) for lab in paths]], dtype=np.complex128)
+    return float(interference_terms(rule, row)[0][0])
 
 
 def epsilon(pv: ProbabilityVector) -> float:
     """Background-subtracted order-3 interference term."""
-    return pv.pABC - pv.pAB - pv.pBC - pv.pCA + pv.pA + pv.pB + pv.pC - pv.p0
+    return float(_statistics(pv.array.reshape(8, 1), DEFAULT_GUARD).epsilon[0])
 
 
 def sorkin(pv: ProbabilityVector, guard: float = DEFAULT_GUARD) -> SorkinResult:
-    """Full order-3 statistics of one probability vector.
+    """Full order-3 statistics of one probability vector: the one-point
+    case of :func:`sorkin_curves`.
 
     ``guard`` must be positive; ``rho`` is flagged undefined (NaN) exactly
     when ``delta < guard``, never producing a huge ratio from a vanishing
     pairwise contrast.
     """
-    if not guard > 0.0:
-        raise ValueError(f"guard must be > 0 (got {guard})")
-    i_ab = pv.pAB - pv.pA - pv.pB + pv.p0
-    i_bc = pv.pBC - pv.pB - pv.pC + pv.p0
-    i_ca = pv.pCA - pv.pC - pv.pA + pv.p0
-    eps = epsilon(pv)
-    delta = abs(i_ab) + abs(i_bc) + abs(i_ca)
-    defined = delta >= guard
-    rho = eps / delta if defined else math.nan
-    return SorkinResult(
-        epsilon=eps,
-        delta=delta,
-        rho=rho,
-        rho_defined=defined,
-        i_ab=i_ab,
-        i_bc=i_bc,
-        i_ca=i_ca,
-        s_ab=_sign(i_ab),
-        s_bc=_sign(i_bc),
-        s_ca=_sign(i_ca),
-    )
+    return SorkinResult.from_curves(_statistics(pv.array.reshape(8, 1), guard))
 
 
 class SorkinCurves(NamedTuple):
@@ -309,16 +317,18 @@ class SorkinCurves(NamedTuple):
     rho_defined: np.ndarray
 
 
-def sorkin_curves(patterns: np.ndarray, guard: float = DEFAULT_GUARD) -> SorkinCurves:
-    """Vectorized :func:`sorkin` over stacked curves.
-
-    ``patterns`` has shape (8, n) in canonical combination order.  The
-    kernel performs the exact operation sequence of the scalar path, so
-    both routes agree bitwise.
-    """
+def _statistics(p: np.ndarray, guard: float) -> SorkinCurves:
     if not guard > 0.0:
         raise ValueError(f"guard must be > 0 (got {guard})")
+    return SorkinCurves(*_sorkin_grid_kernel(p, guard))
+
+
+def sorkin_curves(patterns: np.ndarray, guard: float = DEFAULT_GUARD) -> SorkinCurves:
+    """Order-3 statistics of every point of stacked curves.
+
+    ``patterns`` has shape (8, n) in canonical combination order.
+    """
     p = np.ascontiguousarray(patterns, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != 8:
         raise ValueError(f"patterns must have shape (8, n) (got {p.shape})")
-    return SorkinCurves(*_sorkin_grid_kernel(p, guard))
+    return _statistics(p, guard)

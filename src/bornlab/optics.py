@@ -143,30 +143,6 @@ class CombinationMask:
         object.__setattr__(self, "features", checked)
 
 
-@dataclass(frozen=True)
-class OpticalConfig:
-    """Wavelength and screen-coordinate conversions.
-
-    The far-field coordinate is ``u = sin(theta)/lambda``; a detector at
-    transverse position x and distance L sits at ``u = x / (lambda L)``
-    in the small-angle regime.
-    """
-
-    wavelength: float
-
-    def __post_init__(self):
-        if not self.wavelength > 0.0:
-            raise ValueError(f"wavelength must be > 0 (got {self.wavelength})")
-
-    def u_from_position(self, x: float, distance: float) -> float:
-        if not distance > 0.0:
-            raise ValueError(f"distance must be > 0 (got {distance})")
-        return x / (self.wavelength * distance)
-
-    def u_from_angle(self, sin_theta: float) -> float:
-        return sin_theta / self.wavelength
-
-
 @dataclass(frozen=True, eq=False)
 class CombinationAperture:
     """Piecewise-constant complex transmission of one combination.
@@ -409,13 +385,23 @@ def _fourier_pass(apertures: Sequence[CombinationAperture], u: np.ndarray,
     map_slices(fill, u.size)
 
 
+def _grid(u) -> np.ndarray:
+    """``u`` as a contiguous float64 grid; raises unless it is non-empty
+    and finite."""
+    u_arr = np.ascontiguousarray(np.atleast_1d(u), dtype=np.float64)
+    if u_arr.size == 0 or not np.all(np.isfinite(u_arr)):
+        raise ValueError("u grid must be non-empty and finite")
+    return u_arr
+
+
 def far_field_amplitude(aperture: CombinationAperture, u):
     """Far-field amplitude at frequency(ies) ``u`` (cycles/meter).
 
     Analytic transform of the piecewise-constant transmission; exact up
-    to floating-point rounding.
+    to floating-point rounding.  Raises unless ``u`` is non-empty and
+    finite.
     """
-    u_arr = np.ascontiguousarray(np.atleast_1d(u), dtype=np.float64)
+    u_arr = _grid(u)
     out = np.empty((1, u_arr.size), dtype=np.complex128)
     _fourier_pass([aperture], u_arr, out)
     if np.ndim(u) == 0:
@@ -429,17 +415,16 @@ def pattern_set(
     u_grid,
     normalize: bool = True,
     displacements: Mapping[str, float] | None = None,
-) -> dict[str, np.ndarray]:
-    """Intensity curves of all eight combinations on a common grid.
+) -> np.ndarray:
+    """Intensity curves of all eight combinations on a common grid, as
+    an (8, n) array whose rows follow ``COMBINATIONS``.
 
     All curves share one normalization; with ``normalize`` the grid peak
     of the all-open curve is scaled to 1.  ``displacements`` optionally
     overrides the mask displacement per combination (one rigid shift per
     combination measurement); its keys must be combination labels.
     """
-    u_arr = np.ascontiguousarray(np.atleast_1d(u_grid), dtype=np.float64)
-    if u_arr.size == 0 or not np.all(np.isfinite(u_arr)):
-        raise ValueError("u grid must be non-empty and finite")
+    u_arr = _grid(u_grid)
     shifts = dict.fromkeys(COMBINATIONS, mask.displacement)
     for label, shift in (displacements or {}).items():
         if label not in shifts:
@@ -454,15 +439,9 @@ def pattern_set(
     ]
     stacked = np.empty((len(COMBINATIONS), u_arr.size))
     _fourier_pass(apertures, u_arr, stacked)
-    curves = dict(zip(COMBINATIONS, stacked))
     if normalize:
-        peak = float(np.max(curves["ABC"]))
+        peak = float(np.max(stacked[COMBINATIONS.index("ABC")]))
         if peak <= 0.0:
             raise ValueError("all-open curve vanishes on the grid; cannot normalize")
         stacked /= peak
-    return curves
-
-
-def stack_patterns(curves: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Stack the eight curves into shape (8, n), canonical order."""
-    return np.stack([np.asarray(curves[c], dtype=float) for c in COMBINATIONS])
+    return stacked

@@ -35,6 +35,7 @@ Three mechanisms make an ideally-zero ``rho`` read nonzero:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -50,7 +51,7 @@ from .interference import (
     SorkinResult,
     sorkin_curves,
 )
-from .optics import CombinationMask, SlitPlate, pattern_set, stack_patterns
+from .optics import CombinationMask, SlitPlate, pattern_set
 
 _SEQUENCE_ORDERS = ("fixed", "randomized")
 
@@ -122,39 +123,47 @@ class DetectorModel:
             raise ValueError(f"dwell_time must be > 0 (got {self.dwell_time})")
 
 
-def _sign_weights(result: SorkinResult) -> tuple[float, ...]:
-    """Per-combination weights ``1 + (sum of relevant signs) * rho`` in
-    canonical combination order."""
-    s_ab, s_bc, s_ca, rho = result.s_ab, result.s_bc, result.s_ca, result.rho
-    return (
-        1.0 + (s_bc + s_ca + s_ab) * rho,  # 0
-        1.0 + (s_ca + s_ab) * rho,         # A
-        1.0 + (s_bc + s_ab) * rho,         # B
-        1.0 + (s_bc + s_ca) * rho,         # C
-        1.0 + s_ab * rho,                  # AB
-        1.0 + s_bc * rho,                  # BC
-        1.0 + s_ca * rho,                  # CA
-        1.0,                               # ABC
-    )
+#: Whether the sign ``s_xy`` (columns AB, BC, CA) enters the weight
+#: ``1 + (sum of the signs) * rho`` of a combination (rows) in the
+#: bracket of the module docstring: when ``I_xy = p_xy - p_x - p_y + p_0``
+#: holds the combination's probability.
+_SIGN_TERMS = np.array([[combo in (xy, xy[0], xy[1], "0") for xy in ("AB", "BC", "CA")]
+                        for combo in COMBINATIONS], dtype=float)
 
 
-def power_sigma(pv: ProbabilityVector, result: SorkinResult, dp: float) -> float:
-    """Fluctuation of ``rho`` from a relative power fluctuation ``dp``.
-
-    ``result`` must come from the same vector.  Returns NaN when ``rho``
-    is undefined, or when the variance bracket goes negative (|rho| too
-    large for the first-order sign terms to make sense).
+def _rho_sigma(p: np.ndarray, stats: SorkinCurves | SorkinResult, dp: float,
+               squared: bool) -> np.ndarray:
+    """``sqrt(bracket) * dp / delta`` at every point of the values ``p``,
+    shape (8, n) with curves or (8,) with the result of one vector; the
+    bracket sums ``w * p * p`` (``squared``) or ``w * p`` over the eight
+    rows one after another, from row 0.  NaN wherever ``rho`` is
+    undefined or the bracket is negative (|rho| too large for the
+    first-order sign terms to make sense).
     """
     if dp < 0.0:
         raise ValueError(f"dp must be >= 0 (got {dp})")
-    if not result.rho_defined:
-        return math.nan
-    bracket = sum(
-        w * p * p for w, p in zip(_sign_weights(result), pv.array)
-    )
-    if bracket < 0.0:
-        return math.nan
-    return math.sqrt(bracket) * dp / result.delta
+    signs = np.sign([stats.i_ab, stats.i_bc, stats.i_ca])
+    rho = np.where(stats.rho_defined, stats.rho, 0.0)
+    terms = (1.0 + (_SIGN_TERMS @ signs) * rho) * p
+    if squared:
+        terms *= p
+    # a reduction over the rows would pairwise-sum a single column
+    bracket = functools.reduce(np.add, terms)
+    out = np.full(rho.shape, np.nan)
+    ok = stats.rho_defined & (bracket >= 0.0)
+    np.divide(np.sqrt(bracket, where=ok, out=np.zeros_like(bracket)) * dp,
+              stats.delta, out=out, where=ok)
+    return out
+
+
+def power_sigma(pv: ProbabilityVector, result: SorkinResult, dp: float) -> float:
+    """Fluctuation of ``rho`` from a relative power fluctuation ``dp``:
+    the one-point case of :func:`power_sigma_curves`.
+
+    ``result`` must come from the same vector.  Returns NaN when ``rho``
+    is undefined, or when the variance bracket goes negative.
+    """
+    return float(_rho_sigma(pv.array, result, dp, squared=True))
 
 
 def poisson_sigma(counts: ProbabilityVector, result: SorkinResult) -> float:
@@ -164,46 +173,20 @@ def poisson_sigma(counts: ProbabilityVector, result: SorkinResult) -> float:
     formula applies with each squared power replaced by the count itself,
     its Poisson variance.
     """
-    if not result.rho_defined:
-        return math.nan
-    bracket = sum(w * p for w, p in zip(_sign_weights(result), counts.array))
-    if bracket < 0.0:
-        return math.nan
-    return math.sqrt(bracket) / result.delta
+    return float(_rho_sigma(counts.array, result, 1.0, squared=False))
 
 
 def power_sigma_curves(
     patterns: np.ndarray, curves: SorkinCurves, dp: float = 1.0
 ) -> np.ndarray:
-    """Vectorized :func:`power_sigma` over stacked curves (shape (8, n)).
+    """Fluctuation of ``rho`` from a relative power fluctuation ``dp`` at
+    every point of stacked curves (shape (8, n)).
 
     Returns NaN wherever ``rho`` is undefined.  ``dp = 1`` gives the pure
     propagation factor (fluctuation of ``rho`` per unit relative power
     fluctuation).
     """
-    if dp < 0.0:
-        raise ValueError(f"dp must be >= 0 (got {dp})")
-    p = np.asarray(patterns, dtype=float)
-    s_ab = np.sign(curves.i_ab)
-    s_bc = np.sign(curves.i_bc)
-    s_ca = np.sign(curves.i_ca)
-    rho = np.where(curves.rho_defined, curves.rho, 0.0)
-    weights = np.stack([
-        1.0 + (s_bc + s_ca + s_ab) * rho,
-        1.0 + (s_ca + s_ab) * rho,
-        1.0 + (s_bc + s_ab) * rho,
-        1.0 + (s_bc + s_ca) * rho,
-        1.0 + s_ab * rho,
-        1.0 + s_bc * rho,
-        1.0 + s_ca * rho,
-        np.ones_like(rho),
-    ])
-    bracket = np.sum(weights * p * p, axis=0)
-    out = np.full(rho.shape, np.nan)
-    ok = curves.rho_defined & (bracket >= 0.0)
-    np.divide(np.sqrt(bracket, where=bracket >= 0.0, out=np.zeros_like(bracket)) * dp,
-              curves.delta, out=out, where=ok)
-    return out
+    return _rho_sigma(np.asarray(patterns, dtype=float), curves, dp, squared=True)
 
 
 def detector_response(model: DetectorModel, true_rate):
@@ -261,7 +244,7 @@ def detector_rho_sweep(
     if not dynamic_range > 1.0:
         raise ValueError(f"dynamic_range must be > 1 (got {dynamic_range})")
     u_arr = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    ideal = stack_patterns(pattern_set(plate, mask, u_arr, normalize=True))
+    ideal = pattern_set(plate, mask, u_arr, normalize=True)
     floor = peak_rate / dynamic_range
     rates = (peak_rate - floor) * ideal + floor
     measured = detector_response(model, rates)
@@ -302,7 +285,5 @@ def misalignment_rho_sweep(
         for idx, combo in enumerate(COMBINATIONS)
     }
     u_arr = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    stacked = stack_patterns(
-        pattern_set(plate, mask, u_arr, normalize=True, displacements=displacements)
-    )
+    stacked = pattern_set(plate, mask, u_arr, normalize=True, displacements=displacements)
     return RhoSweep(u_arr, stacked, sorkin_curves(stacked, guard)), displacements

@@ -28,7 +28,6 @@ from bornlab.optics import (
     BLOCKING,
     combination_mask_for_plate,
     pattern_set,
-    stack_patterns,
     triple_slit_plate,
 )
 from bornlab.interference import sorkin_curves
@@ -252,7 +251,7 @@ def test_criterion_08_leakage_only_null():
     plate = triple_slit_plate(leakage_amplitude=g)
     mask = combination_mask_for_plate(plate, BLOCKING, leakage_amplitude=g)
     u = np.linspace(-3e4, 3e4, 1000)
-    stacked = stack_patterns(pattern_set(plate, mask, u))
+    stacked = pattern_set(plate, mask, u)
     curves = sorkin_curves(stacked)
     all_defined = bool(np.all(curves.rho_defined))
     max_rho = float(np.max(np.abs(curves.rho[curves.rho_defined])))
@@ -283,7 +282,7 @@ def test_criterion_09_misalignment_activation(tmp_path):
     from bornlab.config import build_objects, load_config
 
     rc = load_config(cfg)
-    plate, mask, _, _, _ = build_objects(rc)
+    plate, mask, _, _ = build_objects(rc)
     u = np.linspace(rc.u_min, rc.u_max, rc.u_points)
     sweep, _ = misalignment_rho_sweep(
         plate, mask,

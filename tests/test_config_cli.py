@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from bornlab.cli import (
+    COMMANDS,
     SWEEP_COLUMNS,
     build_parser,
     dispatch,
@@ -32,14 +34,14 @@ class TestParseConfig:
             """
             # geometry
             slit_width = 25e-6
-            wavelength = 633e-9  # He-Ne
+            dark_rate = 250  # cps
             mask_scheme = blocking
             repetitions = 7
             poisson = false
             """
         )
         assert cfg.slit_width == 25e-6
-        assert cfg.wavelength == 633e-9
+        assert cfg.dark_rate == 250.0
         assert cfg.mask_scheme == "blocking"
         assert cfg.repetitions == 7
         assert cfg.poisson is False
@@ -49,8 +51,8 @@ class TestParseConfig:
             parse_config("slitwidth = 1e-6")
 
     def test_range_error_names_key(self):
-        with pytest.raises(ConfigError, match="wavelength: must be > 0"):
-            parse_config("wavelength = -1")
+        with pytest.raises(ConfigError, match="slit_width: must be > 0"):
+            parse_config("slit_width = -1")
 
     def test_choice_error_names_key(self):
         with pytest.raises(ConfigError, match="rule: must be one of born, cubic"):
@@ -100,7 +102,7 @@ class TestParseConfig:
 
     def test_leakage_converted_to_amplitude(self):
         cfg = parse_config("mask_leakage = 0.05\nplate_leakage = 0.01")
-        plate, mask, _, _, _ = build_objects(cfg)
+        plate, mask, _, _ = build_objects(cfg)
         assert plate.leakage_amplitude == pytest.approx(math.sqrt(0.01))
         assert mask.leakage_amplitude == pytest.approx(math.sqrt(0.05))
 
@@ -197,9 +199,9 @@ class TestCli:
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.txt"
-        cfg.write_text("wavelength = -5\n", encoding="utf-8")
+        cfg.write_text("dwell_time = -5\n", encoding="utf-8")
         assert main(["--config", str(cfg), "patterns"]) == 2
-        assert "wavelength" in capsys.readouterr().err
+        assert "dwell_time" in capsys.readouterr().err
 
     def test_unwritable_out_dir(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -378,3 +380,89 @@ class TestCli:
         row = (out / "patterns.csv").read_text().splitlines()[1].split(",")
         pa = float(row[SWEEP_COLUMNS.index("pA")])
         assert f"{pa:.17g}" == row[SWEEP_COLUMNS.index("pA")]
+
+
+# -- every config key changes some output
+
+#: Small configs on which every key is live: the ideal one runs
+#: ``sweep-detector`` (it needs ideal optics), the leaky one makes the
+#: plate extent, the mask scheme and the displacement sampler matter.
+SMALL = dict(u_points=11, repetitions=3, rule="cubic", alpha=0.01, nonlinearity=0.01)
+BASES = {
+    "ideal": RunConfig(**SMALL),
+    "leaky": RunConfig(**SMALL, plate_leakage=0.05, mask_leakage=0.05),
+}
+
+#: A value for each key that differs from its value in both bases.
+CHANGED = {
+    "slit_width": 25e-6,
+    "slit_separation": 120e-6,
+    "plate_half_width": 1e-3,
+    "plate_leakage": 0.02,
+    "mask_scheme": "blocking",
+    "opening_width": 20e-6,
+    "mask_leakage": 0.02,
+    "mask_displacement": 50e-6,
+    "u_min": -30000.0,
+    "u_max": 30000.0,
+    "u_points": 12,
+    "detector_u": 500.0,
+    "rule": "born",
+    "alpha": 0.02,
+    "mean_power": 50000.0,
+    "power_fluctuation": 0.01,
+    "power_drift": 1e-3,
+    "sequence_order": "randomized",
+    "monitor_counts": 1000.0,
+    "dead_time": 50e-9,
+    "nonlinearity": 0.02,
+    "full_scale_rate": 5e5,
+    "dark_rate": 100.0,
+    "dwell_time": 10.0,
+    "peak_rate": 50000.0,
+    "dynamic_range": 50.0,
+    "displacement_low": 2e-6,
+    "displacement_high": 5e-6,
+    "repetitions": 4,
+    "poisson": False,
+    "seed": 1,
+    "guard": 0.5,
+}
+
+
+@pytest.fixture(scope="module")
+def command_tables(tmp_path_factory):
+    """``(cfg, command) ->`` the table files (name -> bytes, manifest left
+    out) that the command writes for the config, or None when it fails."""
+    cache: dict = {}
+    counts = ROOT / "tests" / "data" / "sorkin_counts.csv"
+
+    def tables(cfg, command):
+        if (cfg, command) not in cache:
+            out = tmp_path_factory.mktemp("tables")
+            code = dispatch(command, cfg, out_dir=out, counts_path=counts)
+            cache[cfg, command] = None if code else {
+                p.name: p.read_bytes() for p in sorted(out.iterdir())
+                if p.name != "manifest.json"
+            }
+        return cache[cfg, command]
+
+    return tables
+
+
+def test_changed_values_cover_every_key():
+    keys = {f.name for f in dataclasses.fields(RunConfig)} - {"out_dir"}
+    assert set(CHANGED) == keys
+
+
+@pytest.mark.parametrize("key", sorted(CHANGED))
+def test_every_config_key_changes_some_table(key, command_tables):
+    for base in BASES.values():
+        assert getattr(base, key) != CHANGED[key]
+        changed = dataclasses.replace(base, **{key: CHANGED[key]})
+        for command in COMMANDS:
+            before = command_tables(base, command)
+            after = command_tables(changed, command)
+            if None not in (before, after) and before != after:
+                return
+    pytest.fail(f"changing {key} changes no table of any command")

@@ -11,7 +11,7 @@ from bornlab.experiment import (
     run_experiment,
 )
 from bornlab.interference import ProbabilityVector, sorkin
-from bornlab.optics import pattern_set, stack_patterns
+from bornlab.optics import pattern_set
 from bornlab.systematics import DetectorModel, PowerModel, poisson_sigma
 
 from oracles import rho_per_repetition_scalar, run_experiment_scalar
@@ -207,8 +207,7 @@ class TestEstimate:
 
 
 def scalar_run(plate, mask, power, det, u, repetitions, seed, poisson=True):
-    base = power.mean_power * stack_patterns(
-        pattern_set(plate, mask, np.array([u]), normalize=True))[:, 0]
+    base = power.mean_power * pattern_set(plate, mask, np.array([u]), normalize=True)[:, 0]
     return run_experiment_scalar(base, power, det, repetitions, seed, poisson)
 
 

@@ -13,6 +13,7 @@ from bornlab.interference import (
     ProbabilityVector,
     epsilon,
     interference_term,
+    interference_terms,
     rule_probability,
     sorkin,
     sorkin_curves,
@@ -122,6 +123,20 @@ class TestInterferenceTerm:
             got = interference_term(rule, amps, "ABCD"[:k])
             want = union_recursion_interference(z, alpha)
             assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05])
+    def test_rows_match_one_set_at_a_time(self, rng, alpha):
+        rule = ProbabilityRule(alpha)
+        z = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
+        terms, probs = interference_terms(rule, z)
+        assert terms.shape == (30,) and probs.shape == (30, 15)
+        for row, term, p in zip(z, terms, probs):
+            amps = PathAmplitudes([complex(v) for v in row])
+            assert interference_term(rule, amps, "ABCD") == term
+            # column m - 1 holds the subset of bitmask m: 5 = A and C
+            assert p[4] == rule_probability(rule, amps, "AC")
+        with pytest.raises(ValueError, match="shape"):
+            interference_terms(rule, z[0])
 
     def test_duplicate_paths_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -254,6 +269,9 @@ class TestSorkinCurves:
         curves = sorkin_curves(stack, guard=1e-9)
         for i in range(stack.shape[1]):
             res = sorkin(ProbabilityVector.from_array(stack[:, i]), guard=1e-9)
+            # Python scalars, which the manifest's JSON writer encodes as numbers
+            types = [type(getattr(res, f)) for f in ("epsilon", "rho_defined", "s_ab")]
+            assert types == [float, bool, int]
             assert curves.epsilon[i] == res.epsilon
             assert curves.delta[i] == res.delta
             assert curves.i_ab[i] == res.i_ab

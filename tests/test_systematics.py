@@ -16,7 +16,6 @@ from bornlab.optics import (
     OPENING,
     combination_mask_for_plate,
     pattern_set,
-    stack_patterns,
     triple_slit_plate,
 )
 from bornlab.systematics import (
@@ -141,17 +140,18 @@ class TestPoissonSigma:
 
 class TestPowerSigmaCurves:
     def test_matches_scalar(self, rng):
+        # the same bits for a point whatever the width of its stack
         stack = rng.uniform(0.1, 4.0, size=(8, 40))
         curves = sorkin_curves(stack, guard=1e-9)
         unit = power_sigma_curves(stack, curves, 1.0)
+        assert np.count_nonzero(np.isfinite(unit)) >= 10
         for i in range(stack.shape[1]):
+            column = stack[:, i:i + 1]
+            alone = power_sigma_curves(column, sorkin_curves(column, guard=1e-9), 1.0)
             pv = ProbabilityVector.from_array(stack[:, i])
-            res = sorkin(pv, guard=1e-9)
-            scalar = power_sigma(pv, res, 1.0)
-            if math.isnan(scalar):
-                assert math.isnan(unit[i])
-            else:
-                assert unit[i] == pytest.approx(scalar, rel=1e-12)
+            scalar = power_sigma(pv, sorkin(pv, guard=1e-9), 1.0)
+            assert alone.tobytes() == unit[i:i + 1].tobytes()
+            assert np.float64(scalar).tobytes() == unit[i].tobytes()
 
     def test_negative_bracket_flags_nan(self):
         # |rho| of order 1 with opposing signs drives the bracket negative
@@ -258,7 +258,7 @@ class TestEndToEndNull:
         # no fluctuation, no nonlinearity, no dead time, no dark counts,
         # no leakage, no displacement: epsilon vanishes pointwise
         u = np.linspace(-4e4, 4e4, 1001)
-        stacked = stack_patterns(pattern_set(plate, mask, u))
+        stacked = pattern_set(plate, mask, u)
         curves = sorkin_curves(stacked)
         peak = np.max(stacked[7])
         assert np.max(np.abs(curves.epsilon)) <= 1e-10 * peak
@@ -293,7 +293,7 @@ class TestMisalignmentSweep:
         sweep, _ = misalignment_rho_sweep(
             plate, mask, uniform_displacement_sampler(0, 10e-6), u, seed=5
         )
-        ideal = stack_patterns(pattern_set(plate, mask, u))
+        ideal = pattern_set(plate, mask, u)
         assert np.array_equal(sweep.patterns, ideal)
 
     def test_leaky_displaced_mask_activates(self):
