@@ -50,21 +50,50 @@ class CountsRecord:
     monitor: np.ndarray | None = None
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=float)
-        stamps = np.asarray(self.timestamps, dtype=int)
-        if counts.shape != (8,) or stamps.shape != (8,):
-            raise ValueError("counts and timestamps must have shape (8,)")
-        if np.any(~np.isfinite(counts)) or np.any(counts < 0.0):
-            raise ValueError("counts must be finite and >= 0")
-        if not self.dwell_time > 0.0:
-            raise ValueError(f"dwell_time must be > 0 (got {self.dwell_time})")
+        counts, stamps, monitor = _checked(
+            self.counts, self.dwell_time, self.timestamps, self.monitor, (8,)
+        )
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "timestamps", stamps)
-        if self.monitor is not None:
-            mon = np.asarray(self.monitor, dtype=float)
-            if mon.shape != (8,) or np.any(~np.isfinite(mon)) or np.any(mon < 0.0):
-                raise ValueError("monitor counts must be shape (8,), finite, >= 0")
-            object.__setattr__(self, "monitor", mon)
+        object.__setattr__(self, "monitor", monitor)
+
+    @classmethod
+    def _block(cls, reps: Sequence[int], counts, dwell_time: float, timestamps,
+               monitor=None) -> list["CountsRecord"]:
+        """One record per row of (len(reps), 8) arrays.  The arrays are
+        checked once for the whole block and ``__post_init__`` is skipped;
+        record i holds row i of each array, as
+        ``CountsRecord(reps[i], counts[i], ...)`` would."""
+        counts, stamps, monitor = _checked(
+            counts, dwell_time, timestamps, monitor, (len(reps), 8)
+        )
+        records = []
+        for i, rep in enumerate(reps):
+            rec = object.__new__(cls)
+            vars(rec).update(
+                repetition=rep, counts=counts[i], dwell_time=dwell_time,
+                timestamps=stamps[i], monitor=None if monitor is None else monitor[i],
+            )
+            records.append(rec)
+        return records
+
+
+def _checked(counts, dwell_time, timestamps, monitor, shape: tuple[int, ...]):
+    """Counts, timestamps and monitor counts (or None) as float, int and
+    float arrays of ``shape``; raises unless they are valid records."""
+    counts = np.asarray(counts, dtype=float)
+    stamps = np.asarray(timestamps, dtype=int)
+    if counts.shape != shape or stamps.shape != shape:
+        raise ValueError("counts and timestamps must have shape (8,)")
+    if np.any(~np.isfinite(counts)) or np.any(counts < 0.0):
+        raise ValueError("counts must be finite and >= 0")
+    if not dwell_time > 0.0:
+        raise ValueError(f"dwell_time must be > 0 (got {dwell_time})")
+    if monitor is not None:
+        monitor = np.asarray(monitor, dtype=float)
+        if monitor.shape != shape or np.any(~np.isfinite(monitor)) or np.any(monitor < 0.0):
+            raise ValueError("monitor counts must be shape (8,), finite, >= 0")
+    return counts, stamps, monitor
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,15 +180,8 @@ def run_experiment(
             seed, reps, base_rates, power, detector, poisson
         )
         n_clamped += clamped
-        records += (
-            CountsRecord(
-                repetition=rep,
-                counts=counts[i],
-                dwell_time=detector.dwell_time,
-                timestamps=stamps[i],
-                monitor=None if monitor is None else monitor[i],
-            )
-            for i, rep in enumerate(reps.tolist())
+        records += CountsRecord._block(
+            reps.tolist(), counts, detector.dwell_time, stamps, monitor
         )
     if n_clamped:
         warnings.warn(

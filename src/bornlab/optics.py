@@ -34,12 +34,32 @@ interval's term is then formed from those rows with the same operations
 as the interval-by-interval sum, and added to its aperture's amplitude
 in interval order, starting from zero.  The result has the same bits as
 that sum, for any block layout and any worker count.
+
+``pattern_set`` also evaluates each distinct ``|u|`` only once and
+copies the intensity to both ``+u`` and ``-u``.  Every aperture it
+builds is real, so each intensity curve is even in ``u``, and the copy
+has the bits that a direct evaluation at ``-u`` gives:
+
+* ``(pi w) * -u`` is exactly ``-x``, and ``sin`` is odd, so the sinc
+  rows at ``-u`` equal those at ``u``;
+* ``exp(-iy)`` is ``conj(exp(iy))``, so the phase rows are conjugates;
+* a term is a real coefficient times these rows, and the sequential sums
+  round symmetrically under negation, so the amplitude at ``-u`` is the
+  conjugate of the one at ``u`` up to the signs of zeros;
+* ``re * re + im * im`` drops the sign of the imaginary part and of zeros.
+
+This rests on libm's ``sin`` being odd and ``cos`` even bit for bit,
+which the tests against the interval-by-interval loop check.
+``far_field_amplitude`` returns complex amplitudes, whose signed zeros
+would differ, so it evaluates every point as given.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -160,9 +180,9 @@ class CombinationAperture:
         values = np.asarray(self.values, dtype=np.complex128)
         if edges.ndim != 1 or values.ndim != 1 or edges.size != values.size + 1:
             raise ValueError("need n+1 edges for n interval values")
-        if edges.size and not np.all(np.diff(edges) > 0):
+        if not (edges[1:] > edges[:-1]).all():
             raise ValueError("edges must be strictly increasing")
-        if values.size and np.max(np.abs(values)) > 1.0 + 1e-12:
+        if values.size and np.abs(values).max() > 1.0 + 1e-12:
             raise ValueError("|transmission| must not exceed 1")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "values", values)
@@ -256,24 +276,22 @@ def build_combination_aperture(
         base, feat_val = 1.0, mask.leakage_amplitude
 
     half = plate.plate_half_width
-    cut = np.array(
-        sorted(
-            set(plate_edges)
-            | {e for ab in feats for e in ab if -half < e < half}
-        )
+    cut = sorted(
+        set(plate_edges) | {e for ab in feats for e in ab if -half < e < half}
     )
+    # x lies in plate piece i when plate_edges[i] <= x < plate_edges[i + 1],
+    # and under a feature when one starting at or before x ends after x
+    feats.sort()
+    starts = [lo for lo, _hi in feats]
+    reach = list(accumulate((hi for _lo, hi in feats), max))
 
     def plate_at(x: float) -> float:
-        for (lo, hi), v in zip(zip(plate_edges[:-1], plate_edges[1:]), plate_values):
-            if lo <= x < hi:
-                return v
-        return 0.0
+        i = bisect_right(plate_edges, x) - 1
+        return plate_values[i] if 0 <= i < len(plate_values) else 0.0
 
     def mask_at(x: float) -> float:
-        for lo, hi in feats:
-            if lo <= x < hi:
-                return feat_val
-        return base
+        i = bisect_right(starts, x)
+        return feat_val if i and x < reach[i - 1] else base
 
     edges = [cut[0]]
     values: list[float] = []
@@ -394,6 +412,29 @@ def _grid(u) -> np.ndarray:
     return u_arr
 
 
+def _distinct_magnitudes(u: np.ndarray, scratch: np.ndarray):
+    """The distinct values of ``|u|``, ascending, and the index of each
+    point's value among them; None when no two points share ``|u|``.
+
+    ``scratch`` is a (2, u.size) float64 array that may be overwritten.
+    A strictly increasing grid that does not change sign is recognized
+    without sorting.
+    """
+    if u.size < 2 or (np.all(u[1:] > u[:-1]) and (u[0] >= 0.0 or u[-1] <= 0.0)):
+        return None
+    mags = np.abs(u, out=scratch[0])
+    ordered = scratch[1]
+    ordered[:] = mags
+    ordered.sort(kind="stable")  # timsort: |u| of a sorted grid is two runs
+    new = np.empty(u.size, dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    keys = ordered[new]
+    if keys.size == u.size:
+        return None
+    return keys, keys.searchsorted(mags)
+
+
 def far_field_amplitude(aperture: CombinationAperture, u):
     """Far-field amplitude at frequency(ies) ``u`` (cycles/meter).
 
@@ -423,6 +464,11 @@ def pattern_set(
     of the all-open curve is scaled to 1.  ``displacements`` optionally
     overrides the mask displacement per combination (one rigid shift per
     combination measurement); its keys must be combination labels.
+
+    Each distinct ``|u|`` of the grid is evaluated once; the curves are
+    even, and every point gets the bits of an evaluation at that point
+    (see the module docstring).  A strictly increasing grid that does not
+    change sign is evaluated as given, without sorting.
     """
     u_arr = _grid(u_grid)
     shifts = dict.fromkeys(COMBINATIONS, mask.displacement)
@@ -438,7 +484,18 @@ def pattern_set(
         for combo in COMBINATIONS
     ]
     stacked = np.empty((len(COMBINATIONS), u_arr.size))
-    _fourier_pass(apertures, u_arr, stacked)
+    distinct = _distinct_magnitudes(u_arr, stacked[:2])
+    if distinct is None:
+        _fourier_pass(apertures, u_arr, stacked)
+    else:
+        # evaluate each |u| once in the leading columns, then spread every
+        # row over the grid; the keys, no longer needed, hold the row meanwhile
+        keys, inverse = distinct
+        k = keys.size
+        _fourier_pass(apertures, keys, stacked[:, :k])
+        for row in stacked:
+            keys[:] = row[:k]
+            np.take(keys, inverse, out=row)
     if normalize:
         peak = float(np.max(stacked[COMBINATIONS.index("ABC")]))
         if peak <= 0.0:

@@ -3,8 +3,8 @@
 Everything here recomputes expected values from first principles without
 touching the package's own code paths: raw bitmask inclusion-exclusion,
 union-merging recursion, Monte Carlo resampling, quadrature, and the
-interval-by-interval and dwell-by-dwell loops that the package runs on
-arrays.
+interval-by-interval, piece-scanning and dwell-by-dwell loops that the
+package replaced by shared tables, bisection and array arithmetic.
 """
 
 from __future__ import annotations
@@ -80,11 +80,74 @@ def far_field_amplitude_loop(aperture, u):
                                   aperture.values, u)
 
 
+def build_combination_aperture_scan(plate, mask, combination, displacement=None):
+    """``optics.build_combination_aperture`` as it was: every cut interval
+    looks its plate and mask values up by scanning all plate pieces and
+    all features at its midpoint."""
+    from bornlab.optics import OPENING, CombinationAperture
+
+    if combination not in mask.features:
+        raise ValueError(
+            f"mask defines no feature row for combination {combination!r}"
+        )
+    shift = mask.displacement if displacement is None else displacement
+    half = plate.plate_half_width
+    g = plate.leakage_amplitude
+    plate_edges = [-half]
+    plate_values = []
+    for c, width in sorted(plate.slits):
+        plate_edges.extend([c - width / 2, c + width / 2])
+        plate_values.extend([g, 1.0])
+    plate_edges.append(half)
+    plate_values.append(g)
+    feats = [
+        (c + shift - w / 2, c + shift + w / 2)
+        for c, w in mask.features[combination]
+    ]
+    if mask.scheme == OPENING:
+        base, feat_val = mask.leakage_amplitude, 1.0
+    else:
+        base, feat_val = 1.0, mask.leakage_amplitude
+
+    cut = np.array(
+        sorted(
+            set(plate_edges)
+            | {e for ab in feats for e in ab if -half < e < half}
+        )
+    )
+
+    def plate_at(x):
+        for (lo, hi), v in zip(zip(plate_edges[:-1], plate_edges[1:]), plate_values):
+            if lo <= x < hi:
+                return v
+        return 0.0
+
+    def mask_at(x):
+        for lo, hi in feats:
+            if lo <= x < hi:
+                return feat_val
+        return base
+
+    edges = [cut[0]]
+    values = []
+    for lo, hi in zip(cut[:-1], cut[1:]):
+        mid = 0.5 * (lo + hi)
+        v = plate_at(mid) * mask_at(mid)
+        if values and v == values[-1]:
+            edges[-1] = hi  # coalesce equal neighbors
+        else:
+            edges.append(hi)
+            values.append(v)
+    return CombinationAperture(
+        np.array(edges), np.array(values, dtype=np.complex128), combination
+    )
+
+
 def pattern_set_loop(plate, mask, u, normalize=True, displacements=None):
     """``pattern_set`` as it was: one displaced mask per combination
-    (``dataclasses.replace``) and one reference-loop transform each."""
+    (``dataclasses.replace``), the scanning aperture builder, and one
+    reference-loop transform each, at every grid point as given."""
     from bornlab.interference import COMBINATIONS
-    from bornlab.optics import build_combination_aperture
 
     u = np.ascontiguousarray(np.atleast_1d(u), dtype=np.float64)
     curves = {}
@@ -92,7 +155,7 @@ def pattern_set_loop(plate, mask, u, normalize=True, displacements=None):
         m = mask
         if displacements is not None and combo in displacements:
             m = replace(mask, displacement=float(displacements[combo]))
-        amp = far_field_amplitude_loop(build_combination_aperture(plate, m, combo), u)
+        amp = far_field_amplitude_loop(build_combination_aperture_scan(plate, m, combo), u)
         curves[combo] = amp.real * amp.real + amp.imag * amp.imag
     if normalize:
         peak = float(np.max(curves["ABC"]))

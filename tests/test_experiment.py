@@ -39,6 +39,30 @@ class TestCountsRecord:
         with pytest.raises(ValueError, match="monitor"):
             CountsRecord(0, np.zeros(8), 1.0, np.arange(8), monitor=np.zeros(3))
 
+    @pytest.mark.parametrize("poisson", [True, False])
+    def test_run_records_are_checked_records(self, plate, mask, poisson):
+        # run_experiment checks each block once; every record must be what
+        # the checking constructor makes of the same rows
+        power = PowerModel(mean_power=5e5, relative_fluctuation=1e-3,
+                           sequence_order="randomized", monitor_counts=1e6)
+        recs = run_experiment(plate, mask, power, DetectorModel(), 0.0, 40, seed=2,
+                              poisson=poisson)
+        for rec in recs:
+            ref = CountsRecord(rec.repetition, rec.counts, rec.dwell_time,
+                               rec.timestamps, rec.monitor)
+            assert type(rec.repetition) is int
+            for name in ("counts", "timestamps", "monitor"):
+                got, want = getattr(rec, name), getattr(ref, name)
+                assert got.dtype == want.dtype and got.shape == (8,)
+                assert got.tobytes() == want.tobytes()
+
+    def test_run_rejects_negative_expected_counts(self, plate, mask):
+        # a detector driven past its nonlinearity gives negative means
+        det = DetectorModel(nonlinearity=0.9, full_scale_rate=1e3)
+        with pytest.raises(ValueError, match="counts must be finite and >= 0"):
+            run_experiment(plate, mask, PowerModel(mean_power=1e6), det, 0.0, 3,
+                           poisson=False)
+
 
 class TestRunExperiment:
     def test_end_to_end_null_expected_value_mode(self, plate, mask):

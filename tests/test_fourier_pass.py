@@ -161,3 +161,58 @@ class TestDisplacementKeys:
     def test_non_finite_displacement_rejected(self, plate, mask, bad):
         with pytest.raises(ValueError, match="displacement must be finite"):
             pattern_set(plate, mask, np.array([0.0, 1e3]), displacements={"BC": bad})
+
+
+def even_grids():
+    """Grids on which ``pattern_set`` evaluates each distinct ``|u|`` once,
+    plus grids where no two points share ``|u|``."""
+    rng = np.random.default_rng(7)
+    pairs = np.linspace(500.0, 4e4, 150)
+    return {
+        "mirrored": np.linspace(-3e4, 3e4, 601),
+        "partly mirrored": np.linspace(-3e4, 3e4, 25001),
+        "signed zeros": np.array([0.0, -0.0, 2e3, -2e3, 0.0, 7.5e3, -0.0, 5e-324, -5e-324]),
+        "duplicates": np.repeat(np.linspace(-1e4, 2e4, 3 * BLOCK + 5), 3),
+        "unsorted": rng.permutation(np.concatenate([pairs, -pairs[:90], [0.0, 1234.5]])),
+        "all positive": np.linspace(250.0, 6e4, 2 * BLOCK + 9),
+        "single point": np.array([-1.5e4]),
+    }
+
+
+class TestEvenCurves:
+    """``pattern_set`` evaluates each distinct ``|u|`` once and copies the
+    result to ``+u`` and ``-u``; the bits must stay those of the loop
+    evaluated at every point as given."""
+
+    @pytest.mark.parametrize("grid", list(even_grids()))
+    @pytest.mark.parametrize("scheme", [OPENING, BLOCKING])
+    def test_matches_loop_at_every_point(self, rng, monkeypatch, grid, scheme):
+        u = even_grids()[grid]
+        plate = leaky_plate()
+        mask = combination_mask_for_plate(plate, scheme, leakage_amplitude=0.1)
+        shifts = displacements(rng)
+        want = pattern_set_loop(plate, mask, u, displacements=shifts)
+        want_raw = pattern_set_loop(plate, mask, u, normalize=False, displacements=shifts)
+        for workers in (None, "1", "2"):
+            if workers is None:
+                monkeypatch.delenv(THREADS_ENV, raising=False)
+            else:
+                monkeypatch.setenv(THREADS_ENV, workers)
+            assert_same_curves(pattern_set(plate, mask, u, displacements=shifts), want)
+            assert_same_curves(
+                pattern_set(plate, mask, u, normalize=False, displacements=shifts), want_raw)
+
+    def test_mirrored_grid_is_evaluated_at_half_its_points(self):
+        keys, inverse = optics._distinct_magnitudes(np.linspace(-3e4, 3e4, 601), np.empty((2, 601)))
+        assert keys.size == 301 and keys[0] == 0.0 and np.all(np.diff(keys) > 0)
+        assert_same_bits(keys[inverse], np.abs(np.linspace(-3e4, 3e4, 601)))
+
+    @pytest.mark.parametrize("u", [
+        np.linspace(0.0, 6e4, 1000),
+        np.linspace(-6e4, -0.0, 1000),
+        np.array([-0.0, 1.0]),
+        np.array([3.0, -1.0, 2.0]),
+        np.array([5.0]),
+    ])
+    def test_grid_without_shared_magnitudes_is_used_as_given(self, u):
+        assert optics._distinct_magnitudes(u, np.empty((2, u.size))) is None

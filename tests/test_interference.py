@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bornlab.interference import (
@@ -167,10 +167,13 @@ class TestEpsilon:
         assert epsilon(pv) == pytest.approx(expected, abs=1e-13)
 
     @given(st.lists(finite_complex, min_size=3, max_size=3))
+    @example([0j, 976.62 + 0j, -966 + 0j])
     @settings(max_examples=300, deadline=None)
     def test_born_null_property(self, triple):
+        # epsilon rounds at the scale of the largest probability, which
+        # can be far above pABC when the paths cancel each other
         pv = ProbabilityVector.from_rule(BORN, PathAmplitudes(triple))
-        assert abs(epsilon(pv)) <= 1e-12 * max(1.0, pv.pABC)
+        assert abs(epsilon(pv)) <= 1e-12 * max(1.0, *pv.array)
 
     @given(
         st.lists(finite_complex, min_size=3, max_size=3),

@@ -16,7 +16,7 @@ from bornlab.optics import (
     pattern_set,
     triple_slit_plate,
 )
-from oracles import single_slit_energy_quadrature
+from oracles import build_combination_aperture_scan, single_slit_energy_quadrature
 
 W = 30e-6
 D = 100e-6
@@ -104,6 +104,118 @@ class TestApertureConstruction:
         assert ap.transmission(-D) == 1.0
         assert ap.transmission(0.0) == 1.0
         assert ap.transmission(D) == pytest.approx(0.1)
+
+
+#: Lattice step of the exact geometries below: a power of two, so that
+#: every center, width and edge on the lattice is exact in float64.
+STEP = 2.0 ** -14
+
+
+def lattice_row(rng, first, last, least, most):
+    """``least`` to ``most`` non-overlapping (center, width) features with
+    edges on the lattice points ``first..last``; neighbours may touch, and
+    so may the first feature and point ``first``."""
+    feats, pos = [], first + int(rng.integers(0, 3))
+    for _ in range(int(rng.integers(least, most + 1))):
+        width = int(rng.integers(1, 6))
+        if pos + width > last:
+            break
+        feats.append(((pos + width / 2) * STEP, width * STEP))
+        pos += width + int(rng.integers(0, 3))
+    return tuple(feats)
+
+
+def lattice_geometry(rng):
+    """A plate of up to four slits on the lattice and a mask whose rows
+    are empty, reach past the plate, or repeat some slits exactly."""
+    slits = ()
+    while not slits:
+        slits = lattice_row(rng, -32, 32, 1, 4)
+    plate = SlitPlate(slits, 32 * STEP, float(rng.choice([0.0, 0.3])))
+    rows = {}
+    for combo in COMBINATIONS:
+        kind = rng.integers(3)
+        if kind == 0:
+            row = lattice_row(rng, -48, 48, 0, 4)
+        elif kind == 1:
+            row = tuple(s for s in slits if rng.random() < 0.5)
+        else:
+            row = ()
+        rows[combo] = tuple(row[i] for i in rng.permutation(len(row)))
+    mask = CombinationMask(str(rng.choice([OPENING, BLOCKING])), rows,
+                           float(rng.choice([0.0, 0.2])), int(rng.integers(-3, 4)) * STEP)
+    return plate, mask
+
+
+def uniform_geometry(rng):
+    """Three slits and masks of random extent with no lattice."""
+    separation = float(rng.uniform(70e-6, 200e-6))
+    plate = triple_slit_plate(float(rng.uniform(5e-6, 60e-6)), separation,
+                              float(rng.uniform(3e-4, 3e-3)), float(rng.uniform(0.0, 0.5)))
+    mask = combination_mask_for_plate(plate, str(rng.choice([OPENING, BLOCKING])),
+                                      float(rng.uniform(10e-6, separation)),
+                                      float(rng.uniform(0.0, 0.5)))
+    return plate, mask
+
+
+class TestApertureBuilderAgainstScan:
+    """``build_combination_aperture`` looks values up by bisection; the
+    edges and values must be the bytes of the scanning builder in
+    ``oracles``."""
+
+    @staticmethod
+    def assert_same_aperture(plate, mask, combo, shift):
+        got = build_combination_aperture(plate, mask, combo, shift)
+        want = build_combination_aperture_scan(plate, mask, combo, shift)
+        assert got.combination == want.combination
+        for name in ("edges", "values"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_lattice_geometries(self, rng):
+        # exact edges: features on slit edges, touching slits and
+        # features, empty and unordered rows, rows past the plate,
+        # negative shifts, and shifts of a few ulps, which leave cut
+        # intervals whose midpoint rounds onto an edge
+        for _ in range(150):
+            plate, mask = lattice_geometry(rng)
+            for combo in COMBINATIONS:
+                shift = rng.choice([None, 0.0, int(rng.integers(-40, 41)) * STEP,
+                                    int(rng.integers(-3, 4)) * 2.0 ** -61,
+                                    float(rng.uniform(-3e-3, 3e-3))])
+                self.assert_same_aperture(plate, mask, combo, shift)
+
+    def test_uniform_geometries(self, rng):
+        for _ in range(60):
+            plate, mask = uniform_geometry(rng)
+            for combo in COMBINATIONS:
+                shift = float(rng.normal(0.0, 20e-6)) if rng.random() < 0.8 else None
+                self.assert_same_aperture(plate, mask, combo, shift)
+
+    @pytest.mark.parametrize("scheme", [OPENING, BLOCKING])
+    def test_edges_one_ulp_apart(self, scheme):
+        # cut intervals one ulp wide, whose midpoint rounds onto one end:
+        # a feature next to the lattice slits, and lattice features next
+        # to a slit off the lattice
+        w = 16 * STEP
+        on_lattice = ((1.5 * w, w), (-2.5 * w, w))
+        for edge in (w, 2 * w, -3 * w, -2 * w):
+            for side in (-np.inf, np.inf):
+                near = float(np.nextafter(edge, side))
+                for width in (w / 2, 3 * w):
+                    for center in (near + width / 2, near - width / 2):
+                        off_lattice = ((center, width),)
+                        for slits, row in ((on_lattice, off_lattice), (off_lattice, on_lattice)):
+                            plate = SlitPlate(slits, 16 * w, 0.3)
+                            mask = CombinationMask(scheme, {"A": row}, 0.2)
+                            for shift in (None, -math.ulp(center), math.ulp(center)):
+                                self.assert_same_aperture(plate, mask, "A", shift)
+
+    def test_missing_row_raises_like_the_scan(self, plate):
+        mask = CombinationMask(OPENING, {"ABC": ()})
+        for builder in (build_combination_aperture, build_combination_aperture_scan):
+            with pytest.raises(ValueError, match="no feature row for combination 'AB'"):
+                builder(plate, mask, "AB")
 
 
 class TestFarField:
