@@ -1,29 +1,45 @@
-"""Time and peak memory of one large ``pattern_set`` call.
+"""Time and peak memory of one large ``pattern_set`` call, or of one
+whole CLI sweep on a scaled copy of a bundled config.
 
-Evaluates the eight curves of the leaky geometry of
-``configs/leaky_mask_sweep.cfg`` (blocking mask, 5% intensity leakage on
-both plates, per-combination displacements drawn from U[0, 10 um] with
-seed 0) on a grid of ``--points`` points, either mirrored,
-``linspace(-3e4, 3e4, points + 1)``, or all-positive,
-``linspace(0, 6e4, points)``.  Prints one JSON line: the best wall time
-of ``--repeats`` calls, the peak RSS of the process, and the machine
-facts.  Run one grid per process, so that the peak belongs to that grid:
+Pattern mode (the default) evaluates the eight curves of the leaky
+geometry of ``configs/leaky_mask_sweep.cfg`` (blocking mask, 5% intensity
+leakage on both plates, per-combination displacements drawn from
+U[0, 10 um] with seed 0) on a grid of ``--points`` points, either
+mirrored, ``linspace(-3e4, 3e4, points + 1)``, or all-positive,
+``linspace(0, 6e4, points)``.
+
+Sweep mode (``--sweep COMMAND``) copies ``--config`` with ``u_points``
+set to ``--points``, then runs ``bornlab COMMAND`` on it in this process,
+writing CSV into a temporary directory; it reports the sha256 of every
+file written but the manifest.
+
+Either mode prints one JSON line: the best wall time of ``--repeats``
+runs, the peak RSS of the process, and the machine facts.  Run one grid
+or sweep per process, so that the peak belongs to it:
 
     PYTHONPATH=src python benchmarks/bench_pattern_set.py --grid mirrored
+    PYTHONPATH=src python benchmarks/bench_pattern_set.py --sweep sweep-mask \\
+        --config configs/leaky_mask_sweep.cfg --points 1000001 --repeats 1
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
 import platform
 import resource
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
+from bornlab.cli import main as cli_main
 from bornlab.interference import COMBINATIONS
 from bornlab.optics import BLOCKING, combination_mask_for_plate, pattern_set, triple_slit_plate
 
@@ -33,13 +49,7 @@ GRIDS = {
 }
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--grid", choices=sorted(GRIDS), default="mirrored")
-    parser.add_argument("--points", type=int, default=10**6)
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args()
-
+def bench_pattern_set(args) -> dict:
     leak = math.sqrt(0.05)
     plate = triple_slit_plate(leakage_amplitude=leak)
     mask = combination_mask_for_plate(plate, BLOCKING, leakage_amplitude=leak)
@@ -52,8 +62,52 @@ def main() -> None:
         curves = pattern_set(plate, mask, u, displacements=shifts)
         best = min(best, time.perf_counter() - t0)
         del curves
+    return {"grid": args.grid, "points": u.size, "best_s": round(best, 4)}
+
+
+def scaled_config(path: Path, points: int) -> str:
+    """The config text with ``u_points`` set to ``points``."""
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines()
+             if line.split("#", 1)[0].partition("=")[0].strip() != "u_points"]
+    return "\n".join(lines + [f"u_points = {points}"]) + "\n"
+
+
+def bench_sweep(args) -> dict:
+    best = math.inf
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "scaled.cfg"
+        cfg.write_text(scaled_config(Path(args.config), args.points), encoding="utf-8")
+        out = Path(tmp) / "out"
+        for _ in range(args.repeats):
+            t0 = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = cli_main(["--config", str(cfg), "--out", str(out), args.sweep])
+            best = min(best, time.perf_counter() - t0)
+            if status != 0:
+                raise SystemExit(f"bornlab {args.sweep} exited with status {status}")
+        sha256 = {}
+        for path in sorted(out.iterdir()):
+            if path.name != "manifest.json":
+                with open(path, "rb") as fh:  # read in chunks: a table can be large
+                    sha256[path.name] = hashlib.file_digest(fh, "sha256").hexdigest()
+    return {"sweep": args.sweep, "config": args.config, "points": args.points,
+            "best_s": round(best, 4), "sha256": sha256}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--grid", choices=sorted(GRIDS), default="mirrored")
+    parser.add_argument("--sweep", metavar="COMMAND",
+                        help="run this CLI command instead of one pattern_set call")
+    parser.add_argument("--config", default="configs/leaky_mask_sweep.cfg")
+    parser.add_argument("--points", type=int, default=10**6)
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args()
+
+    result = bench_sweep(args) if args.sweep else bench_pattern_set(args)
     print(json.dumps({
-        "grid": args.grid, "points": u.size, "best_s": round(best, 4),
+        **result,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "nproc": os.cpu_count(), "numpy": np.__version__,
         "python": platform.python_version(),

@@ -16,6 +16,11 @@ significant digits and JSON floats the shortest repr that round-trips,
 row values never depend on the work split, and the manifest carries no
 timestamps or machine identifiers.  A command's files replace the
 previous ones only once all of them are written.
+
+Tables computed as numpy columns are converted to Python scalars and
+streamed to the file a block of ``_ROW_BLOCK`` rows at a time, so the
+writer's memory does not grow with the grid; the bytes do not depend on
+the block size.
 """
 
 from __future__ import annotations
@@ -176,11 +181,24 @@ def _write_table(path: Path, header, rows, fmt: str) -> None:
             fh.writelines(_json_array(encoded))
 
 
+#: Rows converted from numpy columns to Python scalars at a time.
+_ROW_BLOCK = 1024
+
+
+def _column_rows(columns):
+    """The rows of equal-length numpy columns as tuples of Python
+    scalars, as ``zip(*(col.tolist() for col in columns))`` gives them,
+    converted one block of ``_ROW_BLOCK`` rows at a time."""
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        yield from zip(*(col[start:stop].tolist() for col in columns))
+
+
 def _sweep_rows(sweep: RhoSweep, extras: dict[str, np.ndarray]):
     c = sweep.curves
-    columns = (sweep.u, *sweep.patterns, c.i_ab, c.i_bc, c.i_ca,
-               c.epsilon, c.delta, c.rho, c.rho_defined, *extras.values())
-    return zip(*(col.tolist() for col in columns))
+    return _column_rows((sweep.u, *sweep.patterns, c.i_ab, c.i_bc, c.i_ca,
+                         c.epsilon, c.delta, c.rho, c.rho_defined,
+                         *extras.values()))
 
 
 def _write_sweep(path: Path, sweep: RhoSweep, fmt: str,
@@ -202,7 +220,16 @@ def _write_sweep(path: Path, sweep: RhoSweep, fmt: str,
 
 
 def _u_grid(cfg: RunConfig) -> np.ndarray:
-    return np.linspace(cfg.u_min, cfg.u_max, cfg.u_points)
+    """``linspace(u_min, u_max, u_points)``; a grid symmetric about 0 is
+    made an exact mirror (its lower half the negated upper half, its
+    middle point 0), so that ``pattern_set`` evaluates each ``|u|`` once."""
+    u = np.linspace(cfg.u_min, cfg.u_max, cfg.u_points)
+    if cfg.u_min == -cfg.u_max and u.size > 1:
+        half = u.size // 2
+        u[:half] = -u[:-half - 1:-1]
+        if u.size % 2:
+            u[half] = 0.0
+    return u
 
 
 class _OutputSet:
@@ -327,11 +354,16 @@ def cmd_run(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     header = ("repetition", "combination", "counts", "dwell_s",
               "timestamp_index", "monitor_counts")
 
+    # Poisson counts are whole numbers and are written as integers
+    count_type = np.int64 if cfg.poisson else np.float64
+
     def count_rows():
         no_monitor = [math.nan] * len(COMBINATIONS)
         for rec in records:
-            monitor = no_monitor if rec.monitor is None else rec.monitor.tolist()
-            yield from zip(repeat(rec.repetition), COMBINATIONS, rec.counts.tolist(),
+            counts = rec.counts.astype(count_type).tolist()
+            monitor = (no_monitor if rec.monitor is None
+                       else rec.monitor.astype(count_type).tolist())
+            yield from zip(repeat(rec.repetition), COMBINATIONS, counts,
                            repeat(rec.dwell_time), rec.timestamps.tolist(), monitor)
 
     _write_table(tables.path(f"run_counts.{fmt}"), header, count_rows(), fmt)
@@ -340,7 +372,7 @@ def cmd_run(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     _write_table(
         tables.path(f"run_rho.{fmt}"),
         ("repetition", "rho", "rho_defined"),
-        zip(range(len(records)), rho.tolist(), defined.tolist()),
+        _column_rows((np.arange(len(records)), rho, defined)),
         fmt,
     )
     summary: dict = {

@@ -33,7 +33,10 @@ by their float64 bits, so ``-0.0`` and ``0.0`` stay distinct).  Every
 interval's term is then formed from those rows with the same operations
 as the interval-by-interval sum, and added to its aperture's amplitude
 in interval order, starting from zero.  The result has the same bits as
-that sum, for any block layout and any worker count.
+that sum, for any block layout and any worker count.  A pass that
+writes intensities leaves out the intervals whose value is zero (the
+opaque gaps of an opaque geometry): such a term changes only the sign of
+a zero in the amplitude, never its squared modulus.
 
 ``pattern_set`` also evaluates each distinct ``|u|`` only once and
 copies the intensity to both ``+u`` and ``-u``.  Every aperture it
@@ -326,16 +329,28 @@ def _fourier_pass(apertures: Sequence[CombinationAperture], u: np.ndarray,
     Row k of ``out`` receives the far-field amplitude of ``apertures[k]``
     if ``out`` is complex, and its squared modulus if ``out`` is float.
     """
+    intensity = out.dtype.kind == "f"
+    n_ap = len(apertures)
+    sizes = [ap.values.size for ap in apertures]
+    owner = np.repeat(np.arange(n_ap), sizes)
+    lo = np.concatenate([ap.edges[:-1] for ap in apertures])
+    hi = np.concatenate([ap.edges[1:] for ap in apertures])
+    val = np.concatenate([ap.values for ap in apertures])
+    if intensity:
+        # a zero term changes only the sign of a zero in the amplitude,
+        # never its squared modulus
+        keep = val != 0.0
+        owner, lo, hi, val = owner[keep], lo[keep], hi[keep], val[keep]
     # Longest aperture first, and the intervals slot-major: slot i holds
     # the i-th interval of every aperture that has one, and those
     # apertures are the first rows of the accumulator.
-    order = sorted(range(len(apertures)), key=lambda k: -apertures[k].values.size)
-    sizes = [apertures[k].values.size for k in order]
-    slot = np.concatenate([np.arange(n) for n in sizes])
-    perm = np.argsort(slot, kind="stable")
-    lo = np.concatenate([apertures[k].edges[:-1] for k in order])[perm]
-    hi = np.concatenate([apertures[k].edges[1:] for k in order])[perm]
-    val = np.concatenate([apertures[k].values for k in order])[perm]
+    counts = np.bincount(owner, minlength=n_ap)
+    order = np.argsort(-counts, kind="stable")
+    rank = np.empty(n_ap, dtype=np.intp)
+    rank[order] = np.arange(n_ap)
+    slot = np.arange(val.size) - (np.cumsum(counts) - counts)[owner]
+    perm = np.lexsort((rank[owner], slot))
+    lo, hi, val = lo[perm], hi[perm], val[perm]
     rows_in_slot = np.bincount(slot).tolist()
     slot_start = np.cumsum([0] + rows_in_slot).tolist()
 
@@ -347,8 +362,7 @@ def _fourier_pass(apertures: Sequence[CombinationAperture], u: np.ndarray,
     sinc_scale = (np.pi * widths.view(np.float64))[:, None]
     # the phase argument is (-2j * pi * c) * u, whose real part is zero
     phase_scale = (-2j * np.pi * centers.view(np.float64)).imag[:, None]
-    n_int, n_w, n_c, n_ap = val.size, widths.size, centers.size, len(apertures)
-    intensity = out.dtype.kind == "f"
+    n_int, n_w, n_c = val.size, widths.size, centers.size
 
     def fill(start: int, stop: int) -> None:
         cap = min(_BLOCK, stop - start)

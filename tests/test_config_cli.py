@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bornlab import optics
 from bornlab.cli import (
     COMMANDS,
     SWEEP_COLUMNS,
+    _u_grid,
     build_parser,
     dispatch,
     main,
@@ -367,6 +369,25 @@ class TestCli:
         assert rows[0]["repetition"] == 0
         assert isinstance(rows[0]["rho_defined"], bool)
 
+    @pytest.mark.parametrize("poisson", [True, False])
+    @pytest.mark.parametrize("monitor", [0.0, 1e6])
+    def test_run_json_count_types(self, tmp_path, poisson, monitor):
+        # Poisson counts are integers; expected values stay floats and a
+        # missing monitor stays null
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"repetitions = 2\npoisson = {str(poisson).lower()}\n"
+                       f"monitor_counts = {monitor}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--format", "json",
+                     "--out", str(out), "run"]) == 0
+        rows = json.loads((out / "run_counts.json").read_text())
+        kind = int if poisson else float
+        assert all(type(r["counts"]) is kind for r in rows)
+        if monitor:
+            assert all(type(r["monitor_counts"]) is kind for r in rows)
+        else:
+            assert all(r["monitor_counts"] is None for r in rows)
+
     def test_dispatch_unknown_command(self, capsys):
         assert dispatch("explode", RunConfig(), out_dir=".") == 2
         assert "unknown command" in capsys.readouterr().err
@@ -380,6 +401,33 @@ class TestCli:
         row = (out / "patterns.csv").read_text().splitlines()[1].split(",")
         pa = float(row[SWEEP_COLUMNS.index("pA")])
         assert f"{pa:.17g}" == row[SWEEP_COLUMNS.index("pA")]
+
+
+class TestUGrid:
+    @pytest.mark.parametrize("points", [2, 3, 15, 601, 1001, 25001])
+    def test_symmetric_grid_is_an_exact_mirror(self, points):
+        u = _u_grid(RunConfig(u_min=-3e4, u_max=3e4, u_points=points))
+        assert np.array_equal(u, -u[::-1])
+        if points % 2:
+            middle = u[points // 2]
+            assert middle == 0.0 and not np.signbit(middle)
+        ref = np.linspace(-3e4, 3e4, points)
+        assert np.max(np.abs(u - ref)) <= 1e-15 * 6e4
+        assert u[0] == -3e4 and u[-1] == 3e4
+
+    # the bundled and default grids, which linspace already mirrors, and
+    # grids that are not symmetric
+    @pytest.mark.parametrize("u_min, u_max, points", [
+        (-3e4, 3e4, 601), (-4e4, 4e4, 1001),
+        (-1e4, 3e4, 25001), (-3e4, 3e4, 1), (0.0, 6e4, 101)])
+    def test_grid_is_linspace(self, u_min, u_max, points):
+        u = _u_grid(RunConfig(u_min=u_min, u_max=u_max, u_points=points))
+        assert u.tobytes() == np.linspace(u_min, u_max, points).tobytes()
+
+    def test_mirrored_grid_has_half_its_magnitudes(self):
+        u = _u_grid(RunConfig(u_min=-3e4, u_max=3e4, u_points=25001))
+        keys, _inverse = optics._distinct_magnitudes(u, np.empty((2, u.size)))
+        assert keys.size == 12501
 
 
 # -- every config key changes some output

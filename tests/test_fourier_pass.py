@@ -50,6 +50,19 @@ def leaky_plate():
     return triple_slit_plate(leakage_amplitude=0.2)
 
 
+#: Plate and mask leakage amplitudes: the opaque geometry has zero-valued
+#: intervals, which an intensity pass leaves out.
+GEOMETRIES = {"opaque": (0.0, 0.0), "leaky": (0.2, 0.1)}
+
+
+def geometry(name, scheme, displacement=0.0):
+    plate_leak, mask_leak = GEOMETRIES[name]
+    plate = triple_slit_plate(leakage_amplitude=plate_leak)
+    mask = combination_mask_for_plate(plate, scheme, leakage_amplitude=mask_leak,
+                                      displacement=displacement)
+    return plate, mask
+
+
 def displacements(rng, scale=10e-6):
     return {c: float(rng.uniform(-scale, scale)) for c in COMBINATIONS}
 
@@ -91,6 +104,23 @@ class TestFarFieldAmplitude:
         assert_same_bits(got, np.zeros(u.size, dtype=np.complex128))
         assert_same_bits(got, far_field_amplitude_loop(empty, u))
 
+    def test_zero_valued_intervals(self, rng):
+        # zero-valued intervals, signed zeros among them, in random and opaque apertures
+        zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        u = np.concatenate([np.linspace(-5e4, 5e4, BLOCK + 9), [0.0, -0.0]])
+        for _ in range(20):
+            ap = random_aperture(rng, 9)
+            values = ap.values.copy()
+            hit = rng.random(values.size) < 0.5
+            values[hit] = rng.choice(zeros, np.count_nonzero(hit))
+            ap = CombinationAperture(ap.edges, values, "AB")
+            assert_same_bits(far_field_amplitude(ap, u), far_field_amplitude_loop(ap, u))
+        for scheme in (OPENING, BLOCKING):
+            plate, mask = geometry("opaque", scheme, displacement=3e-6)
+            for combo in COMBINATIONS:
+                ap = build_combination_aperture(plate, mask, combo)
+                assert_same_bits(far_field_amplitude(ap, u), far_field_amplitude_loop(ap, u))
+
     @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     def test_block_edges(self, rng, size):
         u = np.linspace(-5e4, 4e4, size) if size > 1 else np.array([1234.5])
@@ -100,9 +130,9 @@ class TestFarFieldAmplitude:
 
 class TestPatternSet:
     @pytest.mark.parametrize("scheme", [OPENING, BLOCKING])
-    def test_displaced_apertures(self, rng, scheme):
-        plate = leaky_plate()
-        mask = combination_mask_for_plate(plate, scheme, leakage_amplitude=0.1)
+    @pytest.mark.parametrize("name", list(GEOMETRIES))
+    def test_displaced_apertures(self, rng, name, scheme):
+        plate, mask = geometry(name, scheme)
         u = np.linspace(-3e4, 3e4, 601)
         for _ in range(6):
             shifts = displacements(rng)
@@ -113,10 +143,10 @@ class TestPatternSet:
                 assert_same_bits(far_field_amplitude(ap, u), far_field_amplitude_loop(ap, u))
 
     @pytest.mark.parametrize("normalize", [True, False])
-    def test_undisplaced_and_partly_displaced(self, normalize):
-        plate = leaky_plate()
-        mask = combination_mask_for_plate(plate, BLOCKING, leakage_amplitude=0.1,
-                                          displacement=2e-6)
+    @pytest.mark.parametrize("scheme", [OPENING, BLOCKING])
+    @pytest.mark.parametrize("name", list(GEOMETRIES))
+    def test_undisplaced_and_partly_displaced(self, name, scheme, normalize):
+        plate, mask = geometry(name, scheme, displacement=2e-6)
         u = np.linspace(-3e4, 3e4, 601)
         for shifts in (None, {}, {"AB": -3e-6, "0": 0.0}):
             assert_same_curves(
@@ -186,10 +216,10 @@ class TestEvenCurves:
 
     @pytest.mark.parametrize("grid", list(even_grids()))
     @pytest.mark.parametrize("scheme", [OPENING, BLOCKING])
-    def test_matches_loop_at_every_point(self, rng, monkeypatch, grid, scheme):
+    @pytest.mark.parametrize("name", list(GEOMETRIES))
+    def test_matches_loop_at_every_point(self, rng, monkeypatch, name, grid, scheme):
         u = even_grids()[grid]
-        plate = leaky_plate()
-        mask = combination_mask_for_plate(plate, scheme, leakage_amplitude=0.1)
+        plate, mask = geometry(name, scheme)
         shifts = displacements(rng)
         want = pattern_set_loop(plate, mask, u, displacements=shifts)
         want_raw = pattern_set_loop(plate, mask, u, normalize=False, displacements=shifts)
