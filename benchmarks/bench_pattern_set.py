@@ -9,9 +9,10 @@ mirrored, ``linspace(-3e4, 3e4, points + 1)``, or all-positive,
 ``linspace(0, 6e4, points)``.
 
 Sweep mode (``--sweep COMMAND``) copies ``--config`` with ``u_points``
-set to ``--points``, then runs ``bornlab COMMAND`` on it in this process,
-writing CSV into a temporary directory; it reports the sha256 of every
-file written but the manifest.
+set to ``--points`` (with ``write_config`` of ``perfbench/run.py``), then
+runs ``bornlab COMMAND`` on it in this process, writing CSV into a
+temporary directory; it reports the sha256 of every file written but
+the manifest.
 
 Either mode prints one JSON line: the best wall time of ``--repeats``
 runs, the peak RSS of the process, and the machine facts.  Run one grid
@@ -33,6 +34,7 @@ import math
 import os
 import platform
 import resource
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -42,6 +44,10 @@ import numpy as np
 from bornlab.cli import main as cli_main
 from bornlab.interference import COMBINATIONS
 from bornlab.optics import BLOCKING, combination_mask_for_plate, pattern_set, triple_slit_plate
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import write_config  # noqa: E402
 
 GRIDS = {
     "mirrored": lambda n: np.linspace(-3e4, 3e4, n + 1),
@@ -65,18 +71,12 @@ def bench_pattern_set(args) -> dict:
     return {"grid": args.grid, "points": u.size, "best_s": round(best, 4)}
 
 
-def scaled_config(path: Path, points: int) -> str:
-    """The config text with ``u_points`` set to ``points``."""
-    lines = [line for line in path.read_text(encoding="utf-8").splitlines()
-             if line.split("#", 1)[0].partition("=")[0].strip() != "u_points"]
-    return "\n".join(lines + [f"u_points = {points}"]) + "\n"
-
-
 def bench_sweep(args) -> dict:
     best = math.inf
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "scaled.cfg"
-        cfg.write_text(scaled_config(Path(args.config), args.points), encoding="utf-8")
+        write_config(ROOT, {"config": args.config,
+                            "overrides": {"u_points": str(args.points)}}, cfg)
         out = Path(tmp) / "out"
         for _ in range(args.repeats):
             t0 = time.perf_counter()

@@ -33,10 +33,10 @@ by their float64 bits, so ``-0.0`` and ``0.0`` stay distinct).  Every
 interval's term is then formed from those rows with the same operations
 as the interval-by-interval sum, and added to its aperture's amplitude
 in interval order, starting from zero.  The result has the same bits as
-that sum, for any block layout and any worker count.  A pass that
-writes intensities leaves out the intervals whose value is zero (the
-opaque gaps of an opaque geometry): such a term changes only the sign of
-a zero in the amplitude, never its squared modulus.
+that sum, for any block layout and any worker count.  The intervals
+whose value is zero (the opaque gaps of an opaque geometry) are left
+out: the sum starts from +0.0 and, under round-to-nearest, never becomes
+-0.0, so adding a zero term of either sign leaves its bits as they are.
 
 ``pattern_set`` also evaluates each distinct ``|u|`` only once and
 copies the intensity to both ``+u`` and ``-u``.  Every aperture it
@@ -329,18 +329,15 @@ def _fourier_pass(apertures: Sequence[CombinationAperture], u: np.ndarray,
     Row k of ``out`` receives the far-field amplitude of ``apertures[k]``
     if ``out`` is complex, and its squared modulus if ``out`` is float.
     """
-    intensity = out.dtype.kind == "f"
     n_ap = len(apertures)
     sizes = [ap.values.size for ap in apertures]
     owner = np.repeat(np.arange(n_ap), sizes)
     lo = np.concatenate([ap.edges[:-1] for ap in apertures])
     hi = np.concatenate([ap.edges[1:] for ap in apertures])
     val = np.concatenate([ap.values for ap in apertures])
-    if intensity:
-        # a zero term changes only the sign of a zero in the amplitude,
-        # never its squared modulus
-        keep = val != 0.0
-        owner, lo, hi, val = owner[keep], lo[keep], hi[keep], val[keep]
+    # a zero term adds a zero to a sum that is never -0.0, which leaves it as it is
+    keep = val != 0.0
+    owner, lo, hi, val = owner[keep], lo[keep], hi[keep], val[keep]
     # Longest aperture first, and the intervals slot-major: slot i holds
     # the i-th interval of every aperture that has one, and those
     # apertures are the first rows of the accumulator.
@@ -363,6 +360,7 @@ def _fourier_pass(apertures: Sequence[CombinationAperture], u: np.ndarray,
     # the phase argument is (-2j * pi * c) * u, whose real part is zero
     phase_scale = (-2j * np.pi * centers.view(np.float64)).imag[:, None]
     n_int, n_w, n_c = val.size, widths.size, centers.size
+    intensity = out.dtype.kind == "f"
 
     def fill(start: int, stop: int) -> None:
         cap = min(_BLOCK, stop - start)

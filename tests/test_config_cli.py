@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,18 @@ class TestCli:
             assert all(type(r["monitor_counts"]) is kind for r in rows)
         else:
             assert all(r["monitor_counts"] is None for r in rows)
+
+    def test_run_csv_writes_large_counts_in_full(self, tmp_path):
+        # a Poisson count of 1e17 or more prints with all its digits,
+        # where a float cell would switch to exponent notation
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("repetitions = 1\nmonitor_counts = 1e18\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "run"]) == 0
+        lines = (out / "run_counts.csv").read_text().splitlines()
+        cells = [line.split(",")[-1] for line in lines[1:]]
+        assert all(re.fullmatch(r"[1-9]\d*", cell) for cell in cells), cells
+        assert all(abs(int(cell) - 10**18) < 10**12 for cell in cells)
 
     def test_dispatch_unknown_command(self, capsys):
         assert dispatch("explode", RunConfig(), out_dir=".") == 2

@@ -51,7 +51,7 @@ def leaky_plate():
 
 
 #: Plate and mask leakage amplitudes: the opaque geometry has zero-valued
-#: intervals, which an intensity pass leaves out.
+#: intervals, which every Fourier pass leaves out.
 GEOMETRIES = {"opaque": (0.0, 0.0), "leaky": (0.2, 0.1)}
 
 
