@@ -7,7 +7,6 @@ imperfections masquerade as a violation of the quadratic probability
 rule.
 """
 
-from ._backend import BACKEND, HAS_NUMBA
 from .config import ConfigError, RunConfig, load_config, parse_config, serialize_config
 from .experiment import (
     CountsRecord,
@@ -60,8 +59,11 @@ from .systematics import (
 
 __version__ = "0.1.0"
 
+# fixed values; their only reader is perfbench/child.py (its machine facts)
+HAS_NUMBA = False
+BACKEND = "numpy"
+
 __all__ = [
-    "BACKEND",
     "BLOCKING",
     "BORN",
     "COMBINATIONS",
@@ -71,7 +73,6 @@ __all__ = [
     "CountsRecord",
     "DEFAULT_GUARD",
     "DetectorModel",
-    "HAS_NUMBA",
     "OPENING",
     "PATH_LABELS",
     "PathAmplitudes",

@@ -38,7 +38,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._backend import BACKEND
 from ._streams import TAG_HIERARCHY, substream
 from .config import (
     ConfigError,
@@ -265,8 +264,7 @@ def _manifest(path: Path, command: str, cfg: RunConfig, summary: dict,
         "command": command,
         "config": dataclasses.asdict(cfg),
         "seed": cfg.seed,
-        "versions": {"bornlab": __version__, "numpy": np.__version__,
-                     "backend": BACKEND},
+        "versions": {"bornlab": __version__, "numpy": np.__version__},
         "summary": summary,
         "outputs": outputs,
     }
@@ -418,6 +416,9 @@ def read_counts_file(path) -> ProbabilityVector:
             raise ConfigError(f"{combo}: counts must be >= 0 (got {counts})")
         if not dwell > 0:
             raise ConfigError(f"{combo}: dwell_s must be > 0 (got {dwell})")
+        for name, value in (("counts", counts), ("dwell_s", dwell)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{combo}: {name} must be finite (got {value})")
         rates[combo] = counts / dwell
     missing = [c for c in COMBINATIONS if c not in rates]
     if missing:

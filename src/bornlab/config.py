@@ -164,6 +164,11 @@ def _cross_validate(cfg: RunConfig) -> None:
             "displacement_high: must be >= displacement_low "
             f"(got {cfg.displacement_high} < {cfg.displacement_low})"
         )
+    if cfg.alpha != 0 and cfg.rule != "cubic":
+        raise ConfigError(
+            f"alpha: only rule = cubic uses it (got alpha = {cfg.alpha}, "
+            f"rule = {cfg.rule})"
+        )
     if cfg.slit_separation <= cfg.slit_width:
         raise ConfigError(
             "slit_separation: must exceed slit_width for non-overlapping slits "

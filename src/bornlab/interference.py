@@ -38,8 +38,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._backend import sorkin_grid as _sorkin_grid_kernel
-
 #: Path labels, in order; at most eight paths are supported.
 PATH_LABELS = "ABCDEFGH"
 
@@ -290,8 +288,10 @@ def interference_term(
 
 
 def epsilon(pv: ProbabilityVector) -> float:
-    """Background-subtracted order-3 interference term."""
-    return float(_statistics(pv.array.reshape(8, 1), DEFAULT_GUARD).epsilon[0])
+    """Background-subtracted order-3 interference term: the arithmetic of
+    :func:`sorkin_curves` on the vector's eight floats."""
+    fields = (pv.p0, pv.pA, pv.pB, pv.pC, pv.pAB, pv.pBC, pv.pCA, pv.pABC)
+    return _terms(*map(float, fields))[3]
 
 
 def sorkin(pv: ProbabilityVector, guard: float = DEFAULT_GUARD) -> SorkinResult:
@@ -317,10 +317,25 @@ class SorkinCurves(NamedTuple):
     rho_defined: np.ndarray
 
 
+def _terms(p0, pa, pb, pc, pab, pbc, pca, pabc):
+    """``(i_ab, i_bc, i_ca, epsilon)`` of the eight combination values in
+    canonical order: rows of an (8, n) array or eight floats, with the
+    same IEEE operations in the same order either way."""
+    return (pab - pa - pb + p0, pbc - pb - pc + p0, pca - pc - pa + p0,
+            pabc - pab - pbc - pca + pa + pb + pc - p0)
+
+
 def _statistics(p: np.ndarray, guard: float) -> SorkinCurves:
+    """The statistics kernel: ``p`` is (8, n); ``rho`` is NaN where
+    ``delta`` is below ``guard``."""
     if not guard > 0.0:
         raise ValueError(f"guard must be > 0 (got {guard})")
-    return SorkinCurves(*_sorkin_grid_kernel(p, guard))
+    i_ab, i_bc, i_ca, eps = _terms(*p)
+    delta = np.abs(i_ab) + np.abs(i_bc) + np.abs(i_ca)
+    defined = delta >= guard
+    rho = np.full(delta.shape, np.nan)
+    np.divide(eps, delta, out=rho, where=defined)
+    return SorkinCurves(i_ab, i_bc, i_ca, eps, delta, rho, defined)
 
 
 def sorkin_curves(patterns: np.ndarray, guard: float = DEFAULT_GUARD) -> SorkinCurves:

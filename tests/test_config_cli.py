@@ -96,9 +96,19 @@ class TestParseConfig:
     def test_roundtrip(self):
         cfg = parse_config(
             "slit_width = 31e-6\nmask_leakage = 0.05\nseed = 42\n"
-            "sequence_order = randomized\npoisson = false\nalpha = 0.125"
+            "sequence_order = randomized\npoisson = false\nrule = cubic\n"
+            "alpha = 0.125"
         )
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("rule_line", ["rule = born\n", ""])
+    def test_alpha_needs_cubic_rule(self, tmp_path, capsys, rule_line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(rule_line + "alpha = 0.01\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "hierarchy"]) == 2
+        assert "error: alpha: only rule = cubic uses it" in capsys.readouterr().err
+        assert parse_config(rule_line + "alpha = 0").rule == "born"
 
     def test_roundtrip_defaults(self):
         assert parse_config(serialize_config(RunConfig())) == RunConfig()
@@ -153,6 +163,22 @@ class TestCountsFile:
         p.write_text("combination,counts,dwell_s\nA,-5,1\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="counts must be >= 0"):
             read_counts_file(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["counts", "dwell_s"])
+    def test_nonfinite_value_exits_2_naming_the_row(self, tmp_path, capsys,
+                                                    column, value):
+        p = tmp_path / "c.csv"
+        write_counts_csv(p)
+        fields = {"counts": "100000.0", "dwell_s": "1.0", column: value}
+        p.write_text(p.read_text().replace(
+            "\nC,100000.0,1.0\n", f"\nC,{fields['counts']},{fields['dwell_s']}\n"))
+        out = tmp_path / "out"
+        assert main(["sorkin", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: C: {column} must be " in err
+        assert f"(got {float(value)})" in err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestCli:

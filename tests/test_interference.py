@@ -242,6 +242,11 @@ class TestSorkin:
         res2 = sorkin(pv, guard=1e-9)
         assert res2.rho_defined == (res2.delta >= 1e-9)
         assert res2.rho_defined
+        # 0 < delta < guard with epsilon far from 0: no huge ratio
+        res3 = sorkin(ProbabilityVector(0, 1, 1, 1, 2 + 0.25e-9, 2, 2, 9), guard=1e-9)
+        assert 0.0 < res3.delta < 1e-9 and res3.epsilon > 5.0
+        assert not res3.rho_defined
+        assert math.isnan(res3.rho)
 
     def test_guard_must_be_positive(self):
         pv = ProbabilityVector.from_array([1.0] * 8)
@@ -285,6 +290,22 @@ class TestSorkinCurves:
                 assert curves.rho[i] == res.rho
             else:
                 assert math.isnan(curves.rho[i])
+
+    def test_scalar_epsilon_matches_kernel_bitwise(self, rng):
+        # magnitudes over 24 decades, so every partial sum rounds
+        stack = 10.0 ** rng.uniform(-12.0, 12.0, size=(8, 20000))
+        stack[:, :100] = np.round(stack[:, :100])  # some exact integers and zeros
+        kernel = sorkin_curves(stack).epsilon
+        scalar = np.array([epsilon(ProbabilityVector(*col)) for col in stack.T.tolist()])
+        assert np.array_equal(scalar.view(np.int64), kernel.view(np.int64))
+
+    def test_scalar_epsilon_of_integer_fields(self):
+        # ints are summed as floats, as the kernel sums them: exact integer
+        # sums would give 2**53 + 2 here
+        pv = ProbabilityVector(0, 2**53, 1, 1, 0, 0, 0, 0)
+        got = epsilon(pv)
+        assert type(got) is float
+        assert got == sorkin(pv).epsilon == 2.0**53
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
