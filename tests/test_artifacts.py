@@ -1,6 +1,7 @@
 """Artifact bytes: pinned hashes of the bundled configs' outputs, the
-table writer against the per-cell encoders it replaced, and the blocked
-conversion of numpy columns to rows."""
+table writer against the per-cell encoders it replaced, the blocked
+conversion of numpy columns to rows, and mirrored sweep rows against
+rows encoded one by one."""
 
 import hashlib
 import json
@@ -12,7 +13,10 @@ import numpy as np
 import pytest
 
 import bornlab
-from bornlab.cli import _ROW_BLOCK, _column_rows, _write_sweep, _write_table, main
+from bornlab import cli
+from bornlab.cli import (
+    SWEEP_COLUMNS, _ROW_BLOCK, _column_rows, _write_sweep, _write_table, main,
+)
 from bornlab.interference import sorkin_curves
 from bornlab.systematics import RhoSweep
 
@@ -154,14 +158,125 @@ def _sweep(n):
     return RhoSweep(np.linspace(-3e4, 3e4, n), patterns, sorkin_curves(patterns, 1e-9))
 
 
+def _mirrored_sweep(n):
+    """A sweep on a mirror grid built as ``_u_grid`` builds one (odd grids
+    have a +0.0 middle point) with curves even in ``u``; every fifth point
+    of the first half has eight equal values, so ``rho`` is NaN there."""
+    h = n // 2
+    u = np.linspace(-3e4, 3e4, n)
+    u[:h] = -u[:-h - 1:-1]
+    if n % 2:
+        u[h] = 0.0
+    half = np.random.default_rng(n).uniform(0.1, 1.0, (8, n - h))
+    half[:, ::5] = 0.5
+    patterns = np.concatenate([half, half[:, :h][:, ::-1]], axis=1)
+    return RhoSweep(u, patterns, sorkin_curves(patterns, 1e-9))
+
+
 def test_sweep_writer_memory_does_not_grow_with_the_grid(tmp_path):
     # converting all 16 columns of 30,000 points to lists at once peaks
-    # near 15 MB; one block of rows takes under 1 MB
-    sweep = _sweep(30_000)
-    tracemalloc.start()
-    try:
-        _write_sweep(tmp_path / "sweep.csv", sweep, "csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3e6
+    # near 15 MB; one block of rows takes under 1 MB, and a mirrored
+    # sweep reads back a few rows at a time instead of keeping their text
+    for sweep in (_sweep(30_000), _mirrored_sweep(30_000)):
+        tracemalloc.start()
+        try:
+            _write_sweep(tmp_path / "sweep.csv", sweep, "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
+
+# -- a mirrored sweep encodes each row pair once: its bytes must be those
+# -- of every row encoded
+
+
+def _power_extras(sweep):
+    c = sweep.curves
+    unit = np.where(c.rho_defined, c.delta * 0.25, math.nan)
+    return {"delta_rho_unit": unit, "delta_rho": unit * 0.01}
+
+
+def _mirrored_rows_written(monkeypatch, path, sweep, fmt, extras):
+    """Write ``sweep`` through ``_write_sweep``; the number of rows it
+    gave as a reference to an earlier row."""
+    write_table, seen = cli._write_table, []
+
+    def counting(path, header, rows, fmt):
+        def counted():
+            for row in rows:
+                seen.append(type(row) is int)
+                yield row
+
+        write_table(path, header, counted(), fmt)
+
+    monkeypatch.setattr(cli, "_write_table", counting)
+    _write_sweep(path, sweep, fmt, extras)
+    monkeypatch.undo()
+    assert len(seen) == sweep.u.size
+    return sum(seen)
+
+
+def _assert_matches_plain_writer(monkeypatch, tmp_path, sweep, fmt, extras):
+    mirrored, plain = tmp_path / f"mirrored.{fmt}", tmp_path / f"plain.{fmt}"
+    n_mirrored = _mirrored_rows_written(monkeypatch, mirrored, sweep, fmt, extras)
+    _write_table(plain, SWEEP_COLUMNS + tuple(extras),
+                 _column_rows((sweep.u, *sweep.patterns, *sweep.curves,
+                               *extras.values())), fmt)
+    assert mirrored.read_bytes() == plain.read_bytes()
+    return n_mirrored
+
+
+@pytest.mark.parametrize("power", [False, True], ids=["sweep", "power"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [2, 3, 257, 2 * _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 2])
+def test_mirrored_sweep_matches_plain_writer(n, fmt, power, monkeypatch, tmp_path):
+    sweep = _mirrored_sweep(n)
+    assert np.isnan(sweep.curves.rho[0])
+    if n % 2:
+        assert math.copysign(1.0, sweep.u[n // 2]) == 1.0
+    extras = _power_extras(sweep) if power else {}
+    assert _assert_matches_plain_writer(
+        monkeypatch, tmp_path, sweep, fmt, extras) == n // 2
+
+
+def _nudged(column):
+    def nudge(sweep, extras):
+        values = extras[column] if column in extras else (
+            sweep.patterns[SWEEP_COLUMNS.index(column) - 1] if column[0] == "p"
+            else getattr(sweep.curves, column))
+        values[-2] = np.nextafter(values[-2], math.inf)
+    return nudge
+
+
+def _signed_zero(sweep, extras):
+    sweep.curves.epsilon[0], sweep.curves.epsilon[-1] = 0.0, -0.0
+
+
+def _shifted_grid(sweep, extras):
+    sweep.u[:] = np.linspace(-3e4, 2e4, sweep.u.size)
+
+
+FALLBACKS = {
+    "pABC-one-ulp-off": _nudged("pABC"),
+    "delta-one-ulp-off": _nudged("delta"),
+    "extra-column-one-ulp-off": _nudged("delta_rho"),
+    "signed-zero-epsilon": _signed_zero,
+    "grid-not-mirrored": _shifted_grid,
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_unmirrored_sweep_falls_back_to_plain_writer(case, fmt, monkeypatch, tmp_path):
+    sweep = _mirrored_sweep(2 * _ROW_BLOCK + 1)
+    extras = _power_extras(sweep)
+    FALLBACKS[case](sweep, extras)
+    assert _assert_matches_plain_writer(monkeypatch, tmp_path, sweep, fmt, extras) == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_one_point_nan_grid_takes_plain_writer(fmt, monkeypatch, tmp_path):
+    patterns = np.linspace(0.1, 0.8, 8).reshape(8, 1)
+    sweep = RhoSweep(np.array([math.nan]), patterns, sorkin_curves(patterns, 1e-9))
+    assert _assert_matches_plain_writer(monkeypatch, tmp_path, sweep, fmt, {}) == 0

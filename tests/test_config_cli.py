@@ -180,6 +180,20 @@ class TestCountsFile:
         assert f"(got {float(value)})" in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("column", ["counts", "dwell_s"])
+    def test_non_numeric_value_exits_2_naming_row_and_column(
+            self, tmp_path, capsys, column):
+        p = tmp_path / "c.csv"
+        write_counts_csv(p)
+        fields = {"counts": "100000.0", "dwell_s": "1.0", column: "abc"}
+        p.write_text(p.read_text().replace(
+            "\nA,100000.0,1.0\n", f"\nA,{fields['counts']},{fields['dwell_s']}\n"))
+        out = tmp_path / "out"
+        assert main(["sorkin", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: A: {column} must be a number (got 'abc')" in err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestCli:
     def test_patterns_csv_schema(self, tmp_path):

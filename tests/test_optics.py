@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from bornlab.interference import COMBINATIONS, sorkin_curves
 from bornlab.optics import (
@@ -299,6 +301,35 @@ class TestPatternSet:
             curves = sorkin_curves(stacked)
             peak = np.max(stacked[7])
             assert np.max(np.abs(curves.epsilon)) <= 1e-10 * peak
+
+    @seed(20240811)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        slit_width=st.floats(5e-6, 60e-6),
+        gap=st.floats(1e-6, 340e-6),
+        feature_fraction=st.floats(0.01, 0.99),
+        scheme=st.sampled_from([OPENING, BLOCKING]),
+        plate_leakage=st.floats(0.0, 0.2),
+        mask_leakage=st.floats(0.0, 0.2),
+        displacement=st.floats(-100e-6, 100e-6),
+        background=st.floats(0.0, 10.0),
+    )
+    def test_common_leakage_and_displacement_null_property(
+            self, slit_width, gap, feature_fraction, scheme, plate_leakage,
+            mask_leakage, displacement, background):
+        # every aperture is the common background transmission plus the
+        # same per-slit terms, so epsilon cancels up to rounding at the
+        # scale of the largest curve; a uniform background cancels too
+        separation = slit_width + gap
+        plate = triple_slit_plate(slit_width, separation,
+                                  leakage_amplitude=math.sqrt(plate_leakage))
+        mask = combination_mask_for_plate(
+            plate, scheme, feature_fraction * separation,
+            leakage_amplitude=math.sqrt(mask_leakage), displacement=displacement)
+        stacked = pattern_set(plate, mask, np.linspace(-3e4, 3e4, 201))
+        for curves in (stacked, stacked + background):
+            epsilon = sorkin_curves(curves).epsilon
+            assert np.max(np.abs(epsilon)) <= 64 * np.finfo(float).eps * np.max(curves)
 
     def test_geometry_safety_null(self, plate):
         # zero leakage, displacement under the 35 um margin: exact ideal
