@@ -11,7 +11,6 @@ byte-identical for any worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 THREADS_ENV = "BORNLAB_THREADS"
@@ -38,6 +37,9 @@ def map_slices(fill: Callable[[int, int], None], n: int, min_chunk: int = 512) -
     if workers <= 1:
         fill(0, n)
         return
+    # imported here: it costs every serial caller's import a few ms
+    from concurrent.futures import ThreadPoolExecutor
+
     bounds = [round(i * n / workers) for i in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [

@@ -17,7 +17,8 @@ row values never depend on the work split, and the manifest carries no
 timestamps or machine identifiers.  A command's files replace the
 previous ones only once all of them are written.
 
-Tables computed as numpy columns are converted to Python scalars and
+Tables computed as numpy columns (``run``'s counts table too, built for
+``_ROW_BLOCK`` records at a time) are converted to Python scalars and
 streamed to the file a block of ``_ROW_BLOCK`` rows at a time, so the
 writer's memory does not grow with the grid; the bytes do not depend on
 the block size.  When a sweep table's second half mirrors its first (the
@@ -31,12 +32,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import re
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +99,7 @@ def _fmt(x) -> str:
 #: carry ``null`` for NaN and ``Infinity``/``-Infinity`` as ``json.dumps``
 #: writes them.  A value ends at ``,`` plus newline or at a newline, and a
 #: newline never occurs inside an encoded key or string, so the pattern
-#: matches values only.
+#: matches values only, in one row or in a block of rows joined.
 _JSON_NONFINITE = re.compile(r": (?:nan|-?inf)(?=,?\n)")
 _JSON_NONFINITE_TEXT = {": nan": ": null", ": inf": ": Infinity",
                         ": -inf": ": -Infinity"}
@@ -121,7 +123,8 @@ def _field(fmt: str, name: str, kind: type):
     them, except that NaN becomes ``null``.
     """
     if issubclass(kind, str):
-        return "", (json.dumps if fmt == "json" else None)
+        # a table repeats few distinct strings: each is encoded once
+        return "", (functools.cache(json.dumps) if fmt == "json" else None)
     if name.endswith("_defined") and fmt == "json":
         return "", _json_flag
     if name.endswith("_defined") or issubclass(kind, int):
@@ -202,11 +205,12 @@ def _write_table(path: Path, header, rows, fmt: str) -> None:
                         fh.seek(0, os.SEEK_END)
                     text = (block if k == len(starts) else texts)[j]
                     block[i] = text.replace(sign, sign[:-1], 1)
-                elif fmt == "json":
-                    block[i] = _JSON_NONFINITE.sub(_json_nonfinite, text)
             sep = comma if starts else ""
             starts.append(fh.tell() + len(sep))
-            fh.write((sep + comma.join(block)).encode())
+            text = sep + comma.join(block)
+            if fmt == "json":
+                text = _JSON_NONFINITE.sub(_json_nonfinite, text)
+            fh.write(text.encode())
         if fmt == "json":
             fh.write(b"\n]\n" if starts else b"]\n")
 
@@ -396,20 +400,8 @@ def cmd_run(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     )
     header = ("repetition", "combination", "counts", "dwell_s",
               "timestamp_index", "monitor_counts")
-
-    # Poisson counts are whole numbers and are written as integers
-    count_type = np.int64 if cfg.poisson else np.float64
-
-    def count_rows():
-        no_monitor = [math.nan] * len(COMBINATIONS)
-        for rec in records:
-            counts = rec.counts.astype(count_type).tolist()
-            monitor = (no_monitor if rec.monitor is None
-                       else rec.monitor.astype(count_type).tolist())
-            yield from zip(repeat(rec.repetition), COMBINATIONS, counts,
-                           repeat(rec.dwell_time), rec.timestamps.tolist(), monitor)
-
-    _write_table(tables.path(f"run_counts.{fmt}"), header, count_rows(), fmt)
+    _write_table(tables.path(f"run_counts.{fmt}"), header,
+                 _count_rows(records, cfg.poisson), fmt)
 
     rho, defined = rho_per_repetition(records, cfg.guard)
     _write_table(
@@ -435,6 +427,25 @@ def cmd_run(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
         summary.update(mean_rho=None, sample_std=None, sem=None,
                        n_undefined=len(records))
     return summary
+
+
+def _count_rows(records, poisson: bool):
+    """The rows of the ``run_counts`` table, one per dwell, from columns
+    built for a block of up to ``_ROW_BLOCK`` records at a time."""
+    # Poisson counts are whole numbers and are written as integers
+    count_type = np.int64 if poisson else np.float64
+    for first in range(0, len(records), _ROW_BLOCK):
+        block = records[first:first + _ROW_BLOCK]
+        monitor = (np.full((len(block), 8), math.nan) if block[0].monitor is None
+                   else np.array([rec.monitor for rec in block]).astype(count_type))
+        yield from _column_rows((
+            np.repeat([rec.repetition for rec in block], 8),
+            np.tile(COMBINATIONS, len(block)),
+            np.array([rec.counts for rec in block]).astype(count_type).ravel(),
+            np.repeat([rec.dwell_time for rec in block], 8),
+            np.array([rec.timestamps for rec in block]).ravel(),
+            monitor.ravel(),
+        ))
 
 
 def read_counts_file(path) -> ProbabilityVector:

@@ -10,7 +10,8 @@ null checks.
 
 All randomness is drawn from per-repetition, per-combination substreams
 of a single root seed, so identical seeds give identical count streams
-no matter how the work is scheduled.
+no matter how the work is scheduled.  A repetition with a zero monitor
+count (a dwell whose power factor was clamped to 0) has no ``rho``.
 """
 
 from __future__ import annotations
@@ -204,11 +205,11 @@ def _simulate_block(
     clamped power factors of repetitions ``reps``; arrays are (len(reps), 8)
     and indexed by combination."""
     combs = np.arange(8)
+    order = np.tile(combs, (reps.size, 1))
     if power.sequence_order == "randomized":
-        perms = (g.permutation(8) for g in substreams(seed, TAG_ORDER, reps))
-        order = np.fromiter(perms, dtype=(int, 8), count=reps.size)
-    else:
-        order = np.broadcast_to(combs, (reps.size, 8))
+        # Generator.permutation(8) shuffles arange(8) in place just so
+        for g, row in zip(substreams(seed, TAG_ORDER, reps), order):
+            g.shuffle(row)
     # stamps[i, comb]: global dwell index at which comb was measured
     stamps = np.empty((reps.size, 8), dtype=int)
     np.put_along_axis(stamps, order, 8 * reps[:, None] + combs, axis=1)
@@ -237,10 +238,10 @@ def _first_draws(seed: int, tag: int, reps: np.ndarray, lam=None) -> np.ndarray:
     """
     streams = substreams(seed, tag, reps[:, None], np.arange(8))
     if lam is None:
-        draws = (g.standard_normal() for g in streams)
+        draws = [g.standard_normal() for g in streams]
     else:
-        draws = (g.poisson(m) for g, m in zip(streams, lam.flat))
-    return np.fromiter(draws, dtype=float, count=8 * reps.size).reshape(reps.size, 8)
+        draws = [g.poisson(m) for g, m in zip(streams, lam.ravel().tolist())]
+    return np.array(draws, dtype=float).reshape(reps.size, 8)
 
 
 _NO_MONITOR = np.ones(8)
@@ -260,8 +261,12 @@ def rho_per_repetition(
     non-paralyzable dead time of that length on the measured rates
     (off by default, so simulated dead-time bias stays visible).
     All repetitions go through one :func:`sorkin_curves` call, which
-    agrees bitwise with :func:`sorkin` on each of them.  A check that
-    fails raises ``ValueError`` naming the first failing repetition.
+    agrees bitwise with :func:`sorkin` on each of them.  A repetition
+    with a zero monitor count cannot be normalized: its ``rho`` is
+    undefined, and a ``RuntimeWarning`` gives the number of such
+    repetitions.  A check that fails (a rate at or above the dead-time
+    limit, or a non-finite rate) raises ``ValueError`` naming the first
+    failing repetition.
     """
     if dead_time_correction < 0.0:
         raise ValueError("dead_time_correction must be >= 0")
@@ -279,12 +284,13 @@ def rho_per_repetition(
                             for rec in records])
             zero_monitor = np.any(mon <= 0.0, axis=1)
             rates *= np.divide(np.mean(mon, axis=1, keepdims=True), mon, out=mon)
+            # all-zero rates have delta = 0 below the guard: rho is undefined
+            rates[zero_monitor] = 0.0
         if dead_time_correction > 0.0:
             occupancy = dead_time_correction * rates
             saturated = np.any(occupancy >= 1.0, axis=1)
             rates /= np.subtract(1.0, occupancy, out=occupancy)
     checks = (
-        (zero_monitor, "zero monitor counts cannot normalize rates"),
         (saturated, "measured rate at or above 1/dead_time; correction impossible"),
         (~np.all(np.isfinite(rates), axis=1), "rates must be finite"),
     )
@@ -293,6 +299,9 @@ def rho_per_repetition(
         i = int(np.argmax(failed))
         why = next(msg for mask, msg in checks if mask[i])
         raise ValueError(f"repetition {records[i].repetition}: {why}")
+    if n_zero := np.count_nonzero(zero_monitor):
+        warnings.warn(f"zero monitor counts leave rho undefined in {n_zero} of "
+                      f"{len(records)} repetitions", RuntimeWarning, stacklevel=2)
     curves = sorkin_curves(rates.T, guard)
     return curves.rho, curves.rho_defined
 

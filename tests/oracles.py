@@ -9,7 +9,9 @@ package replaced by shared tables, bisection and array arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 
@@ -279,6 +281,25 @@ def run_experiment_scalar(base_rates, power, detector, repetitions: int,
                     stream(4, rep, comb).poisson(mu_mon) if poisson else mu_mon
                 )
     return counts, stamps, monitor, clamped
+
+
+def count_rows(records, poisson: bool):
+    """Rows of ``run``'s counts table, record by record.
+
+    The per-record conversion that ``cli`` replaced by columns built for
+    a block of records at a time, kept as the reference for its bytes:
+    Poisson counts as integers, expected values as floats, NaN monitor
+    counts when the monitor is off.
+    """
+    count_type = np.int64 if poisson else np.float64
+    labels = ("0", "A", "B", "C", "AB", "BC", "CA", "ABC")
+    no_monitor = [math.nan] * len(labels)
+    for rec in records:
+        counts = rec.counts.astype(count_type).tolist()
+        monitor = (no_monitor if rec.monitor is None
+                   else rec.monitor.astype(count_type).tolist())
+        yield from zip(repeat(rec.repetition), labels, counts,
+                       repeat(rec.dwell_time), rec.timestamps.tolist(), monitor)
 
 
 def rho_per_repetition_scalar(records, guard: float, dead_time_correction: float = 0.0,

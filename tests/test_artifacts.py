@@ -1,7 +1,8 @@
 """Artifact bytes: pinned hashes of the bundled configs' outputs, the
 table writer against the per-cell encoders it replaced, the blocked
-conversion of numpy columns to rows, and mirrored sweep rows against
-rows encoded one by one."""
+conversion of numpy columns to rows, ``run``'s counts table against its
+record-by-record rows, and mirrored sweep rows against rows encoded one
+by one."""
 
 import hashlib
 import json
@@ -19,6 +20,7 @@ from bornlab.cli import (
 )
 from bornlab.interference import sorkin_curves
 from bornlab.systematics import RhoSweep
+from oracles import count_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads(
@@ -185,6 +187,41 @@ def test_sweep_writer_memory_does_not_grow_with_the_grid(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < 3e6
+
+
+# -- run's counts table is built from columns, a block of records at a
+# -- time: its bytes must be those of the record-by-record rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("poisson", [True, False], ids=["poisson", "expected"])
+@pytest.mark.parametrize("monitor", [1e6, 0.0], ids=["monitor", "no-monitor"])
+def test_count_rows_match_record_loop(fmt, poisson, monitor, monkeypatch, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "repetitions = 20\ndwell_time = 37.5\nmean_power = 80000\n"
+        "dead_time = 50e-9\npower_drift = 1e-4\npower_fluctuation = 1e-3\n"
+        f"sequence_order = randomized\nmonitor_counts = {monitor}\n"
+        f"poisson = {str(poisson).lower()}\ndetector_u = 500\n",
+        encoding="utf-8",
+    )
+    run_experiment, runs = cli.run_experiment, []
+
+    def recorded(*args, **kwargs):
+        runs.append(run_experiment(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", recorded)
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 7)    # 20 records: three blocks
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--format", fmt, "run"]) == 0
+    records, = runs
+    assert (records[0].monitor is None) == (monitor == 0.0)
+    header = ("repetition", "combination", "counts", "dwell_s",
+              "timestamp_index", "monitor_counts")
+    expected = tmp_path / f"expected.{fmt}"
+    _write_table(expected, header, count_rows(records, poisson), fmt)
+    assert (out / f"run_counts.{fmt}").read_bytes() == expected.read_bytes()
 
 
 # -- a mirrored sweep encodes each row pair once: its bytes must be those

@@ -254,8 +254,9 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     def test_failed_rerun_keeps_previous_output_set(self, tmp_path, capsys):
-        # the rerun writes its counts table, then finds zero monitor
-        # counts and fails: the earlier run's files must stay as they were
+        # the rerun writes its counts table, then cannot open the staged
+        # rho table (a dangling link where it goes) and fails: the earlier
+        # run's files must stay as they were
         bundled = ROOT / "configs" / "overnight_run.cfg"
         out = tmp_path / "out"
         assert main(["--config", str(bundled), "--out", str(out), "run"]) == 0
@@ -264,13 +265,38 @@ class TestCli:
         rerun = tmp_path / "rerun.cfg"
         rerun.write_text(
             bundled.read_text(encoding="utf-8").replace(
-                "repetitions = 100", "repetitions = 3")
-            + "monitor_counts = 1e-9\n",
+                "repetitions = 100", "repetitions = 3"),
             encoding="utf-8",
         )
+        (out / ".run_rho.csv.tmp").symlink_to(tmp_path / "missing" / "run_rho.csv")
         assert main(["--config", str(rerun), "--out", str(out), "run"]) == 2
-        assert "zero monitor counts" in capsys.readouterr().err
+        assert "i/o failure" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_zero_monitor_counts_leave_repetitions_undefined(self, tmp_path, capsys):
+        # strong fluctuation clamps some power factors to 0, and with them
+        # the monitor counts of those dwells: their repetitions have no rho
+        cfg = tmp_path / "zero_monitor.cfg"
+        cfg.write_text(
+            (ROOT / "configs" / "overnight_run.cfg").read_text(encoding="utf-8")
+            .replace("sequence_order = fixed", "sequence_order = randomized")
+            + "power_fluctuation = 0.8\nmonitor_counts = 1e6\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning) as warned:
+            assert main(["--config", str(cfg), "--out", str(out), "run"]) == 0
+        assert [str(w.message) for w in warned] == [
+            "power factor clamped to 0 in 84 of 800 dwells",
+            "zero monitor counts leave rho undefined in 56 of 100 repetitions",
+        ]
+        assert "error" not in capsys.readouterr().err
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert summary["n_undefined"] == 56
+        assert summary["rho_defined_repetitions"] == 44
+        flags = [line.rsplit(",", 1)[1] for line in
+                 (out / "run_rho.csv").read_text().splitlines()[1:]]
+        assert flags.count("0") == 56
 
     def test_json_format(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -319,14 +319,20 @@ class TestRhoPerRepetition:
         zero_mon = CountsRecord(11, ok.counts, ok.dwell_time, ok.timestamps,
                                 monitor=np.array([1.0] * 7 + [0.0]))
         hot = record_with_rho(0.0, repetition=12, n=1e6)
-        with pytest.raises(ValueError, match="repetition 11: zero monitor"):
-            rho_per_repetition([ok, zero_mon, hot], dead_time_correction=1e-6)
+        # a zero monitor count leaves its repetition undefined, not failed
+        with pytest.warns(RuntimeWarning, match="undefined in 1 of 3 repetitions"):
+            rho, defined = rho_per_repetition([ok, zero_mon, ok])
+        assert defined.tolist() == [True, False, True]
+        assert np.isnan(rho[1]) and not np.isnan(rho[[0, 2]]).any()
         with pytest.raises(ValueError, match="repetition 12: measured rate"):
-            rho_per_repetition([ok, hot, zero_mon], dead_time_correction=1e-6)
-        # both checks fail on one repetition: the monitor check comes first
+            rho_per_repetition([ok, zero_mon, hot], dead_time_correction=1e-6)
+        # a repetition that cannot be normalized is not checked further
         both = CountsRecord(13, hot.counts, hot.dwell_time, hot.timestamps,
                             monitor=zero_mon.monitor)
-        with pytest.raises(ValueError, match="repetition 13: zero monitor"):
+        with pytest.warns(RuntimeWarning, match="undefined in 1 of 2 repetitions"):
+            rho, defined = rho_per_repetition([ok, both], dead_time_correction=1e-6)
+        assert defined.tolist() == [True, False]
+        with pytest.raises(ValueError, match="repetition 12: measured rate"):
             rho_per_repetition([ok, both, hot], dead_time_correction=1e-6)
         # a disabled monitor is not checked
         rho, defined = rho_per_repetition([ok, zero_mon], use_monitor=False)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from bornlab.interference import (
@@ -137,6 +137,21 @@ class TestInterferenceTerm:
             assert p[4] == rule_probability(rule, amps, "AC")
         with pytest.raises(ValueError, match="shape"):
             interference_terms(rule, z[0])
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @seed(20240811)
+    @settings(max_examples=300, deadline=None)
+    @given(paths=st.lists(
+        st.tuples(st.floats(-6.0, 6.0), st.floats(0.0, 2 * math.pi)),
+        min_size=5, max_size=5))
+    def test_born_sum_rule_property(self, k, paths):
+        # the order-k term of the quadratic rule is zero up to rounding at
+        # the scale of the largest subset probability, for path magnitudes
+        # 10**-6 .. 10**6; the bound 2**k ulp was fixed before sampling
+        z = np.array([10.0**e * complex(math.cos(t), math.sin(t))
+                      for e, t in paths[:k]])
+        total, probs = interference_terms(BORN, z.reshape(1, k))
+        assert abs(total[0]) <= 2**k * np.finfo(float).eps * np.max(probs)
 
     def test_duplicate_paths_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

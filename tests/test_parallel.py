@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,3 +64,33 @@ class TestThreads:
             results.append(far_field_amplitude(ap, u))
         assert np.array_equal(results[0], results[1])
         assert np.array_equal(results[0], results[2])
+
+
+# Imports the package, checks that no thread pool module came with it,
+# then evaluates a far field that map_slices splits over two threads.
+_LAZY_POOL = """
+import sys
+import numpy as np
+import bornlab, bornlab.cli
+assert "concurrent.futures" not in sys.modules, "imported with the package"
+from bornlab.optics import (build_combination_aperture,
+                            combination_mask_for_plate, triple_slit_plate)
+plate = triple_slit_plate()
+ap = build_combination_aperture(plate, combination_mask_for_plate(plate), "ABC")
+amp = bornlab.far_field_amplitude(ap, np.linspace(-4e4, 4e4, 4096))
+assert "concurrent.futures" in sys.modules, "no threads were used"
+sys.stdout.write(amp.tobytes().hex())
+"""
+
+
+def test_thread_pool_imported_only_when_threads_run(plate, mask, monkeypatch):
+    env = dict(os.environ, BORNLAB_THREADS="2")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_POOL], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    serial = far_field_amplitude(build_combination_aperture(plate, mask, "ABC"),
+                                 np.linspace(-4e4, 4e4, 4096))
+    assert bytes.fromhex(proc.stdout) == serial.tobytes()
