@@ -31,6 +31,7 @@ instead of 25 s on a 2-vCPU VM, with the same bytes and memory peak.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -298,13 +299,20 @@ class _OutputSet:
         return self._staged(name)
 
     def commit(self) -> None:
+        """Rename the staged files into place.  Raises ``OSError`` before
+        the first rename if a target exists and is not a regular file."""
+        for target in (self.out / name for name in self.names):
+            if target.exists() and not target.is_file():
+                raise OSError(f"{target} exists and is not a regular file")
         for name in self.names:
             os.replace(self._staged(name), self.out / name)
 
     def discard(self) -> None:
-        """Remove every staged file not committed."""
+        """Remove every staged file not committed; never raises, so the
+        error that stopped the command is the one reported."""
         for name in self.names:
-            self._staged(name).unlink(missing_ok=True)
+            with contextlib.suppress(OSError):
+                self._staged(name).unlink(missing_ok=True)
 
 
 def _manifest(path: Path, command: str, cfg: RunConfig, summary: dict,

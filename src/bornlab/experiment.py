@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._streams import TAG_COUNTS, TAG_MONITOR, TAG_ORDER, TAG_POWER, substreams
+from ._streams import TAG_COUNTS, TAG_MONITOR, TAG_ORDER, TAG_POWER, first_poisson, substreams
 from .interference import (
     COMBINATIONS,
     DEFAULT_GUARD,
@@ -164,7 +164,8 @@ def run_experiment(
     Negative factors are clamped to 0 with a ``RuntimeWarning`` that
     gives their number.  Counts and monitor counts are the first Poisson
     draws of the dwell's ``TAG_COUNTS`` / ``TAG_MONITOR`` substreams.
-    Only those draws run stream by stream; all other arithmetic runs on
+    Shuffles, normal draws and the Poisson draws that :func:`first_poisson`
+    leaves to numpy run stream by stream; all other arithmetic runs on
     (repetitions, 8) arrays, a block of repetitions at a time, with the
     same bits as dwell by dwell.
     """
@@ -214,34 +215,23 @@ def _simulate_block(
     stamps = np.empty((reps.size, 8), dtype=int)
     np.put_along_axis(stamps, order, 8 * reps[:, None] + combs, axis=1)
 
+    # the first draw of each substream(seed, tag, rep, comb)
+    rows = (reps[:, None], combs)
     factor = 1.0 + power.linear_drift_rate * (stamps / 8.0)
     if power.relative_fluctuation > 0.0:
-        xi = _first_draws(seed, TAG_POWER, reps)
-        factor *= 1.0 + power.relative_fluctuation * xi
+        xi = [g.standard_normal() for g in substreams(seed, TAG_POWER, *rows)]
+        factor *= 1.0 + power.relative_fluctuation * np.reshape(xi, factor.shape)
     clamped = factor < 0.0
     n_clamped = np.count_nonzero(clamped)
     # as max(factor, 0.0); np.maximum would also turn a -0.0 into +0.0
     factor[clamped] = 0.0
     mu = detector_response(detector, factor * base_rates) * detector.dwell_time
-    counts = _first_draws(seed, TAG_COUNTS, reps, mu) if poisson else mu
+    counts = first_poisson(seed, mu, TAG_COUNTS, *rows) if poisson else mu
     monitor = None
     if power.monitor_counts > 0.0:
         mu_mon = factor * power.monitor_counts
-        monitor = _first_draws(seed, TAG_MONITOR, reps, mu_mon) if poisson else mu_mon
+        monitor = first_poisson(seed, mu_mon, TAG_MONITOR, *rows) if poisson else mu_mon
     return counts, stamps, monitor, n_clamped
-
-
-def _first_draws(seed: int, tag: int, reps: np.ndarray, lam=None) -> np.ndarray:
-    """First draw of each ``substream(seed, tag, rep, comb)``, shape (len(reps), 8).
-
-    Standard normal draws, or Poisson draws of mean ``lam[i, comb]``.
-    """
-    streams = substreams(seed, tag, reps[:, None], np.arange(8))
-    if lam is None:
-        draws = [g.standard_normal() for g in streams]
-    else:
-        draws = [g.poisson(m) for g, m in zip(streams, lam.ravel().tolist())]
-    return np.array(draws, dtype=float).reshape(reps.size, 8)
 
 
 _NO_MONITOR = np.ones(8)

@@ -273,6 +273,35 @@ class TestCli:
         assert "i/o failure" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def _first_run(self, tmp_path):
+        out = tmp_path / "out"
+        config = str(ROOT / "configs" / "overnight_run.cfg")
+        assert main(["--config", config, "--out", str(out), "run"]) == 0
+        return config, out, {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def test_staged_directory_fails_without_traceback(self, tmp_path, capsys):
+        # the staged rho table cannot be opened, nor removed afterwards
+        config, out, before = self._first_run(tmp_path)
+        (out / ".run_rho.csv.tmp").mkdir()
+        assert main(["--config", config, "--out", str(out), "--seed", "7", "run"]) == 2
+        err = capsys.readouterr().err
+        assert "i/o failure" in err and "Traceback" not in err
+        after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert after == before
+        assert sorted(p.name for p in out.iterdir()) == sorted([*before, ".run_rho.csv.tmp"])
+
+    def test_directory_at_a_target_keeps_previous_output_set(self, tmp_path, capsys):
+        # every table of the rerun is written; the commit must refuse
+        # before it renames any of them over the old set
+        config, out, before = self._first_run(tmp_path)
+        (out / "run_rho.csv").unlink()
+        (out / "run_rho.csv").mkdir()
+        del before["run_rho.csv"]
+        assert main(["--config", config, "--out", str(out), "--seed", "7", "run"]) == 2
+        assert "not a regular file" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert sorted(p.name for p in out.iterdir()) == sorted([*before, "run_rho.csv"])
+
     def test_zero_monitor_counts_leave_repetitions_undefined(self, tmp_path, capsys):
         # strong fluctuation clamps some power factors to 0, and with them
         # the monitor counts of those dwells: their repetitions have no rho
