@@ -9,8 +9,8 @@ rule.
 
 from .config import ConfigError, RunConfig, load_config, parse_config, serialize_config
 from .experiment import (
-    CountsRecord,
     RhoSeries,
+    RunCounts,
     estimate_rho_series,
     rho_per_repetition,
     run_experiment,
@@ -70,7 +70,6 @@ __all__ = [
     "ConfigError",
     "CombinationAperture",
     "CombinationMask",
-    "CountsRecord",
     "DEFAULT_GUARD",
     "DetectorModel",
     "OPENING",
@@ -82,6 +81,7 @@ __all__ = [
     "RhoSeries",
     "RhoSweep",
     "RunConfig",
+    "RunCounts",
     "SlitPlate",
     "SorkinCurves",
     "SorkinResult",

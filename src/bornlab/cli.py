@@ -53,7 +53,7 @@ from .config import (
     load_config,
     probability_rule,
 )
-from .experiment import RhoSeries, rho_per_repetition, run_experiment
+from .experiment import RhoSeries, RunCounts, rho_per_repetition, run_experiment
 from .interference import (
     COMBINATIONS,
     ProbabilityVector,
@@ -401,7 +401,7 @@ def cmd_sweep_detector(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
 
 def cmd_run(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     plate, mask, power, detector = build_objects(cfg)
-    records = run_experiment(
+    run = run_experiment(
         plate, mask, power, detector,
         detector_u=cfg.detector_u, repetitions=cfg.repetitions,
         seed=cfg.seed, poisson=cfg.poisson,
@@ -409,13 +409,13 @@ def cmd_run(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     header = ("repetition", "combination", "counts", "dwell_s",
               "timestamp_index", "monitor_counts")
     _write_table(tables.path(f"run_counts.{fmt}"), header,
-                 _count_rows(records, cfg.poisson), fmt)
+                 _count_rows(run, cfg.poisson), fmt)
 
-    rho, defined = rho_per_repetition(records, cfg.guard)
+    rho, defined = rho_per_repetition(run, cfg.guard)
     _write_table(
         tables.path(f"run_rho.{fmt}"),
         ("repetition", "rho", "rho_defined"),
-        _column_rows((np.arange(len(records)), rho, defined)),
+        _column_rows((np.arange(cfg.repetitions), rho, defined)),
         fmt,
     )
     summary: dict = {
@@ -433,25 +433,25 @@ def cmd_run(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     except ValueError:
         print("warning: rho undefined in every repetition", file=sys.stderr)
         summary.update(mean_rho=None, sample_std=None, sem=None,
-                       n_undefined=len(records))
+                       n_undefined=cfg.repetitions)
     return summary
 
 
-def _count_rows(records, poisson: bool):
+def _count_rows(run: RunCounts, poisson: bool):
     """The rows of the ``run_counts`` table, one per dwell, from columns
-    built for a block of up to ``_ROW_BLOCK`` records at a time."""
+    sliced out of the run's arrays ``_ROW_BLOCK`` repetitions at a time."""
     # Poisson counts are whole numbers and are written as integers
     count_type = np.int64 if poisson else np.float64
-    for first in range(0, len(records), _ROW_BLOCK):
-        block = records[first:first + _ROW_BLOCK]
-        monitor = (np.full((len(block), 8), math.nan) if block[0].monitor is None
-                   else np.array([rec.monitor for rec in block]).astype(count_type))
+    for first in range(0, len(run.counts), _ROW_BLOCK):
+        counts = run.counts[first:first + _ROW_BLOCK]
+        monitor = (np.full(counts.shape, math.nan) if run.monitor is None
+                   else run.monitor[first:first + _ROW_BLOCK].astype(count_type))
         yield from _column_rows((
-            np.repeat([rec.repetition for rec in block], 8),
-            np.tile(COMBINATIONS, len(block)),
-            np.array([rec.counts for rec in block]).astype(count_type).ravel(),
-            np.repeat([rec.dwell_time for rec in block], 8),
-            np.array([rec.timestamps for rec in block]).ravel(),
+            np.repeat(np.arange(first, first + len(counts)), 8),
+            np.tile(COMBINATIONS, len(counts)),
+            counts.astype(count_type).ravel(),
+            np.full(counts.size, run.dwell_time),
+            run.timestamps[first:first + _ROW_BLOCK].ravel(),
             monitor.ravel(),
         ))
 

@@ -10,8 +10,11 @@ null checks.
 
 All randomness is drawn from per-repetition, per-combination substreams
 of a single root seed, so identical seeds give identical count streams
-no matter how the work is scheduled.  A repetition with a zero monitor
-count (a dwell whose power factor was clamped to 0) has no ``rho``.
+no matter how the work is scheduled.  A run is one :class:`RunCounts`:
+(repetitions, 8) arrays of counts, timestamps and optional monitor
+counts, checked once, whose row ``i`` is repetition ``i``.  A repetition
+with a zero monitor count (a dwell whose power factor was clamped to 0)
+has no ``rho``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,67 +36,52 @@ from .systematics import DetectorModel, PowerModel, detector_response
 
 
 @dataclass(frozen=True, eq=False)
-class CountsRecord:
-    """Counts of one repetition, canonical combination order.
+class RunCounts:
+    """Counts of a run: row ``i`` of each (repetitions, 8) array is
+    repetition ``i``, in canonical combination order.
 
     ``counts`` are integer-valued in Poisson mode and expected values in
     expected-value mode.  ``timestamps`` holds the global dwell index at
     which each combination was measured (order may be randomized).
     ``monitor`` carries reference-arm counts per dwell when the power
-    monitor is enabled, else None.
+    monitor is enabled, else None.  Every dwell lasts ``dwell_time``.
     """
 
-    repetition: int
     counts: np.ndarray
     dwell_time: float
     timestamps: np.ndarray
     monitor: np.ndarray | None = None
 
     def __post_init__(self):
-        counts, stamps, monitor = _checked(
-            self.counts, self.dwell_time, self.timestamps, self.monitor, (8,)
-        )
+        counts = np.asarray(self.counts, dtype=float)
+        stamps = np.asarray(self.timestamps, dtype=int)
+        if counts.ndim != 2 or counts.shape[1:] != (8,) or stamps.shape != counts.shape:
+            raise ValueError("counts and timestamps must have shape (repetitions, 8) "
+                             f"(got {counts.shape} and {stamps.shape})")
+        if not len(counts):
+            raise ValueError("need at least one repetition")
+        if not self.dwell_time > 0.0:
+            raise ValueError(f"dwell_time must be > 0 (got {self.dwell_time})")
+        _check_counts("counts", counts)
+        if self.monitor is not None:
+            monitor = np.asarray(self.monitor, dtype=float)
+            if monitor.shape != counts.shape:
+                raise ValueError(f"monitor counts must have shape {counts.shape} "
+                                 f"(got {monitor.shape})")
+            _check_counts("monitor counts", monitor)
+            object.__setattr__(self, "monitor", monitor)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "timestamps", stamps)
-        object.__setattr__(self, "monitor", monitor)
-
-    @classmethod
-    def _block(cls, reps: Sequence[int], counts, dwell_time: float, timestamps,
-               monitor=None) -> list["CountsRecord"]:
-        """One record per row of (len(reps), 8) arrays.  The arrays are
-        checked once for the whole block and ``__post_init__`` is skipped;
-        record i holds row i of each array, as
-        ``CountsRecord(reps[i], counts[i], ...)`` would."""
-        counts, stamps, monitor = _checked(
-            counts, dwell_time, timestamps, monitor, (len(reps), 8)
-        )
-        records = []
-        for i, rep in enumerate(reps):
-            rec = object.__new__(cls)
-            vars(rec).update(
-                repetition=rep, counts=counts[i], dwell_time=dwell_time,
-                timestamps=stamps[i], monitor=None if monitor is None else monitor[i],
-            )
-            records.append(rec)
-        return records
 
 
-def _checked(counts, dwell_time, timestamps, monitor, shape: tuple[int, ...]):
-    """Counts, timestamps and monitor counts (or None) as float, int and
-    float arrays of ``shape``; raises unless they are valid records."""
-    counts = np.asarray(counts, dtype=float)
-    stamps = np.asarray(timestamps, dtype=int)
-    if counts.shape != shape or stamps.shape != shape:
-        raise ValueError("counts and timestamps must have shape (8,)")
-    if np.any(~np.isfinite(counts)) or np.any(counts < 0.0):
-        raise ValueError("counts must be finite and >= 0")
-    if not dwell_time > 0.0:
-        raise ValueError(f"dwell_time must be > 0 (got {dwell_time})")
-    if monitor is not None:
-        monitor = np.asarray(monitor, dtype=float)
-        if monitor.shape != shape or np.any(~np.isfinite(monitor)) or np.any(monitor < 0.0):
-            raise ValueError("monitor counts must be shape (8,), finite, >= 0")
-    return counts, stamps, monitor
+def _check_counts(name: str, counts: np.ndarray) -> None:
+    """Raise naming the first repetition and combination whose count is
+    negative or not finite."""
+    bad = ~np.isfinite(counts) | (counts < 0.0)
+    if bad.any():
+        i, k = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"repetition {i}, combination {COMBINATIONS[k]}: "
+                         f"{name} must be finite and >= 0 (got {counts[i, k]:g})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +121,7 @@ class RhoSeries:
 
 
 #: Repetitions simulated per block of array arithmetic: bounds the
-#: memory of the temporaries, which the records do not keep.
+#: memory of the temporaries, which the returned RunCounts does not keep.
 _BLOCK_REPETITIONS = 512
 
 
@@ -147,7 +134,7 @@ def run_experiment(
     repetitions: int,
     seed: int = 0,
     poisson: bool = True,
-) -> list[CountsRecord]:
+) -> RunCounts:
     """Simulate ``repetitions`` sequential eight-combination measurements.
 
     ``power.mean_power`` sets the expected all-open incident count rate
@@ -174,71 +161,60 @@ def run_experiment(
     curves = pattern_set(plate, mask, np.array([detector_u]), normalize=True)
     base_rates = power.mean_power * curves[:, 0]
 
-    records: list[CountsRecord] = []
+    shape = (repetitions, 8)
+    counts, stamps = np.empty(shape), np.empty(shape, dtype=int)
+    monitor = np.empty(shape) if power.monitor_counts > 0.0 else None
     n_clamped = 0
     for first in range(0, repetitions, _BLOCK_REPETITIONS):
-        reps = np.arange(first, min(first + _BLOCK_REPETITIONS, repetitions))
-        counts, stamps, monitor, clamped = _simulate_block(
-            seed, reps, base_rates, power, detector, poisson
-        )
-        n_clamped += clamped
-        records += CountsRecord._block(
-            reps.tolist(), counts, detector.dwell_time, stamps, monitor
-        )
+        n_clamped += _simulate_rows(slice(first, first + _BLOCK_REPETITIONS), seed,
+                                    base_rates, power, detector, poisson,
+                                    counts, stamps, monitor)
+    run = RunCounts(counts, detector.dwell_time, stamps, monitor)
     if n_clamped:
         warnings.warn(
             f"power factor clamped to 0 in {n_clamped} of {8 * repetitions} dwells",
             RuntimeWarning,
             stacklevel=2,
         )
-    return records
+    return run
 
 
-def _simulate_block(
-    seed: int,
-    reps: np.ndarray,
-    base_rates: np.ndarray,
-    power: PowerModel,
-    detector: DetectorModel,
-    poisson: bool,
-):
-    """Counts, timestamps, monitor counts (or None) and the number of
-    clamped power factors of repetitions ``reps``; arrays are (len(reps), 8)
-    and indexed by combination."""
+def _simulate_rows(rows: slice, seed: int, base_rates: np.ndarray, power: PowerModel,
+                   detector: DetectorModel, poisson: bool, counts: np.ndarray,
+                   stamps: np.ndarray, monitor: np.ndarray | None) -> int:
+    """Fill rows ``rows`` (repetitions) of the (repetitions, 8) arrays
+    ``counts``, ``stamps`` and ``monitor`` (or None), indexed by
+    combination; returns the number of clamped power factors."""
+    reps = np.arange(*rows.indices(len(counts)))
     combs = np.arange(8)
     order = np.tile(combs, (reps.size, 1))
     if power.sequence_order == "randomized":
         # Generator.permutation(8) shuffles arange(8) in place just so
         for g, row in zip(substreams(seed, TAG_ORDER, reps), order):
             g.shuffle(row)
-    # stamps[i, comb]: global dwell index at which comb was measured
-    stamps = np.empty((reps.size, 8), dtype=int)
-    np.put_along_axis(stamps, order, 8 * reps[:, None] + combs, axis=1)
+    # stamps[rep, comb]: global dwell index at which comb was measured
+    np.put_along_axis(stamps[rows], order, 8 * reps[:, None] + combs, axis=1)
 
     # the first draw of each substream(seed, tag, rep, comb)
-    rows = (reps[:, None], combs)
-    factor = 1.0 + power.linear_drift_rate * (stamps / 8.0)
+    path = (reps[:, None], combs)
+    factor = 1.0 + power.linear_drift_rate * (stamps[rows] / 8.0)
     if power.relative_fluctuation > 0.0:
-        xi = [g.standard_normal() for g in substreams(seed, TAG_POWER, *rows)]
+        xi = [g.standard_normal() for g in substreams(seed, TAG_POWER, *path)]
         factor *= 1.0 + power.relative_fluctuation * np.reshape(xi, factor.shape)
     clamped = factor < 0.0
     n_clamped = np.count_nonzero(clamped)
     # as max(factor, 0.0); np.maximum would also turn a -0.0 into +0.0
     factor[clamped] = 0.0
     mu = detector_response(detector, factor * base_rates) * detector.dwell_time
-    counts = first_poisson(seed, mu, TAG_COUNTS, *rows) if poisson else mu
-    monitor = None
-    if power.monitor_counts > 0.0:
+    counts[rows] = first_poisson(seed, mu, TAG_COUNTS, *path) if poisson else mu
+    if monitor is not None:
         mu_mon = factor * power.monitor_counts
-        monitor = first_poisson(seed, mu_mon, TAG_MONITOR, *rows) if poisson else mu_mon
-    return counts, stamps, monitor, n_clamped
-
-
-_NO_MONITOR = np.ones(8)
+        monitor[rows] = first_poisson(seed, mu_mon, TAG_MONITOR, *path) if poisson else mu_mon
+    return n_clamped
 
 
 def rho_per_repetition(
-    records: Sequence[CountsRecord],
+    run: RunCounts,
     guard: float = DEFAULT_GUARD,
     dead_time_correction: float = 0.0,
     use_monitor: bool = True,
@@ -260,20 +236,15 @@ def rho_per_repetition(
     """
     if dead_time_correction < 0.0:
         raise ValueError("dead_time_correction must be >= 0")
-    if not records:
-        raise ValueError("need at least one repetition")
-    rates = np.array([rec.counts for rec in records])
-    zero_monitor = np.zeros(len(records), dtype=bool)
-    saturated = np.zeros(len(records), dtype=bool)
+    n = len(run.counts)
+    zero_monitor = np.zeros(n, dtype=bool)
+    saturated = np.zeros(n, dtype=bool)
     # failing repetitions are reported below, before any of their values is used
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rates /= np.array([rec.dwell_time for rec in records])[:, None]
-        if use_monitor and any(rec.monitor is not None for rec in records):
-            # a record without monitor counts gets the exact factor 1.0
-            mon = np.array([_NO_MONITOR if rec.monitor is None else rec.monitor
-                            for rec in records])
+        rates = run.counts / run.dwell_time
+        if use_monitor and (mon := run.monitor) is not None:
             zero_monitor = np.any(mon <= 0.0, axis=1)
-            rates *= np.divide(np.mean(mon, axis=1, keepdims=True), mon, out=mon)
+            rates *= np.mean(mon, axis=1, keepdims=True) / mon
             # all-zero rates have delta = 0 below the guard: rho is undefined
             rates[zero_monitor] = 0.0
         if dead_time_correction > 0.0:
@@ -288,16 +259,16 @@ def rho_per_repetition(
     if failed.any():
         i = int(np.argmax(failed))
         why = next(msg for mask, msg in checks if mask[i])
-        raise ValueError(f"repetition {records[i].repetition}: {why}")
+        raise ValueError(f"repetition {i}: {why}")
     if n_zero := np.count_nonzero(zero_monitor):
         warnings.warn(f"zero monitor counts leave rho undefined in {n_zero} of "
-                      f"{len(records)} repetitions", RuntimeWarning, stacklevel=2)
+                      f"{n} repetitions", RuntimeWarning, stacklevel=2)
     curves = sorkin_curves(rates.T, guard)
     return curves.rho, curves.rho_defined
 
 
 def estimate_rho_series(
-    records: Sequence[CountsRecord],
+    run: RunCounts,
     guard: float = DEFAULT_GUARD,
     dead_time_correction: float = 0.0,
     use_monitor: bool = True,
@@ -308,5 +279,5 @@ def estimate_rho_series(
     separately; raises if no repetition has a defined ``rho``.
     """
     return RhoSeries.aggregate(*rho_per_repetition(
-        records, guard, dead_time_correction, use_monitor
+        run, guard, dead_time_correction, use_monitor
     ))

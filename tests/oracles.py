@@ -283,33 +283,32 @@ def run_experiment_scalar(base_rates, power, detector, repetitions: int,
     return counts, stamps, monitor, clamped
 
 
-def count_rows(records, poisson: bool):
-    """Rows of ``run``'s counts table, record by record.
+def count_rows(run, poisson: bool):
+    """Rows of ``run``'s counts table, repetition by repetition.
 
-    The per-record conversion that ``cli`` replaced by columns built for
-    a block of records at a time, kept as the reference for its bytes:
-    Poisson counts as integers, expected values as floats, NaN monitor
-    counts when the monitor is off.
+    The per-repetition conversion that ``cli`` replaced by columns sliced
+    from a block of repetitions at a time, kept as the reference for its
+    bytes: Poisson counts as integers, expected values as floats, NaN
+    monitor counts when the monitor is off.
     """
     count_type = np.int64 if poisson else np.float64
     labels = ("0", "A", "B", "C", "AB", "BC", "CA", "ABC")
     no_monitor = [math.nan] * len(labels)
-    for rec in records:
-        counts = rec.counts.astype(count_type).tolist()
-        monitor = (no_monitor if rec.monitor is None
-                   else rec.monitor.astype(count_type).tolist())
-        yield from zip(repeat(rec.repetition), labels, counts,
-                       repeat(rec.dwell_time), rec.timestamps.tolist(), monitor)
+    for i, counts in enumerate(run.counts):
+        monitor = (no_monitor if run.monitor is None
+                   else run.monitor[i].astype(count_type).tolist())
+        yield from zip(repeat(i), labels, counts.astype(count_type).tolist(),
+                       repeat(run.dwell_time), run.timestamps[i].tolist(), monitor)
 
 
-def rho_per_repetition_scalar(records, guard: float, dead_time_correction: float = 0.0,
+def rho_per_repetition_scalar(run, guard: float, dead_time_correction: float = 0.0,
                               use_monitor: bool = True):
-    """Record-by-record ``rho`` and defined flag, on Python floats."""
+    """Repetition-by-repetition ``rho`` and defined flag, on Python floats."""
     rho, defined = [], []
-    for rec in records:
-        rates = rec.counts / rec.dwell_time
-        if use_monitor and rec.monitor is not None:
-            rates = rates * (np.mean(rec.monitor) / rec.monitor)
+    for i, counts in enumerate(run.counts):
+        rates = counts / run.dwell_time
+        if use_monitor and run.monitor is not None:
+            rates = rates * (np.mean(run.monitor[i]) / run.monitor[i])
         if dead_time_correction > 0.0:
             rates = rates / (1.0 - dead_time_correction * rates)
         p0, pa, pb, pc, pab, pbc, pca, pabc = map(float, rates)

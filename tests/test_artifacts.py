@@ -189,8 +189,8 @@ def test_sweep_writer_memory_does_not_grow_with_the_grid(tmp_path):
         assert peak < 3e6
 
 
-# -- run's counts table is built from columns, a block of records at a
-# -- time: its bytes must be those of the record-by-record rows
+# -- run's counts table is built from columns, a block of repetitions at
+# -- a time: its bytes must be those of the repetition-by-repetition rows
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -212,15 +212,15 @@ def test_count_rows_match_record_loop(fmt, poisson, monitor, monkeypatch, tmp_pa
         return runs[-1]
 
     monkeypatch.setattr(cli, "run_experiment", recorded)
-    monkeypatch.setattr(cli, "_ROW_BLOCK", 7)    # 20 records: three blocks
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 7)    # 20 repetitions: three blocks
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--format", fmt, "run"]) == 0
-    records, = runs
-    assert (records[0].monitor is None) == (monitor == 0.0)
+    run, = runs
+    assert (run.monitor is None) == (monitor == 0.0)
     header = ("repetition", "combination", "counts", "dwell_s",
               "timestamp_index", "monitor_counts")
     expected = tmp_path / f"expected.{fmt}"
-    _write_table(expected, header, count_rows(records, poisson), fmt)
+    _write_table(expected, header, count_rows(run, poisson), fmt)
     assert (out / f"run_counts.{fmt}").read_bytes() == expected.read_bytes()
 
 

@@ -327,6 +327,16 @@ class TestCli:
                  (out / "run_rho.csv").read_text().splitlines()[1:]]
         assert flags.count("0") == 56
 
+    def test_run_negative_expected_count_exits_2_naming_the_dwell(self, tmp_path, capsys):
+        # a detector driven past its nonlinearity gives negative mean counts
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("mean_power = 1e6\nnonlinearity = 0.9\nfull_scale_rate = 1e3\n"
+                       "poisson = false\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "run"]) == 2
+        assert capsys.readouterr().err == (
+            "error: repetition 0, combination A: counts must be finite and >= 0 "
+            "(got -4.125e+08)\n")
+
     def test_json_format(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("u_points = 11\n", encoding="utf-8")

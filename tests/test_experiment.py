@@ -5,7 +5,7 @@ import pytest
 
 from bornlab import experiment
 from bornlab.experiment import (
-    CountsRecord,
+    RunCounts,
     estimate_rho_series,
     rho_per_repetition,
     run_experiment,
@@ -17,49 +17,47 @@ from bornlab.systematics import DetectorModel, PowerModel, poisson_sigma
 from oracles import rho_per_repetition_scalar, run_experiment_scalar
 
 
-def record_with_rho(rho, repetition=0, n=1000.0, dwell=2.0):
-    """Counts whose rate vector has the requested rho (delta = 6n)."""
-    counts = np.array([0.0, n, n, n, 4 * n, 4 * n, 4 * n, 9 * n + rho * 6 * n])
-    return CountsRecord(
-        repetition=repetition,
-        counts=counts * dwell,
-        dwell_time=dwell,
-        timestamps=np.arange(8) + repetition * 8,
-    )
+def dwell_indices(repetitions):
+    return np.arange(8 * repetitions).reshape(repetitions, 8)
 
 
-class TestCountsRecord:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="shape"):
-            CountsRecord(0, np.zeros(7), 1.0, np.arange(7))
-        with pytest.raises(ValueError, match=">= 0"):
-            CountsRecord(0, np.array([-1.0] + [0.0] * 7), 1.0, np.arange(8))
-        with pytest.raises(ValueError, match="dwell_time"):
-            CountsRecord(0, np.zeros(8), 0.0, np.arange(8))
-        with pytest.raises(ValueError, match="monitor"):
-            CountsRecord(0, np.zeros(8), 1.0, np.arange(8), monitor=np.zeros(3))
+def counts_with_rho(rhos, n=1000.0, dwell=2.0):
+    """One repetition per requested rho; every rate vector has delta = 6n."""
+    counts = np.tile([0.0, n, n, n, 4 * n, 4 * n, 4 * n, 9 * n], (len(rhos), 1))
+    counts[:, 7] += np.asarray(rhos) * 6 * n
+    return RunCounts(counts * dwell, dwell, dwell_indices(len(rhos)))
 
-    @pytest.mark.parametrize("poisson", [True, False])
-    def test_run_records_are_checked_records(self, plate, mask, poisson):
-        # run_experiment checks each block once; every record must be what
-        # the checking constructor makes of the same rows
-        power = PowerModel(mean_power=5e5, relative_fluctuation=1e-3,
-                           sequence_order="randomized", monitor_counts=1e6)
-        recs = run_experiment(plate, mask, power, DetectorModel(), 0.0, 40, seed=2,
-                              poisson=poisson)
-        for rec in recs:
-            ref = CountsRecord(rec.repetition, rec.counts, rec.dwell_time,
-                               rec.timestamps, rec.monitor)
-            assert type(rec.repetition) is int
-            for name in ("counts", "timestamps", "monitor"):
-                got, want = getattr(rec, name), getattr(ref, name)
-                assert got.dtype == want.dtype and got.shape == (8,)
-                assert got.tobytes() == want.tobytes()
+
+class TestRunCounts:
+    @pytest.mark.parametrize("change, match", [
+        ({"counts": np.zeros((0, 8)), "timestamps": np.zeros((0, 8))},
+         "at least one repetition"),
+        ({"counts": np.zeros((2, 7)), "timestamps": np.zeros((2, 7))},
+         r"shape \(repetitions, 8\) \(got \(2, 7\)"),
+        ({"timestamps": np.arange(16)}, r"got \(2, 8\) and \(16,\)"),
+        ({"monitor": np.ones((2, 3))}, r"monitor counts must have shape \(2, 8\)"),
+        ({"counts": [[0.0] * 8, [0.0, 1.0, -1.0] + [0.0] * 5]},
+         r"repetition 1, combination B: counts must be finite and >= 0 \(got -1\)"),
+        ({"counts": [[0.0] * 7 + [math.nan], [0.0] * 8]},
+         r"repetition 0, combination ABC: counts must be .* \(got nan\)"),
+        ({"monitor": [[1.0] * 8, [1.0] * 4 + [math.inf] * 4]},
+         "repetition 1, combination AB: monitor counts must be finite"),
+        ({"dwell_time": 0.0}, r"dwell_time must be > 0 \(got 0.0\)"),
+        ({"dwell_time": -2.0}, r"dwell_time must be > 0 \(got -2.0\)"),
+    ], ids=["zero-rows", "seven-columns", "timestamps-shape", "monitor-shape",
+            "negative-count", "nan-count", "infinite-monitor", "zero-dwell",
+            "negative-dwell"])
+    def test_validation(self, change, match):
+        valid = {"counts": np.zeros((2, 8)), "dwell_time": 1.0, "timestamps": dwell_indices(2)}
+        RunCounts(**valid)
+        with pytest.raises(ValueError, match=match):
+            RunCounts(**{**valid, **change})
 
     def test_run_rejects_negative_expected_counts(self, plate, mask):
         # a detector driven past its nonlinearity gives negative means
         det = DetectorModel(nonlinearity=0.9, full_scale_rate=1e3)
-        with pytest.raises(ValueError, match="counts must be finite and >= 0"):
+        with pytest.raises(ValueError, match="repetition 0, combination A: "
+                                             "counts must be finite and >= 0"):
             run_experiment(plate, mask, PowerModel(mean_power=1e6), det, 0.0, 3,
                            poisson=False)
 
@@ -68,9 +66,9 @@ class TestRunExperiment:
     def test_end_to_end_null_expected_value_mode(self, plate, mask):
         power = PowerModel(mean_power=80000.0)
         det = DetectorModel()
-        recs = run_experiment(plate, mask, power, det, detector_u=0.0,
+        run = run_experiment(plate, mask, power, det, detector_u=0.0,
                               repetitions=3, seed=0, poisson=False)
-        series = estimate_rho_series(recs)
+        series = estimate_rho_series(run)
         assert abs(series.mean) < 1e-10
         assert series.sample_std == 0.0
 
@@ -80,41 +78,39 @@ class TestRunExperiment:
         det = DetectorModel(dwell_time=1.0)
         a = run_experiment(plate, mask, power, det, 0.0, repetitions=6, seed=9)
         b = run_experiment(plate, mask, power, det, 0.0, repetitions=6, seed=9)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.counts, rb.counts)
-            assert np.array_equal(ra.timestamps, rb.timestamps)
+        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a.timestamps, b.timestamps)
 
     def test_seed_changes_counts(self, plate, mask):
         power = PowerModel(mean_power=5e5)
         det = DetectorModel(dwell_time=1.0)
         a = run_experiment(plate, mask, power, det, 0.0, repetitions=2, seed=0)
         b = run_experiment(plate, mask, power, det, 0.0, repetitions=2, seed=1)
-        assert not np.array_equal(a[0].counts, b[0].counts)
+        assert not np.array_equal(a.counts[0], b.counts[0])
 
     def test_poisson_counts_are_integers(self, plate, mask):
         power = PowerModel(mean_power=1e5)
         det = DetectorModel(dwell_time=0.5)
-        recs = run_experiment(plate, mask, power, det, 0.0, repetitions=2, seed=4)
-        for rec in recs:
-            assert np.array_equal(rec.counts, np.round(rec.counts))
+        run = run_experiment(plate, mask, power, det, 0.0, repetitions=2, seed=4)
+        assert np.array_equal(run.counts, np.round(run.counts))
 
     def test_dark_rate_leaves_expected_rho_unchanged(self, plate, mask):
         power = PowerModel(mean_power=80000.0)
         det = DetectorModel(dark_rate=500.0)
-        recs = run_experiment(plate, mask, power, det, detector_u=0.0,
+        run = run_experiment(plate, mask, power, det, detector_u=0.0,
                               repetitions=2, seed=0, poisson=False)
-        assert recs[0].counts[0] == pytest.approx(500.0 * det.dwell_time)
-        series = estimate_rho_series(recs)
+        assert run.counts[0, 0] == pytest.approx(500.0 * det.dwell_time)
+        series = estimate_rho_series(run)
         assert abs(series.mean) < 1e-10
 
     def test_randomized_order_permutes_timestamps(self, plate, mask):
         power = PowerModel(mean_power=1e5, sequence_order="randomized")
         det = DetectorModel(dwell_time=1.0)
-        recs = run_experiment(plate, mask, power, det, 0.0, repetitions=4, seed=2)
-        stamps = np.stack([r.timestamps for r in recs])
+        stamps = run_experiment(plate, mask, power, det, 0.0, repetitions=4,
+                                seed=2).timestamps
         assert not np.array_equal(stamps[0] - 0, stamps[1] - 8)  # order varies
-        for i, rec in enumerate(recs):
-            assert sorted(rec.timestamps) == list(range(i * 8, i * 8 + 8))
+        for i, row in enumerate(stamps):
+            assert sorted(row) == list(range(i * 8, i * 8 + 8))
 
     def test_null_holds_even_at_envelope_zero(self, plate, mask):
         # at the single-slit envelope zero all eight intensities collapse
@@ -122,9 +118,9 @@ class TestRunExperiment:
         # expected-value null survives
         power = PowerModel(mean_power=1e5)
         det = DetectorModel(dwell_time=1.0)
-        recs = run_experiment(plate, mask, power, det, detector_u=1.0 / 30e-6,
+        run = run_experiment(plate, mask, power, det, detector_u=1.0 / 30e-6,
                               repetitions=1, seed=0, poisson=False)
-        series = estimate_rho_series(recs)
+        series = estimate_rho_series(run)
         assert abs(series.mean) < 1e-9
 
     def test_order_randomization_mitigates_drift_bias(self, plate, mask):
@@ -151,9 +147,9 @@ class TestRunExperiment:
         s_plain = estimate_rho_series(
             run_experiment(plate, mask, noisy, det, 0.0, n, seed=11)
         )
-        recs = run_experiment(plate, mask, monitored, det, 0.0, n, seed=11)
-        s_mon = estimate_rho_series(recs)
-        s_ignored = estimate_rho_series(recs, use_monitor=False)
+        run = run_experiment(plate, mask, monitored, det, 0.0, n, seed=11)
+        s_mon = estimate_rho_series(run)
+        s_ignored = estimate_rho_series(run, use_monitor=False)
         assert s_mon.sample_std < s_plain.sample_std / 3
         assert s_ignored.sample_std == pytest.approx(s_plain.sample_std, rel=0.3)
 
@@ -165,8 +161,7 @@ class TestRunExperiment:
 
 class TestEstimate:
     def test_constant_records(self):
-        recs = [record_with_rho(0.02, repetition=i) for i in range(5)]
-        series = estimate_rho_series(recs)
+        series = estimate_rho_series(counts_with_rho([0.02] * 5))
         assert series.mean == pytest.approx(0.02, abs=1e-15)
         assert series.sample_std == 0.0
         assert series.sem == 0.0
@@ -174,8 +169,7 @@ class TestEstimate:
         assert series.n_undefined == 0
 
     def test_two_repetitions_hand_arithmetic(self):
-        recs = [record_with_rho(0.01, 0), record_with_rho(0.03, 1)]
-        series = estimate_rho_series(recs)
+        series = estimate_rho_series(counts_with_rho([0.01, 0.03]))
         assert series.mean == pytest.approx(0.02, abs=1e-15)
         assert series.sample_std == pytest.approx(math.sqrt(2) * 0.01, rel=1e-12)
         assert series.sem == pytest.approx(0.01, rel=1e-12)
@@ -189,42 +183,43 @@ class TestEstimate:
         assert series.sem == series.sample_std / math.sqrt(series.n_defined)
 
     def test_undefined_repetitions_excluded(self):
-        flat = CountsRecord(2, np.full(8, 100.0), 1.0, np.arange(16, 24))
-        recs = [record_with_rho(0.01, 0), record_with_rho(0.03, 1), flat]
-        series = estimate_rho_series(recs)
+        two = counts_with_rho([0.01, 0.03])
+        flat = np.full(8, 100.0)  # delta = 0: undefined
+        series = estimate_rho_series(
+            RunCounts(np.vstack([two.counts, flat]), two.dwell_time, dwell_indices(3)))
         assert series.n_defined == 2
         assert series.n_undefined == 1
         assert math.isnan(series.rho[2])
         assert series.mean == pytest.approx(0.02, abs=1e-15)
 
     def test_all_undefined_raises(self):
-        flat = CountsRecord(0, np.full(8, 100.0), 1.0, np.arange(8))
+        flat = RunCounts(np.full((1, 8), 100.0), 1.0, dwell_indices(1))
         with pytest.raises(ValueError, match="undefined in every repetition"):
-            estimate_rho_series([flat])
+            estimate_rho_series(flat)
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            rho_per_repetition([])
+            RunCounts(np.empty((0, 8)), 1.0, dwell_indices(0))
 
     def test_dead_time_correction_opt_in(self, plate, mask):
         tau = 50e-9
         power = PowerModel(mean_power=80000.0)
         det = DetectorModel(dead_time=tau)
-        recs = run_experiment(plate, mask, power, det, detector_u=0.0,
+        run = run_experiment(plate, mask, power, det, detector_u=0.0,
                               repetitions=2, seed=0, poisson=False)
-        biased = estimate_rho_series(recs)
-        corrected = estimate_rho_series(recs, dead_time_correction=tau)
+        biased = estimate_rho_series(run)
+        corrected = estimate_rho_series(run, dead_time_correction=tau)
         assert abs(biased.mean) > 1e-4          # dead-time bias visible
         assert abs(corrected.mean) < 1e-10      # inverted away
 
     def test_poisson_std_matches_prediction(self, plate, mask):
         power = PowerModel(mean_power=9e5)
         det = DetectorModel(dwell_time=1.0)
-        recs = run_experiment(plate, mask, power, det, 0.0, 200, seed=1)
-        series = estimate_rho_series(recs)
+        run = run_experiment(plate, mask, power, det, 0.0, 200, seed=1)
+        series = estimate_rho_series(run)
         expected = run_experiment(plate, mask, power, det, 0.0, 1, seed=1,
                                   poisson=False)
-        cv = ProbabilityVector.from_array(expected[0].counts)
+        cv = ProbabilityVector.from_array(expected.counts[0])
         pred = poisson_sigma(cv, sorkin(cv))
         assert series.sample_std == pytest.approx(pred, rel=0.10)
         assert abs(series.mean) <= 3 * series.sem
@@ -250,18 +245,18 @@ class TestAgainstScalarLoop:
         det = DetectorModel(dead_time=50e-9, nonlinearity=0.02, dark_rate=40.0,
                             dwell_time=2.5)
         seed = 31 + 2 * poisson + 4 * (fluctuation > 0) + 8 * (monitor > 0)
-        recs = run_experiment(plate, mask, power, det, 500.0, 30, seed=seed,
-                              poisson=poisson)
+        run = run_experiment(plate, mask, power, det, 500.0, 30, seed=seed,
+                             poisson=poisson)
         counts, stamps, mon, clamped = scalar_run(plate, mask, power, det, 500.0,
                                                   30, seed, poisson)
         assert clamped == 0
-        assert [r.repetition for r in recs] == list(range(30))
-        assert np.array_equal(np.array([r.counts for r in recs]), counts)
-        assert np.array_equal(np.array([r.timestamps for r in recs]), stamps)
+        assert run.counts.dtype == float and run.timestamps.dtype == int
+        assert np.array_equal(run.counts, counts)
+        assert np.array_equal(run.timestamps, stamps)
         if monitor:
-            assert np.array_equal(np.array([r.monitor for r in recs]), mon)
+            assert np.array_equal(run.monitor, mon)
         else:
-            assert all(r.monitor is None for r in recs)
+            assert run.monitor is None
 
     def test_bitwise_equal_across_default_blocks(self, plate, mask):
         power = PowerModel(mean_power=9e5, relative_fluctuation=1e-3,
@@ -269,11 +264,11 @@ class TestAgainstScalarLoop:
                            monitor_counts=1e6)
         det = DetectorModel(dead_time=50e-9)
         n = experiment._BLOCK_REPETITIONS + 3
-        recs = run_experiment(plate, mask, power, det, 0.0, n, seed=5)
+        run = run_experiment(plate, mask, power, det, 0.0, n, seed=5)
         counts, stamps, mon, _ = scalar_run(plate, mask, power, det, 0.0, n, 5)
-        assert np.array_equal(np.array([r.counts for r in recs]), counts)
-        assert np.array_equal(np.array([r.timestamps for r in recs]), stamps)
-        assert np.array_equal(np.array([r.monitor for r in recs]), mon)
+        assert np.array_equal(run.counts, counts)
+        assert np.array_equal(run.timestamps, stamps)
+        assert np.array_equal(run.monitor, mon)
 
     @pytest.mark.parametrize("poisson", [True, False])
     def test_clamped_power_warns_with_count(self, plate, mask, monkeypatch, poisson):
@@ -284,9 +279,9 @@ class TestAgainstScalarLoop:
         counts, _, _, clamped = scalar_run(plate, mask, power, det, 0.0, 25, 8, poisson)
         assert clamped > 5
         with pytest.warns(RuntimeWarning, match=f"clamped to 0 in {clamped} of 200 dwells"):
-            recs = run_experiment(plate, mask, power, det, 0.0, 25, seed=8,
-                                  poisson=poisson)
-        assert np.array_equal(np.array([r.counts for r in recs]), counts)
+            run = run_experiment(plate, mask, power, det, 0.0, 25, seed=8,
+                                 poisson=poisson)
+        assert np.array_equal(run.counts, counts)
 
     def test_no_warning_without_clamps(self, plate, mask, recwarn):
         run_experiment(plate, mask, PowerModel(mean_power=1e5, relative_fluctuation=1e-3),
@@ -305,40 +300,52 @@ class TestRhoPerRepetition:
         power = PowerModel(mean_power=9e5, relative_fluctuation=1e-3,
                            sequence_order="randomized", monitor_counts=1e6)
         det = DetectorModel(dead_time=50e-9)
-        recs = run_experiment(plate, mask, power, det, 0.0, 60, seed=3, poisson=poisson)
-        recs.append(CountsRecord(60, np.full(8, 100.0), 1.0, np.arange(8)))  # undefined
-        rho, defined = rho_per_repetition(recs, 1e-9, dead_time_correction, use_monitor)
+        run = run_experiment(plate, mask, power, det, 0.0, 60, seed=3, poisson=poisson)
+        # flat counts leave the last row undefined; for its constant monitor
+        # row mean(c) / c is exactly 1.0
+        run = RunCounts(np.vstack([run.counts, np.full(8, 100.0)]), run.dwell_time,
+                        dwell_indices(61), np.vstack([run.monitor, np.full(8, 1e6)]))
+        rho, defined = rho_per_repetition(run, 1e-9, dead_time_correction, use_monitor)
         ref_rho, ref_defined = rho_per_repetition_scalar(
-            recs, 1e-9, dead_time_correction, use_monitor)
+            run, 1e-9, dead_time_correction, use_monitor)
         assert np.array_equal(defined, ref_defined)
         assert not defined[-1]
         assert np.array_equal(rho, ref_rho, equal_nan=True)
 
     def test_errors_name_first_failing_repetition(self):
-        ok = record_with_rho(0.0, repetition=10)
-        zero_mon = CountsRecord(11, ok.counts, ok.dwell_time, ok.timestamps,
-                                monitor=np.array([1.0] * 7 + [0.0]))
-        hot = record_with_rho(0.0, repetition=12, n=1e6)
+        # rows: "ok" and "hot" (rates above 1/dead_time for 1e-6) are
+        # normalized by the exact factor 1.0, "zero" has a zero monitor
+        # count, "both" is "hot" with that zero monitor count
+        ok, hot = counts_with_rho([0.0]).counts[0], counts_with_rho([0.0], n=1e6).counts[0]
+        ones, zero_mon = np.ones(8), np.array([1.0] * 7 + [0.0])
+        rows = {"ok": (ok, ones), "zero": (ok, zero_mon), "hot": (hot, ones),
+                "both": (hot, zero_mon)}
+
+        def run(*names):
+            counts, monitor = zip(*(rows[name] for name in names))
+            return RunCounts(np.array(counts), 2.0, dwell_indices(len(names)),
+                             np.array(monitor))
+
         # a zero monitor count leaves its repetition undefined, not failed
         with pytest.warns(RuntimeWarning, match="undefined in 1 of 3 repetitions"):
-            rho, defined = rho_per_repetition([ok, zero_mon, ok])
+            rho, defined = rho_per_repetition(run("ok", "zero", "ok"))
         assert defined.tolist() == [True, False, True]
         assert np.isnan(rho[1]) and not np.isnan(rho[[0, 2]]).any()
-        with pytest.raises(ValueError, match="repetition 12: measured rate"):
-            rho_per_repetition([ok, zero_mon, hot], dead_time_correction=1e-6)
+        with pytest.raises(ValueError, match="repetition 2: measured rate"):
+            rho_per_repetition(run("ok", "zero", "hot"), dead_time_correction=1e-6)
+        with pytest.raises(ValueError, match="repetition 1: measured rate"):
+            rho_per_repetition(run("ok", "hot", "hot"), dead_time_correction=1e-6)
         # a repetition that cannot be normalized is not checked further
-        both = CountsRecord(13, hot.counts, hot.dwell_time, hot.timestamps,
-                            monitor=zero_mon.monitor)
         with pytest.warns(RuntimeWarning, match="undefined in 1 of 2 repetitions"):
-            rho, defined = rho_per_repetition([ok, both], dead_time_correction=1e-6)
+            rho, defined = rho_per_repetition(run("ok", "both"), dead_time_correction=1e-6)
         assert defined.tolist() == [True, False]
-        with pytest.raises(ValueError, match="repetition 12: measured rate"):
-            rho_per_repetition([ok, both, hot], dead_time_correction=1e-6)
+        with pytest.raises(ValueError, match="repetition 2: measured rate"):
+            rho_per_repetition(run("ok", "both", "hot"), dead_time_correction=1e-6)
         # a disabled monitor is not checked
-        rho, defined = rho_per_repetition([ok, zero_mon], use_monitor=False)
+        rho, defined = rho_per_repetition(run("ok", "zero"), use_monitor=False)
         assert defined.all()
 
     def test_overflowing_rates_rejected(self):
-        rec = CountsRecord(4, np.full(8, 1e300), 1e-10, np.arange(8))
-        with pytest.raises(ValueError, match="repetition 4: rates must be finite"):
-            rho_per_repetition([record_with_rho(0.0), rec])
+        counts = np.vstack([counts_with_rho([0.0]).counts, np.full(8, 1e300)])
+        with pytest.raises(ValueError, match="repetition 1: rates must be finite"):
+            rho_per_repetition(RunCounts(counts, 1e-10, dwell_indices(2)))
