@@ -6,29 +6,38 @@ its own substream, keyed by the root seed, a purpose tag, and the
 repetition / combination indices it belongs to.  Results are therefore
 independent of execution order and of how work is split across threads.
 
-Three entry points give the same streams:
+:func:`substream` builds one ``Generator`` from
+``numpy.random.SeedSequence([seed, *path])``.  Three entry points give
+the first draw of that stream for every row of broadcast path arrays, as
+arrays and bit for bit, without a ``Generator`` for most rows:
 
-* :func:`substream` builds one ``Generator`` from
-  ``numpy.random.SeedSequence([seed, *path])``;
-* :func:`substreams` yields one ``Generator`` per row of broadcast path
-  arrays.  It hashes all rows at once with a vectorized copy of
-  ``SeedSequence``'s entropy mix and ``generate_state(4, uint64)``,
-  which reproduces numpy's words bit for bit, and seeds each ``PCG64``
-  from its words as the generators are drawn: a few us per stream
-  instead of about 20 us, plus a few hundred us per call;
-* :func:`first_poisson` gives the first ``poisson(lam)`` draw of every
-  row as an array, without a ``Generator`` for most rows.  It extends
-  the copy by ``PCG64``'s seeding and first outputs (integer only) and
-  by the fast-accept branch of numpy's PTRS sampler, which uses only
-  ``+ - * / sqrt floor``.  Those are correctly rounded both in numpy's
-  array operations and in its C sampler, as long as that C is not built
-  with fused multiply-adds; x86-64 wheels are built for ``X86_V2``,
-  which has no FMA.  Every other draw is numpy's own.
+* :func:`first_poisson` gives ``poisson(lam)``;
+* :func:`first_normal` gives ``standard_normal()``;
+* :func:`first_permutation` gives ``permutation(n)``.
+
+They hash all rows at once with a vectorized copy of ``SeedSequence``'s
+entropy mix and ``generate_state(4, uint64)``, which reproduces numpy's
+words bit for bit, then compute ``PCG64``'s seeding and first raw
+outputs (integer only).  On those outputs they apply the branch of
+numpy's sampler that decides most rows: the fast-accept test of the
+PTRS Poisson sampler, the first layer test of the ziggurat, and
+``Generator.shuffle``'s Fisher-Yates with masked rejection.  Every other
+row seeds a ``PCG64`` from its words and draws through numpy's own
+sampler, with numpy's errors.
+
+Besides integer operations, the fast branches use only
+``+ - * / sqrt floor``; the ziggurat's is a single multiply.  Those are
+correctly rounded both in numpy's array operations and in its C
+samplers, as long as that C does not fuse a multiply into an add;
+x86-64 wheels are built for ``X86_V2``, which has no FMA, and a single
+multiply cannot be fused.  numpy's ziggurat tables are not importable:
+:func:`_ziggurat` reads them from numpy's own sampler once per process,
+on first use.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import functools
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -55,6 +64,15 @@ _XSHIFT = 16
 # numpy's PCG64 (pcg64.h): the 128-bit LCG multiplier, in 64-bit halves
 _PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
 _PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
+_PCG_MULT = int(_PCG_MULT_HI) << 64 | int(_PCG_MULT_LO)
+
+# numpy's ziggurat splits a raw output r into the layer r & 0xff, the
+# sign bit 8 and the magnitude (r >> 9) & _RABS_MASK
+_RABS_MASK = 2**52 - 1
+
+#: Raw outputs prefetched per row by first_permutation: 16 halves, where
+#: permutation(8) needs 8.4 on average
+_PERMUTATION_RAW = 8
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -68,23 +86,15 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
 
 
-def substreams(seed: int, *path) -> Iterator[np.random.Generator]:
-    """Generators for ``substream(seed, *row)``, one per row of ``path``.
-
-    ``path`` elements are integers or integer arrays in ``[0, 2**32)``;
-    they broadcast against each other, and rows follow the C order of
-    the broadcast shape.  Generators are built lazily, one per ``next``.
-    """
-    return map(_generator, _path_words(seed, path))
-
-
 def first_poisson(seed: int, lam, *path) -> np.ndarray:
     """``substream(seed, *row).poisson(lam_row)`` for every row, bit for bit.
 
-    ``lam`` broadcasts against the ``path`` arrays of :func:`substreams`;
-    returns int64 draws in the broadcast shape.  Rows that the squeeze
-    test of PTRS does not accept at once (``lam < 10``, the log-gamma
-    test, invalid ``lam``) call numpy's sampler, with numpy's errors.
+    ``path`` elements are integers or integer arrays in ``[0, 2**32)``
+    that broadcast against each other and against ``lam``; rows follow
+    the C order of the broadcast shape.  Returns int64 draws in that
+    shape.  Rows that the squeeze test of PTRS does not accept at once
+    (``lam < 10``, the log-gamma test, invalid ``lam``) call numpy's
+    sampler, with numpy's errors.
     """
     lam, *path = np.broadcast_arrays(np.asarray(lam, dtype=float), *map(np.asarray, path))
     shape, lam = lam.shape, lam.ravel()
@@ -106,6 +116,67 @@ def first_poisson(seed: int, lam, *path) -> np.ndarray:
     return draws.reshape(shape)
 
 
+def first_normal(seed: int, *path) -> np.ndarray:
+    """``substream(seed, *row).standard_normal()`` for every row, bit for bit.
+
+    ``path`` as for :func:`first_poisson`; returns float64 draws in the
+    broadcast shape.  Rows that the first test of numpy's ziggurat does
+    not accept (layers 0 and 1, and about 1% of the others) call numpy's
+    sampler.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, path))
+    words = _path_words(seed, path)
+    # random_standard_normal (distributions.c) on the first raw output
+    r = _pcg64_raw(words, 1)[:, 0]
+    wi, ki = _ziggurat()
+    layer = (r & 0xFF).astype(np.intp)
+    rabs = (r >> 9) & _RABS_MASK
+    draws = rabs.astype(float) * wi[layer]
+    np.negative(draws, out=draws, where=(r & 0x100) != 0)
+    slow = np.flatnonzero(rabs >= ki[layer])
+    draws[slow] = [_generator(w).standard_normal() for w in words[slow]]
+    return draws.reshape(shape)
+
+
+def first_permutation(seed: int, n: int, *path) -> np.ndarray:
+    """``substream(seed, *row).permutation(n)`` for every row, bit for bit.
+
+    ``path`` as for :func:`first_poisson`; returns int64 permutations of
+    ``range(n)`` in the broadcast shape plus ``(n,)``.  ``permutation(n)``
+    shuffles ``arange(n)`` by Fisher-Yates: from the last position ``i``
+    down to 1, it swaps position ``i`` with ``random_interval(i)``, which
+    masks 32-bit halves of the raw outputs (low half first) to the bit
+    length of ``i`` until one is at most ``i``.  Rows that need more
+    halves than the ``_PERMUTATION_RAW`` prefetched outputs hold call
+    numpy.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, path))
+    words = _path_words(seed, path)
+    raw = _pcg64_raw(words, _PERMUTATION_RAW)
+    halves = np.stack([raw & _MASK32, raw >> 32], axis=2)
+    halves = halves.reshape(len(raw), 2 * _PERMUTATION_RAW)
+    rows = np.arange(len(words))
+    perm = np.tile(np.arange(n), (len(rows), 1))
+    used = np.zeros(len(rows), dtype=np.intp)
+    spent = np.zeros(len(rows), dtype=bool)
+    j = np.zeros(len(rows), dtype=np.intp)
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        todo = rows[~spent]
+        while todo.size:
+            out = used[todo] == halves.shape[1]
+            spent[todo[out]] = True
+            todo = todo[~out]
+            j[todo] = halves[todo, used[todo]] & mask
+            used[todo] += 1
+            todo = todo[j[todo] > i]
+        np.minimum(j, i, out=j)  # a spent row's last draw may lie past the end
+        perm[rows, i], perm[rows, j] = perm[rows, j], perm[rows, i]
+    for i in np.flatnonzero(spent):
+        perm[i] = _generator(words[i]).permutation(n)
+    return perm.reshape(*shape, n)
+
+
 def _path_words(seed: int, path) -> np.ndarray:
     """Checked (n, 4) uint64 ``PCG64`` words of each broadcast ``path`` row."""
     if seed < 0:
@@ -123,6 +194,40 @@ def _path_words(seed: int, path) -> np.ndarray:
 
 def _generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
+@functools.cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat ``wi_double`` and, per layer, a lower bound on its
+    ``ki_double`` (0 sends every row of the layer to numpy).
+
+    A ``PCG64`` state whose next step lands on ``r`` (high half 0) next
+    outputs ``r`` itself, so numpy's ``standard_normal()`` gives the draw
+    of any raw output: ``wi[i]`` is the draw with ``rabs = 1``.  For
+    layers ``i >= 2``, ``ki[i]`` is ``est = floor(wi[i-1] / wi[i] * 2**52)``
+    or ``est + 1``.  A bound ``k`` holds when the draw at ``rabs = k - 1``
+    uses no second raw output, which means numpy accepted it at once; the
+    first of ``est + 1`` and ``est`` that holds is kept.
+    """
+    inc = 1
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    mult_inv = pow(_PCG_MULT, -1, 2**128)
+
+    def draw(r: int) -> tuple[float, bool]:
+        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                      "state": {"state": (r - inc) * mult_inv % 2**128, "inc": inc}}
+        x = gen.standard_normal()
+        return x, bits.state["state"]["state"] == r
+
+    wi = np.array([draw(1 << 9 | i)[0] for i in range(256)])
+    ki = np.zeros(256, dtype=np.uint64)
+    for i in range(2, 256):
+        est = min(int(wi[i - 1] / wi[i] * 2.0**52), 2**52 - 1)
+        ki[i] = next((k for k in (est + 1, est) if draw((k - 1) << 9 | i)[1]), 0)
+    wi.setflags(write=False)
+    ki.setflags(write=False)
+    return wi, ki
 
 
 class _SeedWords(ISeedSequence):

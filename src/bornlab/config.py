@@ -1,7 +1,7 @@
 """Plain-text run configuration: ``key = value`` lines, strict schema.
 
 Unknown keys are rejected, every value is range-checked with a
-diagnostic naming the key, and cross-field physical constraints (slit
+diagnostic naming the key (every float must be finite), and cross-field physical constraints (slit
 overlap, plate extent) are validated at parse time.  ``serialize`` and
 ``parse`` round-trip exactly.
 
@@ -110,15 +110,10 @@ _RANGE_CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "plate_leakage": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
     "opening_width": (lambda v: v > 0, "must be > 0"),
     "mask_leakage": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-    "mask_displacement": (lambda v: math.isfinite(v), "must be finite"),
-    "u_min": (lambda v: math.isfinite(v), "must be finite"),
-    "u_max": (lambda v: math.isfinite(v), "must be finite"),
     "u_points": (lambda v: v >= 1, "must be >= 1"),
-    "detector_u": (lambda v: math.isfinite(v), "must be finite"),
     "alpha": (lambda v: v >= 0, "must be >= 0"),
     "mean_power": (lambda v: v > 0, "must be > 0"),
     "power_fluctuation": (lambda v: v >= 0, "must be >= 0"),
-    "power_drift": (lambda v: math.isfinite(v), "must be finite"),
     "monitor_counts": (lambda v: v >= 0, "must be >= 0"),
     "dead_time": (lambda v: v >= 0, "must be >= 0"),
     "nonlinearity": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
@@ -127,8 +122,6 @@ _RANGE_CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "dwell_time": (lambda v: v > 0, "must be > 0"),
     "peak_rate": (lambda v: v > 0, "must be > 0"),
     "dynamic_range": (lambda v: v > 1, "must be > 1"),
-    "displacement_low": (lambda v: math.isfinite(v), "must be finite"),
-    "displacement_high": (lambda v: math.isfinite(v), "must be finite"),
     "repetitions": (lambda v: v >= 1, "must be >= 1"),
     "seed": (lambda v: v >= 0, "must be >= 0"),
     "guard": (lambda v: v > 0, "must be > 0"),
@@ -152,6 +145,8 @@ def _validate_value(key: str, value: Any) -> None:
         ok, constraint = _RANGE_CHECKS[key]
         if not ok(value):
             raise ConfigError(f"{key}: {constraint} (got {value})")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite (got {value})")
 
 
 def _cross_validate(cfg: RunConfig) -> None:

@@ -25,7 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import TAG_COUNTS, TAG_MONITOR, TAG_ORDER, TAG_POWER, first_poisson, substreams
+from ._streams import (
+    TAG_COUNTS,
+    TAG_MONITOR,
+    TAG_ORDER,
+    TAG_POWER,
+    first_normal,
+    first_permutation,
+    first_poisson,
+)
 from .interference import (
     COMBINATIONS,
     DEFAULT_GUARD,
@@ -151,8 +159,10 @@ def run_experiment(
     Negative factors are clamped to 0 with a ``RuntimeWarning`` that
     gives their number.  Counts and monitor counts are the first Poisson
     draws of the dwell's ``TAG_COUNTS`` / ``TAG_MONITOR`` substreams.
-    Shuffles, normal draws and the Poisson draws that :func:`first_poisson`
-    leaves to numpy run stream by stream; all other arithmetic runs on
+    The shuffles, normal draws and Poisson draws come from
+    :func:`first_permutation`, :func:`first_normal` and
+    :func:`first_poisson`, which build a ``Generator`` only for the rows
+    their array branch does not decide; all arithmetic runs on
     (repetitions, 8) arrays, a block of repetitions at a time, with the
     same bits as dwell by dwell.
     """
@@ -187,11 +197,10 @@ def _simulate_rows(rows: slice, seed: int, base_rates: np.ndarray, power: PowerM
     combination; returns the number of clamped power factors."""
     reps = np.arange(*rows.indices(len(counts)))
     combs = np.arange(8)
-    order = np.tile(combs, (reps.size, 1))
     if power.sequence_order == "randomized":
-        # Generator.permutation(8) shuffles arange(8) in place just so
-        for g, row in zip(substreams(seed, TAG_ORDER, reps), order):
-            g.shuffle(row)
+        order = first_permutation(seed, 8, TAG_ORDER, reps)
+    else:
+        order = np.tile(combs, (reps.size, 1))
     # stamps[rep, comb]: global dwell index at which comb was measured
     np.put_along_axis(stamps[rows], order, 8 * reps[:, None] + combs, axis=1)
 
@@ -199,8 +208,7 @@ def _simulate_rows(rows: slice, seed: int, base_rates: np.ndarray, power: PowerM
     path = (reps[:, None], combs)
     factor = 1.0 + power.linear_drift_rate * (stamps[rows] / 8.0)
     if power.relative_fluctuation > 0.0:
-        xi = [g.standard_normal() for g in substreams(seed, TAG_POWER, *path)]
-        factor *= 1.0 + power.relative_fluctuation * np.reshape(xi, factor.shape)
+        factor *= 1.0 + power.relative_fluctuation * first_normal(seed, TAG_POWER, *path)
     clamped = factor < 0.0
     n_clamped = np.count_nonzero(clamped)
     # as max(factor, 0.0); np.maximum would also turn a -0.0 into +0.0

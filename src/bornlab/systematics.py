@@ -77,10 +77,10 @@ class PowerModel:
     monitor_counts: float = 0.0
 
     def __post_init__(self):
-        if not self.mean_power > 0.0:
-            raise ValueError(f"mean_power must be > 0 (got {self.mean_power})")
-        if self.relative_fluctuation < 0.0:
-            raise ValueError("relative_fluctuation must be >= 0")
+        if not 0.0 < self.mean_power < math.inf:
+            raise ValueError(f"mean_power must be finite and > 0 (got {self.mean_power})")
+        if not 0.0 <= self.relative_fluctuation < math.inf:
+            raise ValueError("relative_fluctuation must be finite and >= 0")
         if not math.isfinite(self.linear_drift_rate):
             raise ValueError("linear_drift_rate must be finite")
         if self.sequence_order not in _SEQUENCE_ORDERS:
@@ -88,8 +88,8 @@ class PowerModel:
                 f"sequence_order must be one of {_SEQUENCE_ORDERS} "
                 f"(got {self.sequence_order!r})"
             )
-        if self.monitor_counts < 0.0:
-            raise ValueError("monitor_counts must be >= 0")
+        if not 0.0 <= self.monitor_counts < math.inf:
+            raise ValueError("monitor_counts must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -109,18 +109,18 @@ class DetectorModel:
     dwell_time: float = 37.5
 
     def __post_init__(self):
-        if self.dead_time < 0.0:
-            raise ValueError(f"dead_time must be >= 0 (got {self.dead_time})")
+        if not 0.0 <= self.dead_time < math.inf:
+            raise ValueError(f"dead_time must be finite and >= 0 (got {self.dead_time})")
         if not 0.0 <= self.nonlinearity < 1.0:
             raise ValueError(
                 f"nonlinearity must lie in [0, 1) (got {self.nonlinearity})"
             )
-        if not self.full_scale_rate > 0.0:
-            raise ValueError("full_scale_rate must be > 0")
-        if self.dark_rate < 0.0:
-            raise ValueError("dark_rate must be >= 0")
-        if not self.dwell_time > 0.0:
-            raise ValueError(f"dwell_time must be > 0 (got {self.dwell_time})")
+        if not 0.0 < self.full_scale_rate < math.inf:
+            raise ValueError("full_scale_rate must be finite and > 0")
+        if not 0.0 <= self.dark_rate < math.inf:
+            raise ValueError("dark_rate must be finite and >= 0")
+        if not 0.0 < self.dwell_time < math.inf:
+            raise ValueError(f"dwell_time must be finite and > 0 (got {self.dwell_time})")
 
 
 #: Whether the sign ``s_xy`` (columns AB, BC, CA) enters the weight

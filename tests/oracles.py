@@ -4,7 +4,10 @@ Everything here recomputes expected values from first principles without
 touching the package's own code paths: raw bitmask inclusion-exclusion,
 union-merging recursion, Monte Carlo resampling, quadrature, and the
 interval-by-interval, piece-scanning and dwell-by-dwell loops that the
-package replaced by shared tables, bisection and array arithmetic.
+package replaced by shared tables, bisection and array arithmetic.  The
+one exception is :func:`substreams`, which seeds numpy's generators from
+the package's seed words; ``tests/test_streams.py`` checks those words
+against numpy's ``SeedSequence``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from dataclasses import replace
 from itertools import repeat
 
 import numpy as np
+
+from bornlab import _streams
 
 
 def raw_probability(psi: complex, alpha: float = 0.0) -> float:
@@ -228,6 +233,18 @@ def single_slit_energy_quadrature(amplitude_fn, width: float, lobes: int = 200) 
     si_val, _ci = sici(2.0 * s)
     tail = (width / np.pi) * (np.pi / 2.0 - si_val + np.sin(s) ** 2 / s)
     return total + 2.0 * tail
+
+
+def substreams(seed: int, *path):
+    """Generators for ``substream(seed, *row)``, built lazily, one per row
+    of the broadcast ``path`` arrays in C order.
+
+    The stream-by-stream draws that ``_streams.first_poisson``,
+    ``first_normal`` and ``first_permutation`` replaced by array
+    arithmetic: each ``PCG64`` is seeded from its row of
+    ``_streams._path_words`` and draws with numpy's own samplers.
+    """
+    return map(_streams._generator, _streams._path_words(seed, path))
 
 
 def run_experiment_scalar(base_rates, power, detector, repetitions: int,

@@ -246,6 +246,19 @@ class TestCli:
         assert main(["--config", str(cfg), "patterns"]) == 2
         assert "dwell_time" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
+                                     if f.type in ("float", float)])
+    def test_nonfinite_float_key_exits_2_naming_it(self, tmp_path, capsys, recwarn,
+                                                    key, value):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"repetitions = 5\nsequence_order = randomized\n{key} = {value}\n",
+                       encoding="utf-8")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: must ") and "RuntimeWarning" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_unwritable_out_dir(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x", encoding="utf-8")

@@ -1,12 +1,25 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bornlab import _streams
-from bornlab._streams import first_poisson, substream, substreams
+from bornlab._streams import (
+    TAG_ORDER,
+    TAG_POWER,
+    first_normal,
+    first_permutation,
+    first_poisson,
+    substream,
+)
+from oracles import substreams
 
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def reference(seed, row):
@@ -37,42 +50,55 @@ def assert_same_stream(gen, seed, row):
 @pytest.mark.parametrize("width", [0, 1, 2, 3, 4, 6])
 def test_matches_numpy_seed_sequence(seed, width):
     paths, rows = edge_paths(seed, width)
-    gens = list(substreams(seed, *paths))
-    assert len(gens) == len(rows)
-    for gen, row in zip(gens, rows):
-        assert_same_stream(gen, seed, row)
+    words = _streams._path_words(seed, paths)
+    assert words.dtype == np.uint64 and words.shape == (len(rows), 4)
+    for w, row in zip(words, rows):
+        seq = np.random.SeedSequence([seed, *row])
+        assert np.array_equal(w, seq.generate_state(4, np.uint64))
+        assert_same_stream(_streams._generator(w), seed, row)
 
 
 def test_broadcast_rows_follow_c_order():
     reps, combs = np.arange(3)[:, None], np.arange(8)
-    gens = list(substreams(7, 3, reps, combs))
-    assert len(gens) == 24
-    for i, gen in enumerate(gens):
-        expected = substream(7, 3, i // 8, i % 8)
-        assert gen.bit_generator.state == expected.bit_generator.state
+    words = _streams._path_words(7, (3, reps, combs))
+    assert words.shape == (24, 4)
+    for i, w in enumerate(words):
+        seq = np.random.SeedSequence([7, 3, i // 8, i % 8])
+        assert np.array_equal(w, seq.generate_state(4, np.uint64))
+    draws = first_normal(7, 3, reps, combs)
+    perms = first_permutation(7, 5, 3, reps, combs)
+    assert draws.shape == (3, 8) and perms.shape == (3, 8, 5)
+    for (rep, comb), value in np.ndenumerate(draws):
+        assert value == substream(7, 3, rep, comb).standard_normal()
+        assert np.array_equal(perms[rep, comb], substream(7, 3, rep, comb).permutation(5))
 
 
-def test_generators_are_built_lazily():
-    streams = substreams(0, 3, np.arange(10**4))
-    assert iter(streams) is streams
-    first = next(streams)
-    assert first.bit_generator.state == substream(0, 3, 0).bit_generator.state
+def test_empty_path_gives_no_draws():
+    assert first_normal(0, 1, np.arange(0)).shape == (0,)
+    assert first_permutation(0, 8, 1, np.arange(0)).shape == (0, 8)
+    assert first_poisson(0, 20.0, 1, np.arange(0)).shape == (0,)
 
 
-def test_empty_path_gives_no_streams():
-    assert list(substreams(0, 1, np.arange(0))) == []
+def normal(seed, *path):
+    return first_normal(seed, *path)
 
 
+def permutation(seed, *path):
+    return first_permutation(seed, 8, *path)
+
+
+@pytest.mark.parametrize("draw", [normal, permutation])
 @pytest.mark.parametrize("bad", [2**32, np.array([1, 2**32]), -1, np.array([0, -3]),
                                  1.5, np.array([0.0])])
-def test_path_values_outside_uint32_raise(bad):
+def test_path_values_outside_uint32_raise(draw, bad):
     with pytest.raises(ValueError, match="2\\*\\*32"):
-        substreams(0, 1, bad)
+        draw(0, 1, bad)
 
 
-def test_negative_seed_raises():
+@pytest.mark.parametrize("draw", [normal, permutation])
+def test_negative_seed_raises(draw):
     with pytest.raises(ValueError, match="seed"):
-        substreams(-1, 1, np.arange(3))
+        draw(-1, 1, np.arange(3))
 
 
 def test_seed_words_refuse_other_requests():
@@ -102,11 +128,12 @@ class CountingSeedWords(_streams._SeedWords):
         CountingSeedWords.built += 1
 
 
-def poisson_fallbacks(monkeypatch, seed, lam, *path):
-    """``first_poisson``'s draws and the number of rows it handed to numpy."""
+def count_fallbacks(monkeypatch, draw, *args):
+    """``draw(*args)`` and the number of generators it built, one per row
+    it handed to numpy."""
     monkeypatch.setattr(_streams, "_SeedWords", CountingSeedWords)
     CountingSeedWords.built = 0
-    draws = first_poisson(seed, lam, *path)
+    draws = draw(*args)
     monkeypatch.undo()
     return draws, CountingSeedWords.built
 
@@ -119,13 +146,13 @@ def test_first_poisson_matches_numpy(monkeypatch):
     lam[::4, :5] = [0.0, 1e-3, 9.999, 10.0, 10.001]
     lam[1::4, 0] = 1e12
     path = (3, np.arange(lam.shape[0])[:, None], np.arange(8))
-    draws, fallbacks = poisson_fallbacks(monkeypatch, 2**32 + 3, lam, *path)
+    draws, built = count_fallbacks(monkeypatch, first_poisson, 2**32 + 3, lam, *path)
     assert draws.dtype == np.int64 and draws.shape == lam.shape
     expected = [g.poisson(m) for g, m in
                 zip(substreams(2**32 + 3, *path), lam.ravel().tolist())]
     assert np.array_equal(draws.ravel(), expected)
     # the squeeze test decides most streams, numpy's sampler the others
-    assert 0.1 * lam.size < fallbacks < 0.5 * lam.size
+    assert 0.1 * lam.size < built < 0.5 * lam.size
 
 
 def test_first_poisson_matches_substream_rows():
@@ -138,7 +165,7 @@ def test_first_poisson_matches_substream_rows():
 @pytest.mark.parametrize(("lam", "fallbacks"), [(0.0, 0), (5.0, 64), (2.0**53, 64)])
 def test_first_poisson_paths_by_mean(monkeypatch, lam, fallbacks):
     # lam = 0 is always 0; below 10 and above 2**52 numpy draws every stream
-    draws, built = poisson_fallbacks(monkeypatch, 0, lam, 3, np.arange(64))
+    draws, built = count_fallbacks(monkeypatch, first_poisson, 0, lam, 3, np.arange(64))
     assert built == fallbacks
     expected = [g.poisson(lam) for g in substreams(0, 3, np.arange(64))]
     assert np.array_equal(draws, expected)
@@ -158,3 +185,96 @@ def test_first_poisson_checks_the_path():
         first_poisson(0, 20.0, 3, np.array([2**32]))
     with pytest.raises(ValueError, match="seed"):
         first_poisson(-1, 20.0, 3)
+
+
+def test_first_normal_matches_numpy(monkeypatch):
+    # 102,400 streams over the edge seeds, compared bit for bit, so that a
+    # -0.0 or a last-bit difference shows
+    path = (TAG_POWER, np.arange(2560)[:, None], np.arange(8))
+    built = 0
+    for seed in EDGE_SEEDS:
+        draws, n = count_fallbacks(monkeypatch, first_normal, seed, *path)
+        built += n
+        assert draws.dtype == np.float64 and draws.shape == (2560, 8)
+        expected = np.array([g.standard_normal() for g in substreams(seed, *path)])
+        assert np.array_equal(draws.ravel().view(np.uint64), expected.view(np.uint64))
+    # layers 0 and 1 (2 of 256) and the ziggurat's rejections go to numpy
+    rows = len(EDGE_SEEDS) * 2560 * 8
+    assert 0.01 * rows < built < 0.03 * rows
+
+
+def test_first_normal_matches_substream_rows():
+    draws = first_normal(5, 2, np.array([[0], [9]]), np.arange(4))
+    for (rep, comb), value in np.ndenumerate(draws):
+        assert value == substream(5, 2, 9 * rep, comb).standard_normal()
+
+
+def ziggurat_boundaries() -> np.ndarray:
+    """Per layer, the least ``rabs`` that numpy's ziggurat does not accept
+    from the first raw output, found by bisection on numpy's sampler."""
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    mult_inv = pow(_streams._PCG_MULT, -1, 2**128)
+
+    def accepted(layer, rabs):
+        # the state whose next step is r outputs r; an accepted draw
+        # returns without stepping again
+        r = rabs << 9 | layer
+        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                      "state": {"state": (r - 3) * mult_inv % 2**128, "inc": 3}}
+        gen.standard_normal()
+        return bits.state["state"]["state"] == r
+
+    bounds = []
+    for layer in range(256):
+        lo, hi = 0, 2**52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if accepted(layer, mid) else (lo, mid)
+        bounds.append(lo)
+    return np.array(bounds, dtype=np.uint64)
+
+
+def test_ziggurat_bounds_match_numpy():
+    wi, ki = _streams._ziggurat()
+    bounds = ziggurat_boundaries()
+    assert np.all(ki <= bounds)
+    assert np.array_equal(ki[2:], bounds[2:])
+    assert not ki[:2].any() and bounds[0] > 0
+    assert wi.shape == (256,) and not wi.flags.writeable and not ki.flags.writeable
+
+
+def test_ziggurat_tables_are_read_on_first_use():
+    code = ("from bornlab import _streams, cli\n"
+            "assert _streams._ziggurat.cache_info().currsize == 0\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_first_permutation_matches_numpy(monkeypatch, seed):
+    reps = np.arange(2000)
+    perms, built = count_fallbacks(monkeypatch, first_permutation, seed, 8, TAG_ORDER, reps)
+    assert perms.dtype == np.int64 and perms.shape == (2000, 8)
+    for rep, perm in zip(reps, perms):
+        assert np.array_equal(perm, substream(seed, TAG_ORDER, rep).permutation(8))
+    # 16 prefetched halves cover all but a few permutation(8) rows
+    assert built < 0.01 * len(reps)
+
+
+def test_first_permutation_falls_back_when_the_outputs_run_out(monkeypatch):
+    # 8 halves: permutation(8) needs at least 7, so many rows run out
+    monkeypatch.setattr(_streams, "_PERMUTATION_RAW", 4)
+    perms, built = count_fallbacks(monkeypatch, first_permutation, 3, 8, TAG_ORDER,
+                                   np.arange(1000))
+    assert 200 < built < 800
+    expected = [g.permutation(8) for g in substreams(3, TAG_ORDER, np.arange(1000))]
+    assert np.array_equal(perms, expected)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 13, 40])
+def test_first_permutation_of_any_length(n):
+    perms = first_permutation(2**64 + 5, n, 1, np.arange(300))
+    expected = [g.permutation(n) for g in substreams(2**64 + 5, 1, np.arange(300))]
+    assert perms.shape == (300, n)
+    assert np.array_equal(perms, np.reshape(expected, (300, n)))

@@ -209,6 +209,13 @@ class TestDetectorResponse:
         with pytest.raises(ValueError, match="dwell_time"):
             DetectorModel(dwell_time=0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["dead_time", "full_scale_rate", "dark_rate",
+                                       "dwell_time"])
+    def test_model_needs_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DetectorModel(**{field: value})
+
 
 class TestDetectorSweep:
     def test_ideal_detector_is_null(self, plate, mask):
@@ -344,3 +351,10 @@ class TestModelValidation:
             PowerModel(mean_power=1.0, sequence_order="backwards")
         with pytest.raises(ValueError, match="relative_fluctuation"):
             PowerModel(mean_power=1.0, relative_fluctuation=-0.1)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["mean_power", "relative_fluctuation",
+                                       "monitor_counts"])
+    def test_power_model_needs_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PowerModel(**{"mean_power": 1.0, field: value})
