@@ -1,8 +1,9 @@
 """Plain-text run configuration: ``key = value`` lines, strict schema.
 
 Unknown keys are rejected, every value is range-checked with a
-diagnostic naming the key (every float must be finite), and cross-field physical constraints (slit
-overlap, plate extent) are validated at parse time.  ``serialize`` and
+diagnostic naming the key (every float must be finite), and cross-field
+physical constraints (slit overlap, plate extent) are validated at parse
+time.  ``serialize`` and
 ``parse`` round-trip exactly.
 
 Leakage values are intensity fractions (as transmission measurements

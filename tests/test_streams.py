@@ -79,15 +79,11 @@ def test_empty_path_gives_no_draws():
     assert first_poisson(0, 20.0, 1, np.arange(0)).shape == (0,)
 
 
-def normal(seed, *path):
-    return first_normal(seed, *path)
-
-
 def permutation(seed, *path):
     return first_permutation(seed, 8, *path)
 
 
-@pytest.mark.parametrize("draw", [normal, permutation])
+@pytest.mark.parametrize("draw", [first_normal, permutation])
 @pytest.mark.parametrize("bad", [2**32, np.array([1, 2**32]), -1, np.array([0, -3]),
                                  1.5, np.array([0.0])])
 def test_path_values_outside_uint32_raise(draw, bad):
@@ -95,7 +91,7 @@ def test_path_values_outside_uint32_raise(draw, bad):
         draw(0, 1, bad)
 
 
-@pytest.mark.parametrize("draw", [normal, permutation])
+@pytest.mark.parametrize("draw", [first_normal, permutation])
 def test_negative_seed_raises(draw):
     with pytest.raises(ValueError, match="seed"):
         draw(-1, 1, np.arange(3))
