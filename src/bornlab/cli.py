@@ -114,8 +114,12 @@ def _json_flag(value) -> str:
     return "true" if value else "false"
 
 
-def _field(fmt: str, name: str, kind: type):
-    """Format spec and converter (or None) of one cell, chosen by the
+#: ``json.dumps`` of string cells; a table repeats few distinct strings.
+_json_string = functools.lru_cache(maxsize=1024)(json.dumps)
+
+
+def _cell_spec(fmt: str, name: str, kind: type):
+    """``%`` spec and converter (or None) of one cell, chosen by the
     column name and the cell's type.
 
     CSV: strings as they are, flags and integers in decimal, floats with
@@ -124,54 +128,46 @@ def _field(fmt: str, name: str, kind: type):
     them, except that NaN becomes ``null``.
     """
     if issubclass(kind, str):
-        # a table repeats few distinct strings: each is encoded once
-        return "", (functools.cache(json.dumps) if fmt == "json" else None)
+        return "%s", (_json_string if fmt == "json" else None)
     if name.endswith("_defined") and fmt == "json":
-        return "", _json_flag
+        return "%s", _json_flag
     if name.endswith("_defined") or issubclass(kind, int):
-        return ":d", None
-    return (":.17g" if fmt == "csv" else ""), None
+        return "%d", None
+    return ("%.17g" if fmt == "csv" else "%s"), None
 
 
-def _row_template(fmt: str, header, kinds) -> tuple[str, list]:
-    """``str.format`` template of one table row for these cell types, and
-    the ``(column, converter)`` pairs to apply before formatting."""
-    fields = [_field(fmt, name, kind) for name, kind in zip(header, kinds)]
-    converters = [(i, conv) for i, (_spec, conv) in enumerate(fields) if conv]
-    cells = [f"{{{i}{spec}}}" for i, (spec, _conv) in enumerate(fields)]
+def _encoded_block(fmt: str, header, rows) -> str:
+    """The text of a block of rows (JSON objects joined by ``,``) from one
+    ``%`` call on the row template repeated once per row.  Each column's
+    spec comes from the set of its cell types; a column whose types need
+    different specs is given as text, each cell by its own spec."""
+    specs, columns = [], []
+    for name, cells in zip(header, zip(*rows)):
+        fields = {_cell_spec(fmt, name, kind) for kind in set(map(type, cells))}
+        if len(fields) > 1:
+            texts = []
+            for value in cells:
+                spec, conv = _cell_spec(fmt, name, type(value))
+                texts.append(spec % (conv(value) if conv else value))
+            fields, cells = {("%s", None)}, texts
+        (spec, conv), = fields
+        specs.append(spec)
+        columns.append(map(conv, cells) if conv else cells)
     if fmt == "csv":
-        return ",".join(cells) + "\n", converters
-    # one object of json.dumps(rows, indent=2, sort_keys=True), led by the
-    # newline after "[" or ","; a repeated key keeps its last value
-    column = {name: i for i, name in enumerate(header)}
-    members = ",\n".join(
-        "    " + json.dumps(name).replace("{", "{{").replace("}", "}}")
-        + ": " + cells[column[name]]
-        for name in sorted(column)
-    )
-    return "\n  {{\n" + members + "\n  }}", converters
+        order, template = range(len(specs)), ",".join(specs) + "\n"
+    else:
+        # one object of json.dumps(rows, indent=2, sort_keys=True), led by
+        # the newline after "[" or ","; a repeated key keeps its last value
+        index = {name: i for i, name in enumerate(header)}
+        order = [index[name] for name in sorted(index)]
+        template = "\n  {\n" + ",\n".join(
+            f"    {json.dumps(header[i]).replace('%', '%%')}: {specs[i]}"
+            for i in order) + "\n  }"
+    cells = tuple(chain.from_iterable(zip(*(columns[i] for i in order))))
+    return ("," if fmt == "json" else "").join([template] * len(rows)) % cells
 
 
-def _encoded_rows(fmt: str, header, rows):
-    """Each row as text, from one template per combination of cell types."""
-    templates: dict = {}
-    for row in rows:
-        if type(row) is int:    # a mirrored row, resolved by _write_table
-            yield row
-            continue
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = _row_template(fmt, header, kinds)
-        text, converters = template
-        if converters:
-            row = list(row)
-            for i, conv in converters:
-                row[i] = conv(row[i])
-        yield text.format(*row)
-
-
-#: Rows written, and read back to emit mirrored rows, at a time.
+#: Rows encoded and written, and read back to emit mirrored rows, at a time.
 _READ_BACK = 128
 
 #: The text of one row, without a JSON array's ``[``/``,`` separator.
@@ -182,7 +178,7 @@ _ROW_TEXT = {"csv": re.compile(r".*\n"),
 def _write_table(path: Path, header, rows, fmt: str) -> None:
     """Stream ``rows`` (sequences of Python scalars, in ``header`` order)
     to ``path`` as CSV or as a JSON array of objects, ``_READ_BACK`` rows
-    at a time.
+    at a time, each block encoded by :func:`_encoded_block`.
 
     An integer ``j`` in place of a row stands for row ``j`` with the minus
     sign of its (negative) first cell removed: its text is taken from the
@@ -191,13 +187,19 @@ def _write_table(path: Path, header, rows, fmt: str) -> None:
     sign = "-" if fmt == "csv" else json.dumps(header[0]) + ": -"
     comma = "," if fmt == "json" else ""
     starts, cached, texts = [], None, []    # starts: offset of each block
-    encoded = _encoded_rows(fmt, header, rows)
+    rows = iter(rows)
     with open(path, "w+b") as fh:
         fh.write((",".join(header) + "\n").encode() if fmt == "csv" else b"[")
-        while block := list(islice(encoded, _READ_BACK)):
-            for i, text in enumerate(block):
-                if type(text) is int:
-                    k, j = divmod(text, _READ_BACK)
+        while block := list(islice(rows, _READ_BACK)):
+            fresh = [row for row in block if type(row) is not int]
+            text = _encoded_block(fmt, header, fresh) if fresh else ""
+            if len(fresh) < len(block):    # resolve row indices on row texts
+                encoded = iter(_ROW_TEXT[fmt].findall(text))
+                for i, row in enumerate(block):
+                    if type(row) is not int:
+                        block[i] = next(encoded)
+                        continue
+                    k, j = divmod(row, _READ_BACK)
                     if k < len(starts) and k != cached:
                         fh.seek(starts[k])
                         cached, texts = k, _ROW_TEXT[fmt].findall(fh.read(
@@ -206,9 +208,10 @@ def _write_table(path: Path, header, rows, fmt: str) -> None:
                         fh.seek(0, os.SEEK_END)
                     text = (block if k == len(starts) else texts)[j]
                     block[i] = text.replace(sign, sign[:-1], 1)
+                text = comma.join(block)
             sep = comma if starts else ""
             starts.append(fh.tell() + len(sep))
-            text = sep + comma.join(block)
+            text = sep + text
             if fmt == "json":
                 text = _JSON_NONFINITE.sub(_json_nonfinite, text)
             fh.write(text.encode())

@@ -214,11 +214,30 @@ def _simulate_rows(rows: slice, seed: int, base_rates: np.ndarray, power: PowerM
     # as max(factor, 0.0); np.maximum would also turn a -0.0 into +0.0
     factor[clamped] = 0.0
     mu = detector_response(detector, factor * base_rates) * detector.dwell_time
-    counts[rows] = first_poisson(seed, mu, TAG_COUNTS, *path) if poisson else mu
+    drift = "power_drift or power_fluctuation"
+    counts[rows] = _counts(poisson, seed, mu, TAG_COUNTS, path,
+                           f"mean_power, dark_rate, dwell_time, {drift}")
     if monitor is not None:
-        mu_mon = factor * power.monitor_counts
-        monitor[rows] = first_poisson(seed, mu_mon, TAG_MONITOR, *path) if poisson else mu_mon
+        monitor[rows] = _counts(poisson, seed, factor * power.monitor_counts,
+                                TAG_MONITOR, path, f"monitor_counts, {drift}")
     return n_clamped
+
+
+#: The largest mean numpy's Poisson sampler accepts.
+_POISSON_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
+
+def _counts(poisson: bool, seed: int, mean: np.ndarray, tag: int, path, keys: str):
+    """The first Poisson draws of ``mean`` on ``(tag, *path)``, or ``mean``
+    itself in expected-value mode.  A mean above numpy's limit raises
+    before any draw, naming ``keys``, the config keys that set it."""
+    if not poisson:
+        return mean
+    if np.any(too_large := mean > _POISSON_MAX):
+        raise ValueError(f"{keys}: too large, a Poisson mean of "
+                         f"{mean[too_large].max():.3g} counts per dwell is above "
+                         f"numpy's limit of {_POISSON_MAX:.3g}")
+    return first_poisson(seed, mean, tag, *path)
 
 
 def rho_per_repetition(

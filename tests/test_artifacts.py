@@ -1,8 +1,8 @@
 """Artifact bytes: pinned hashes of the bundled configs' outputs, the
 table writer against the per-cell encoders it replaced, the blocked
 conversion of numpy columns to rows, ``run``'s counts table against its
-record-by-record rows, and mirrored sweep rows against rows encoded one
-by one."""
+record-by-record rows, mirrored sweep rows against rows encoded one by
+one, and the writer's bytes across block sizes."""
 
 import hashlib
 import json
@@ -103,14 +103,16 @@ def _oracle_table(header, rows, fmt):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-EDGE_HEADER = ("value", "count", "label", "mixed", "x_defined", "{brace}")
+# "%" in a key and in string cells: a JSON key is part of the "%" template
+EDGE_HEADER = ("value", "count", "label", "mixed", "x_defined", "{brace}",
+               "50%_level")
 EDGE_ROWS = [
-    (math.nan, 0, "plain", 1, True, 0.5),
-    (math.inf, 10**20, "Åλ日本", 2, False, -0.0),
-    (-math.inf, -(2**63), 'quote " back\\slash\n{x}', 3.5, 1, 1e300),
-    (-0.0, True, "nan", 4.25, 0, 5e-324),
-    (5e-324, False, ": nan,", -7, True, math.nan),
-    (1.7976931348623157e308, 12345678901234567890, "", 2**53 + 1, False, 0.1),
+    (math.nan, 0, "plain", 1, True, 0.5, "100%d"),
+    (math.inf, 10**20, "Åλ日本", 2, False, -0.0, "%"),
+    (-math.inf, -(2**63), 'quote " back\\slash\n{x}', 3.5, 1, 1e300, "%%"),
+    (-0.0, True, "nan", 4.25, 0, 5e-324, "%(value)s"),
+    (5e-324, False, ": nan,", -7, True, math.nan, "%s%d"),
+    (1.7976931348623157e308, 12345678901234567890, "", 2**53 + 1, False, 0.1, ""),
 ]
 
 TABLES = {
@@ -118,6 +120,14 @@ TABLES = {
     "zero-rows": (EDGE_HEADER, []),
     "int-and-float-column": (
         ("rho", "rho_defined"), [(0.25, True), (3, False), (math.nan, False)]),
+    "string-and-number-column": (
+        ("50%_level", "x_defined"),
+        [("100%d", 1), (7, 0), (0.5, True), (math.nan, False), ("%", 0)]),
+    # ints, then floats from row 128: in blocks of 128 rows the column is
+    # all ints in one block and all floats in the next, in blocks of 3
+    # rows 126-128 hold both
+    "late-float-column": (
+        ("repetition", "late"), [(i, i if i < 128 else i + 0.25) for i in range(300)]),
 }
 
 
@@ -317,3 +327,37 @@ def test_one_point_nan_grid_takes_plain_writer(fmt, monkeypatch, tmp_path):
     patterns = np.linspace(0.1, 0.8, 8).reshape(8, 1)
     sweep = RhoSweep(np.array([math.nan]), patterns, sorkin_curves(patterns, 1e-9))
     assert _assert_matches_plain_writer(monkeypatch, tmp_path, sweep, fmt, {}) == 0
+
+
+# -- each block of rows is encoded with one "%" call: the bytes must not
+# -- depend on the block size
+
+
+def _write_rows(table):
+    header, rows = TABLES[table]
+    return lambda path, fmt: _write_table(path, header, iter(rows), fmt)
+
+
+def _write_mirrored_sweep(path, fmt):
+    # 151 encoded rows, then 150 mirror indices: with 3 or 128 rows a
+    # block, the block at the boundary holds both
+    _write_sweep(path, _mirrored_sweep(301), fmt, {})
+
+
+BLOCK_INPUTS = {
+    "edge-values": _write_rows("edge-values"),
+    "late-float-column": _write_rows("late-float-column"),
+    "mirrored-sweep": _write_mirrored_sweep,
+}
+
+
+@pytest.mark.parametrize("read_back", [1, 3, 128])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(BLOCK_INPUTS))
+def test_writer_bytes_do_not_depend_on_block_size(case, fmt, read_back, monkeypatch,
+                                                  tmp_path):
+    unpatched, patched = tmp_path / f"unpatched.{fmt}", tmp_path / f"patched.{fmt}"
+    BLOCK_INPUTS[case](unpatched, fmt)
+    monkeypatch.setattr(cli, "_READ_BACK", read_back)
+    BLOCK_INPUTS[case](patched, fmt)
+    assert patched.read_bytes() == unpatched.read_bytes()

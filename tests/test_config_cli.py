@@ -350,6 +350,20 @@ class TestCli:
             "error: repetition 0, combination A: counts must be finite and >= 0 "
             "(got -4.125e+08)\n")
 
+    @pytest.mark.parametrize("key", ["mean_power", "dwell_time", "dark_rate",
+                                     "monitor_counts"])
+    def test_run_poisson_mean_above_numpy_limit_exits_2_naming_the_key(
+            self, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key} = 1e300\nrepetitions = 5\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err and "above numpy's limit" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_json_format(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("u_points = 11\n", encoding="utf-8")

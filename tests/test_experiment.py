@@ -158,6 +158,18 @@ class TestRunExperiment:
             run_experiment(plate, mask, PowerModel(mean_power=1.0),
                            DetectorModel(), 0.0, repetitions=0, seed=0)
 
+    def test_poisson_mean_above_numpy_limit_rejected(self):
+        # numpy draws a mean at its limit and rejects the next float up
+        limit = experiment._POISSON_MAX
+        path = (np.array([[0]]), np.arange(1))
+        draw = experiment._counts(True, 0, np.array([[limit]]), 1, path, "k")
+        assert draw[0, 0] > 0.9 * limit
+        above = np.array([[1.0, np.nextafter(limit, math.inf)]])
+        with pytest.raises(ValueError, match=r"^k: too large, a Poisson mean of 9.22e\+18 "):
+            experiment._counts(True, 0, above, 1, (np.array([[0]]), np.arange(2)), "k")
+        # expected-value mode draws nothing, so any finite mean passes
+        assert experiment._counts(False, 0, above, 1, path, "k") is above
+
 
 class TestEstimate:
     def test_constant_records(self):
