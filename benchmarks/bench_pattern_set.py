@@ -9,10 +9,10 @@ mirrored, ``linspace(-3e4, 3e4, points + 1)``, or all-positive,
 ``linspace(0, 6e4, points)``.
 
 Sweep mode (``--sweep COMMAND``) copies ``--config`` with ``u_points``
-set to ``--points`` (with ``write_config`` of ``perfbench/run.py``), then
-runs ``bornlab COMMAND`` on it in this process, writing CSV into a
-temporary directory; it reports the sha256 of every file written but
-the manifest.
+set to ``--points`` (``repetitions`` for ``--sweep run``; with
+``write_config`` of ``perfbench/run.py``), then runs ``bornlab COMMAND``
+on it in this process, writing CSV into a temporary directory; it
+reports the sha256 of every file written but the manifest.
 
 Either mode prints one JSON line: the best wall time of ``--repeats``
 runs, the peak RSS of the process, and the machine facts.  Run one grid
@@ -21,6 +21,8 @@ or sweep per process, so that the peak belongs to it:
     PYTHONPATH=src python benchmarks/bench_pattern_set.py --grid mirrored
     PYTHONPATH=src python benchmarks/bench_pattern_set.py --sweep sweep-mask \\
         --config configs/leaky_mask_sweep.cfg --points 1000001 --repeats 1
+    PYTHONPATH=src python benchmarks/bench_pattern_set.py --sweep run \\
+        --config configs/overnight_run.cfg --points 10000
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ def bench_sweep(args) -> dict:
     best = math.inf
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "scaled.cfg"
+        scaled = "repetitions" if args.sweep == "run" else "u_points"
         write_config(ROOT, {"config": args.config,
-                            "overrides": {"u_points": str(args.points)}}, cfg)
+                            "overrides": {scaled: str(args.points)}}, cfg)
         out = Path(tmp) / "out"
         for _ in range(args.repeats):
             t0 = time.perf_counter()

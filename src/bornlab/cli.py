@@ -21,11 +21,17 @@ Tables computed as numpy columns (``run``'s counts table too, built for
 ``_ROW_BLOCK`` records at a time) are converted to Python scalars and
 streamed to the file a block of ``_ROW_BLOCK`` rows at a time, so the
 writer's memory does not grow with the grid; the bytes do not depend on
-the block size.  When a sweep table's second half mirrors its first (the
-same cells, bit for bit, with ``position_u`` negated), each row pair is
-encoded once and the mirror row's text is read back from the file with
-its minus sign removed: a 10^6-point ``sweep-mask`` takes about 15 s
-instead of 25 s on a 2-vCPU VM, with the same bytes and memory peak.
+the block size.  The writer encodes ``_READ_BACK`` rows with one ``%``
+call: each of the block's columns gets one format, chosen from the types
+of its cells (a column of mixed types is formatted cell by cell), and
+the columns fill the row template repeated once per row.  That takes
+the 22,500 rows of a 2,500-repetition ``run --format json`` from about
+0.12 s to 0.07 s on a 2-vCPU VM, with the same bytes.  When a sweep
+table's second half mirrors its first (the same cells, bit for bit, with
+``position_u`` negated), each row pair is encoded once and the mirror
+row's text is read back from the file with its minus sign removed: a
+10^6-point ``sweep-mask`` takes about 15 s instead of 25 s on a 2-vCPU
+VM, with the same bytes and memory peak.
 """
 
 from __future__ import annotations

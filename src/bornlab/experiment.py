@@ -164,7 +164,8 @@ def run_experiment(
     :func:`first_poisson`, which build a ``Generator`` only for the rows
     their array branch does not decide; all arithmetic runs on
     (repetitions, 8) arrays, a block of repetitions at a time, with the
-    same bits as dwell by dwell.
+    same bits as dwell by dwell.  A Poisson mean above numpy's limit
+    (about 9.2e18) raises ``ValueError`` before it is drawn.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1 (got {repetitions})")
