@@ -12,7 +12,10 @@ Sweep mode (``--sweep COMMAND``) copies ``--config`` with ``u_points``
 set to ``--points`` (``repetitions`` for ``--sweep run``; with
 ``write_config`` of ``perfbench/run.py``), then runs ``bornlab COMMAND``
 on it in this process, writing CSV into a temporary directory; it
-reports the sha256 of every file written but the manifest.
+reports the sha256 of every file written but the manifest, and the
+number of ``Generator`` objects one command built for the draws that
+the array samplers of ``bornlab._streams`` left to numpy (counted by
+wrapping ``_streams._SeedWords``).
 
 Either mode prints one JSON line: the best wall time of ``--repeats``
 runs, the peak RSS of the process, and the machine facts.  Run one grid
@@ -43,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
+from bornlab import _streams
 from bornlab.cli import main as cli_main
 from bornlab.interference import COMBINATIONS
 from bornlab.optics import BLOCKING, combination_mask_for_plate, pattern_set, triple_slit_plate
@@ -81,20 +85,33 @@ def bench_sweep(args) -> dict:
         write_config(ROOT, {"config": args.config,
                             "overrides": {scaled: str(args.points)}}, cfg)
         out = Path(tmp) / "out"
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            with contextlib.redirect_stdout(io.StringIO()):
-                status = cli_main(["--config", str(cfg), "--out", str(out), args.sweep])
-            best = min(best, time.perf_counter() - t0)
-            if status != 0:
-                raise SystemExit(f"bornlab {args.sweep} exited with status {status}")
+        seed_words, built = _streams._SeedWords, 0
+
+        class CountedSeedWords(seed_words):
+            def __init__(self, words):
+                nonlocal built
+                built += 1
+                super().__init__(words)
+
+        _streams._SeedWords = CountedSeedWords
+        try:
+            for _ in range(args.repeats):
+                t0 = time.perf_counter()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    status = cli_main(["--config", str(cfg), "--out", str(out), args.sweep])
+                best = min(best, time.perf_counter() - t0)
+                if status != 0:
+                    raise SystemExit(f"bornlab {args.sweep} exited with status {status}")
+        finally:
+            _streams._SeedWords = seed_words
         sha256 = {}
         for path in sorted(out.iterdir()):
             if path.name != "manifest.json":
                 with open(path, "rb") as fh:  # read in chunks: a table can be large
                     sha256[path.name] = hashlib.file_digest(fh, "sha256").hexdigest()
     return {"sweep": args.sweep, "config": args.config, "points": args.points,
-            "best_s": round(best, 4), "sha256": sha256}
+            "best_s": round(best, 4), "generators": built // args.repeats,
+            "sha256": sha256}
 
 
 def main() -> None:

@@ -18,9 +18,9 @@ arrays and bit for bit, without a ``Generator`` for most rows:
 They hash all rows at once with a vectorized copy of ``SeedSequence``'s
 entropy mix and ``generate_state(4, uint64)``, which reproduces numpy's
 words bit for bit, then compute ``PCG64``'s seeding and first raw
-outputs (integer only).  On those outputs they apply the branch of
-numpy's sampler that decides most rows: the fast-accept test of the
-PTRS Poisson sampler, the first layer test of the ziggurat, and
+outputs (integer only).  On those outputs they run numpy's samplers
+where the arrays can decide them: the whole PTRS Poisson loop, round by
+round on prefetched outputs; the first layer test of the ziggurat; and
 ``Generator.shuffle``'s Fisher-Yates with masked rejection.  Every other
 row seeds a ``PCG64`` from its words and draws through numpy's own
 sampler, with numpy's errors.
@@ -30,9 +30,12 @@ Besides integer operations, the fast branches use only
 correctly rounded both in numpy's array operations and in its C
 samplers, as long as that C does not fuse a multiply into an add;
 x86-64 wheels are built for ``X86_V2``, which has no FMA, and a single
-multiply cannot be fused.  numpy's ziggurat tables are not importable:
-:func:`_ziggurat` reads them from numpy's own sampler once per process,
-on first use.
+multiply cannot be fused.  PTRS's log test also takes logs, which
+numpy's array ``log`` need not round as the sampler's libm does: a row
+is decided there only when the test's two sides differ by more than a
+margin of a few ulps of their terms, and numpy draws the rows inside
+it.  numpy's ziggurat tables are not importable: :func:`_ziggurat` reads
+them from numpy's own sampler once per process, on first use.
 """
 
 from __future__ import annotations
@@ -70,6 +73,21 @@ _PCG_MULT = int(_PCG_MULT_HI) << 64 | int(_PCG_MULT_LO)
 # sign bit 8 and the magnitude (r >> 9) & _RABS_MASK
 _RABS_MASK = 2**52 - 1
 
+#: (U, V) rounds of numpy's PTRS Poisson loop that first_poisson takes,
+#: from prefetched raw outputs, for a row its first round does not accept
+_POISSON_ROUNDS = 4
+
+#: Ulps of the summed term magnitudes by which the two sides of PTRS's
+#: log test must differ for first_poisson to decide a row on arrays
+_LOG_ULPS = 64
+
+# random_loggam's series coefficients, highest order last (distributions.c)
+_LOGGAM_A = (8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
+             -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
+             6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
+             -1.39243221690590e+00)
+_LG2PI = 1.8378770664093453    # log(2 pi), as random_loggam rounds it
+
 #: Raw outputs prefetched per row by first_permutation: 16 halves, where
 #: permutation(8) needs 8.4 on average
 _PERMUTATION_RAW = 8
@@ -92,28 +110,93 @@ def first_poisson(seed: int, lam, *path) -> np.ndarray:
     ``path`` elements are integers or integer arrays in ``[0, 2**32)``
     that broadcast against each other and against ``lam``; rows follow
     the C order of the broadcast shape.  Returns int64 draws in that
-    shape.  Rows that the squeeze test of PTRS does not accept at once
-    (``lam < 10``, the log-gamma test, invalid ``lam``) call numpy's
-    sampler, with numpy's errors.
+    shape.  For ``10 <= lam <= 2**52`` it runs numpy's PTRS loop
+    (``random_poisson_ptrs``) on arrays, one ``(U, V)`` round at a time:
+    :func:`_ptrs_round` accepts a row's candidate, sends the row to the
+    next round, or leaves it undecided.  A row that the first round does
+    not accept takes its further rounds from ``2 * _POISSON_ROUNDS``
+    prefetched raw outputs.  Undecided rows, rows that use up those
+    rounds, ``lam < 10`` and invalid ``lam`` call numpy's sampler, with
+    numpy's errors.
     """
     lam, *path = np.broadcast_arrays(np.asarray(lam, dtype=float), *map(np.asarray, path))
     shape, lam = lam.shape, lam.ravel()
     words = _path_words(seed, path)
-    # next_double, then the first (U, V) pair of random_poisson_ptrs,
-    # with numpy's constants and operation order
-    U, V = (_pcg64_raw(words, 2) >> 11).T * (1.0 / 9007199254740992.0)
-    U -= 0.5
+    draws = np.zeros(lam.size, dtype=np.int64)
+    ptrs = (lam >= 10) & (lam <= 2.0**52)
+    slow = [np.flatnonzero(~ptrs & (lam != 0))]
+    rows = np.flatnonzero(ptrs)
+    raw = _pcg64_raw(words[rows], 2)
+    for r in range(_POISSON_ROUNDS):
+        if r == 1:
+            raw = _pcg64_raw(words[rows], 2 * _POISSON_ROUNDS)
+        k, accept, reject = _ptrs_round(lam[rows], raw[:, 2 * r], raw[:, 2 * r + 1])
+        draws[rows[accept]] = k[accept]
+        slow.append(rows[~accept & ~reject])
+        rows, raw = rows[reject], raw[reject]
+    slow = np.sort(np.concatenate([*slow, rows]))
+    draws[slow] = [_generator(w).poisson(m) for w, m in zip(words[slow], lam[slow].tolist())]
+    return draws.reshape(shape)
+
+
+def _ptrs_round(lam: np.ndarray, raw_u: np.ndarray, raw_v: np.ndarray):
+    """One round of ``random_poisson_ptrs`` on arrays, with numpy's
+    constants and operation order: the candidate ``k`` (float), and
+    whether numpy returns it or takes a next round.  Rows with neither
+    are left to numpy.
+
+    The fast test and the ``continue`` rule use only ``+ - * / sqrt
+    floor``.  The log test compares two sums of logs, whose array ``log``
+    need not round as the sampler's libm ``log`` does; it decides a row
+    only when its sides differ by more than ``_LOG_ULPS`` ulps of the
+    summed magnitudes of their terms.  That bounds a few ulps of
+    difference in each log and the roundings that carry them to either
+    side.  A candidate at ``2**53`` or above is left to numpy, as the
+    sampler's cast of it to an integer is not exact.
+    """
+    # next_double, as numpy's PCG64 gives it
+    U = (raw_u >> 11) * (1.0 / 9007199254740992.0) - 0.5
+    V = (raw_v >> 11) * (1.0 / 9007199254740992.0)
     us = 0.5 - np.abs(U)
     with np.errstate(all="ignore"):
         b = 0.931 + 2.53 * np.sqrt(lam)
         a = -0.059 + 0.02483 * b
         vr = 0.9277 - 3.6224 / (b - 2)
         k = np.floor((2 * a / us + b) * U + lam + 0.43)
-    fast = (lam >= 10) & (lam <= 2.0**52) & (us >= 0.07) & (V <= vr)
-    draws = np.where(fast, k, 0.0).astype(np.int64)
-    slow = np.flatnonzero(~fast & (lam != 0))
-    draws[slow] = [_generator(w).poisson(m) for w, m in zip(words[slow], lam[slow].tolist())]
-    return draws.reshape(shape)
+    accept = (us >= 0.07) & (V <= vr)
+    reject = ~accept & ((k < 0) | ((us < 0.013) & (V > us)))
+    test = np.flatnonzero(~accept & ~reject & (k < 2.0**53))
+    lam, a, b, us, V, kt = lam[test], a[test], b[test], us[test], V[test], k[test]
+    with np.errstate(divide="ignore", invalid="ignore"):    # log(V = 0) is -inf
+        lhs = (np.log(V), np.log(1.1239 + 1.1328 / (b - 3.4)), np.log(a / (us * us) + b))
+        gam, gam_size = _loggam(kt + 1)
+        k_log = kt * np.log(lam)
+        side = (-lam + k_log - gam) - (lhs[0] + lhs[1] - lhs[2])
+        margin = _LOG_ULPS * 2.0**-52 * (np.abs(lhs[0]) + np.abs(lhs[1]) + np.abs(lhs[2])
+                                         + lam + np.abs(k_log) + gam_size)
+    accept[test] = side > margin
+    reject[test] = side < -margin
+    return k, accept, reject
+
+
+def _loggam(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``random_loggam(x)`` (distributions.c) for whole numbers ``x >= 1``,
+    with numpy's coefficients and operation order, and the summed
+    magnitudes of its terms."""
+    n = np.where(x < 7.0, 7.0 - x, 0.0)
+    x0 = x + n
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = np.full_like(x0, _LOGGAM_A[9])
+    for coef in _LOGGAM_A[8::-1]:
+        gl0 = gl0 * x2 + coef
+    terms = (gl0 / x0, 0.5 * _LG2PI, (x0 - 0.5) * np.log(x0))
+    gl = terms[0] + terms[1] + terms[2] - x0
+    size = np.abs(terms[0]) + terms[1] + np.abs(terms[2]) + x0
+    for j in range(1, 7):    # gl -= log(x0 - 1); x0 -= 1, n times
+        low = np.log(x0 - j)
+        np.subtract(gl, low, out=gl, where=n >= j)
+        np.add(size, low, out=size, where=n >= j)
+    return np.where((x == 1.0) | (x == 2.0), 0.0, gl), size
 
 
 def first_normal(seed: int, *path) -> np.ndarray:

@@ -16,8 +16,9 @@ import pytest
 import bornlab
 from bornlab import cli
 from bornlab.cli import (
-    SWEEP_COLUMNS, _ROW_BLOCK, _column_rows, _write_sweep, _write_table, main,
+    SWEEP_COLUMNS, _ROW_BLOCK, _column_table, _write_sweep, _write_table, main,
 )
+from bornlab.experiment import RunCounts
 from bornlab.interference import sorkin_curves
 from bornlab.systematics import RhoSweep
 from oracles import count_rows
@@ -140,7 +141,7 @@ def test_writer_matches_per_cell_encoders(table, fmt, tmp_path):
     assert path.read_bytes() == _oracle_table(header, rows, fmt).encode("utf-8")
 
 
-# -- numpy columns are converted to rows a block at a time
+# -- numpy columns are encoded, or converted to rows, a block at a time
 
 
 def _columns(n):
@@ -159,9 +160,11 @@ def _columns(n):
 def test_blocked_rows_match_unblocked_rows(n, fmt, tmp_path):
     header, columns = _columns(n)
     blocked, whole = tmp_path / f"blocked.{fmt}", tmp_path / f"whole.{fmt}"
-    _write_table(blocked, header, _column_rows(columns), fmt)
+    wrapped = tmp_path / f"wrapped.{fmt}"
+    _write_table(blocked, header, _column_table(columns), fmt)
     _write_table(whole, header, zip(*(col.tolist() for col in columns)), fmt)
-    assert blocked.read_bytes() == whole.read_bytes()
+    _write_table(wrapped, header, (row for row in _column_table(columns)), fmt)
+    assert blocked.read_bytes() == whole.read_bytes() == wrapped.read_bytes()
 
 
 def _sweep(n):
@@ -199,14 +202,15 @@ def test_sweep_writer_memory_does_not_grow_with_the_grid(tmp_path):
         assert peak < 3e6
 
 
-# -- run's counts table is built from columns, a block of repetitions at
-# -- a time: its bytes must be those of the repetition-by-repetition rows
+# -- run's tables are encoded from their columns: their bytes must be
+# -- those of the repetition-by-repetition rows, and of the same table
+# -- passed on as plain rows, as a wrapper that re-yields them does
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("poisson", [True, False], ids=["poisson", "expected"])
-@pytest.mark.parametrize("monitor", [1e6, 0.0], ids=["monitor", "no-monitor"])
-def test_count_rows_match_record_loop(fmt, poisson, monitor, monkeypatch, tmp_path):
+def _run_tables(tmp_path, monkeypatch, fmt, poisson, monitor, undefined=False):
+    """Run ``main`` on a 20-repetition config in blocks of 7 rows; the run,
+    and each table it wrote: file name, header and the rows argument.
+    With ``undefined``, every third repetition's ``rho`` is made NaN."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "repetitions = 20\ndwell_time = 37.5\nmean_power = 80000\n"
@@ -215,23 +219,86 @@ def test_count_rows_match_record_loop(fmt, poisson, monitor, monkeypatch, tmp_pa
         f"poisson = {str(poisson).lower()}\ndetector_u = 500\n",
         encoding="utf-8",
     )
-    run_experiment, runs = cli.run_experiment, []
+    run_experiment, rho_per_repetition = cli.run_experiment, cli.rho_per_repetition
+    write_table, runs, tables = cli._write_table, [], []
 
-    def recorded(*args, **kwargs):
+    def recorded_run(*args, **kwargs):
         runs.append(run_experiment(*args, **kwargs))
         return runs[-1]
 
-    monkeypatch.setattr(cli, "run_experiment", recorded)
-    monkeypatch.setattr(cli, "_ROW_BLOCK", 7)    # 20 repetitions: three blocks
+    def rho_with_nan(*args, **kwargs):
+        rho, defined = rho_per_repetition(*args, **kwargs)
+        if undefined:
+            rho[::3], defined[::3] = math.nan, False
+        return rho, defined
+
+    def recorded_write(path, header, rows, fmt):
+        tables.append((Path(path).name.strip(".").removesuffix(".tmp"), header, rows))
+        write_table(path, header, rows, fmt)
+
+    monkeypatch.setattr(cli, "run_experiment", recorded_run)
+    monkeypatch.setattr(cli, "rho_per_repetition", rho_with_nan)
+    monkeypatch.setattr(cli, "_write_table", recorded_write)
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 7)    # 20 repetitions: 160 rows
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--format", fmt, "run"]) == 0
+    monkeypatch.undo()
     run, = runs
     assert (run.monitor is None) == (monitor == 0.0)
-    header = ("repetition", "combination", "counts", "dwell_s",
-              "timestamp_index", "monitor_counts")
-    expected = tmp_path / f"expected.{fmt}"
-    _write_table(expected, header, count_rows(run, poisson), fmt)
-    assert (out / f"run_counts.{fmt}").read_bytes() == expected.read_bytes()
+    return out, run, tables
+
+
+def _assert_same_bytes_as_rows(tmp_path, out, fmt, name, header, table, rows):
+    """The table's file holds the bytes of ``rows`` and of the table read
+    row by row through a generator."""
+    assert isinstance(table, cli._Columns)
+    written = (out / name).read_bytes()
+    for i, source in enumerate((rows, (row for row in table))):
+        path = tmp_path / f"rows{i}.{fmt}"
+        _write_table(path, header, source, fmt)
+        assert path.read_bytes() == written
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("poisson", [True, False], ids=["poisson", "expected"])
+@pytest.mark.parametrize("monitor", [1e6, 0.0], ids=["monitor", "no-monitor"])
+def test_count_rows_match_record_loop(fmt, poisson, monitor, monkeypatch, tmp_path):
+    out, run, tables = _run_tables(tmp_path, monkeypatch, fmt, poisson, monitor)
+    name, header, table = tables[0]
+    assert name == f"run_counts.{fmt}"
+    _assert_same_bytes_as_rows(tmp_path, out, fmt, name, header, table,
+                               count_rows(run, poisson))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("undefined", [False, True], ids=["defined", "nan-rho"])
+def test_rho_rows_match_repetition_loop(fmt, undefined, monkeypatch, tmp_path):
+    out, run, tables = _run_tables(tmp_path, monkeypatch, fmt, True, 1e6, undefined)
+    name, header, table = tables[1]
+    assert name == f"run_rho.{fmt}"
+    rows = list(table)
+    assert [row[0] for row in rows] == list(range(20))
+    assert sum(math.isnan(row[1]) for row in rows) == (7 if undefined else 0)
+    _assert_same_bytes_as_rows(tmp_path, out, fmt, name, header, table, rows)
+    # NaN rho is written as null (JSON) or nan (CSV)
+    assert (out / name).read_bytes() == _oracle_table(header, rows, fmt).encode()
+
+
+def test_count_table_memory_does_not_grow_with_the_run(tmp_path):
+    # 20,000 repetitions: 160,000 rows, whose columns as lists would take
+    # tens of MB; the writer holds one block of slices and lists at a time
+    reps = 20_000
+    counts = np.arange(8 * reps, dtype=float).reshape(reps, 8)
+    run = RunCounts(counts, 37.5, np.arange(8 * reps).reshape(reps, 8), counts + 0.5)
+    tracemalloc.start()
+    try:
+        _write_table(tmp_path / "counts.json", ("repetition", "combination", "counts",
+                     "dwell_s", "timestamp_index", "monitor_counts"),
+                     cli._count_table(run, True), "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 # -- a mirrored sweep encodes each row pair once: its bytes must be those
@@ -268,7 +335,7 @@ def _assert_matches_plain_writer(monkeypatch, tmp_path, sweep, fmt, extras):
     mirrored, plain = tmp_path / f"mirrored.{fmt}", tmp_path / f"plain.{fmt}"
     n_mirrored = _mirrored_rows_written(monkeypatch, mirrored, sweep, fmt, extras)
     _write_table(plain, SWEEP_COLUMNS + tuple(extras),
-                 _column_rows((sweep.u, *sweep.patterns, *sweep.curves,
+                 _column_table((sweep.u, *sweep.patterns, *sweep.curves,
                                *extras.values())), fmt)
     assert mirrored.read_bytes() == plain.read_bytes()
     return n_mirrored

@@ -194,11 +194,14 @@ class TestEpsilon:
         st.lists(finite_complex, min_size=3, max_size=3),
         st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
     )
+    @example([0j, 65j, -64j], 0.5299999999999998)
     @settings(max_examples=200, deadline=None)
     def test_background_cancellation_property(self, triple, b):
+        # the pairwise terms round at the scale of the largest probability,
+        # which can be far above pABC when the paths cancel each other
         pv = ProbabilityVector.from_rule(BORN, PathAmplitudes(triple))
         shifted = pv.shifted(b)
-        scale = max(1.0, pv.pABC, b)
+        scale = max(1.0, b, *pv.array)
         assert abs(epsilon(shifted) - epsilon(pv)) <= 1e-12 * scale
         r0, r1 = sorkin(pv), sorkin(shifted)
         for attr in ("i_ab", "i_bc", "i_ca", "delta"):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bornlab import _streams
+from bornlab import _streams, experiment
 from bornlab._streams import (
     TAG_ORDER,
     TAG_POWER,
@@ -16,6 +16,7 @@ from bornlab._streams import (
     first_poisson,
     substream,
 )
+from bornlab.config import build_objects, load_config
 from oracles import substreams
 
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5)
@@ -147,8 +148,11 @@ def test_first_poisson_matches_numpy(monkeypatch):
     expected = [g.poisson(m) for g, m in
                 zip(substreams(2**32 + 3, *path), lam.ravel().tolist())]
     assert np.array_equal(draws.ravel(), expected)
-    # the squeeze test decides most streams, numpy's sampler the others
-    assert 0.1 * lam.size < built < 0.5 * lam.size
+    # numpy's sampler draws every nonzero mean below 10 (6,400 streams);
+    # of the others, PTRS on arrays decides all but those that use up the
+    # prefetched rounds or fall inside the log test's margin
+    below_ten = np.count_nonzero((lam > 0) & (lam < 10))
+    assert below_ten <= built < below_ten + 0.01 * (lam.size - below_ten)
 
 
 def test_first_poisson_matches_substream_rows():
@@ -165,6 +169,78 @@ def test_first_poisson_paths_by_mean(monkeypatch, lam, fallbacks):
     assert built == fallbacks
     expected = [g.poisson(lam) for g in substreams(0, 3, np.arange(64))]
     assert np.array_equal(draws, expected)
+
+
+def ptrs_rounds(seed, lam, *row):
+    """The (U, V) rounds that numpy's PTRS sampler takes for the first
+    draw of ``substream(seed, *row)``: half the raw outputs it uses."""
+    gen = substream(seed, *row)
+    gen.poisson(lam)
+    used, bits = gen.bit_generator.state, substream(seed, *row).bit_generator
+    for outputs in range(1, 200):
+        bits.random_raw()
+        if bits.state == used:
+            return outputs // 2
+    raise AssertionError("more than 100 rounds")
+
+
+@pytest.mark.parametrize("prefetch", [1, 2, 3, 4, 6])
+def test_first_poisson_rows_past_the_first_round(monkeypatch, prefetch):
+    # at lam = 10 numpy's PTRS loop takes a second round for about one
+    # stream in five; a row decided in round r needs r <= _POISSON_ROUNDS
+    lam, streams = 10.0, np.arange(4000)
+    rounds = np.array([ptrs_rounds(9, lam, 3, i) for i in streams])
+    assert all(np.count_nonzero(rounds == r) >= 10 for r in (2, 3, 4))
+    assert np.count_nonzero(rounds > 4) >= 5
+    monkeypatch.setattr(_streams, "_POISSON_ROUNDS", prefetch)
+    draws, built = count_fallbacks(monkeypatch, first_poisson, 9, lam, 3, streams)
+    assert np.array_equal(draws, [g.poisson(lam) for g in substreams(9, 3, streams)])
+    # the rows that use up the prefetched rounds, and only those, go to numpy
+    assert built == np.count_nonzero(rounds > prefetch)
+
+
+def test_first_poisson_with_a_huge_log_margin(monkeypatch):
+    # a margin no two sides exceed leaves every row that reaches the log
+    # test to numpy: more generators, the same draws
+    lam = np.exp(np.random.default_rng(5).uniform(np.log(10.0), np.log(1e7), 3000))
+    streams = np.arange(lam.size)
+    expected = [g.poisson(m) for g, m in zip(substreams(2, 3, streams), lam.tolist())]
+    draws, built = count_fallbacks(monkeypatch, first_poisson, 2, lam, 3, streams)
+    assert np.array_equal(draws, expected)
+    monkeypatch.setattr(_streams, "_LOG_ULPS", 2.0**200)
+    wide, wide_built = count_fallbacks(monkeypatch, first_poisson, 2, lam, 3, streams)
+    assert np.array_equal(wide, expected)
+    assert built < 10 and wide_built > 0.05 * lam.size
+
+
+def test_overnight_run_builds_few_poisson_generators(monkeypatch, tmp_path):
+    # the benchmark's overnight-run workload: 2,500 repetitions, counts
+    # and monitor counts, 40,000 Poisson draws in all
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import run as perfbench_run
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    cfg_path = tmp_path / "overnight.cfg"
+    perfbench_run.write_config(ROOT, perfbench_run.WORKLOADS["overnight-run"], cfg_path)
+    cfg = load_config(cfg_path)
+    assert cfg.repetitions == 2500 and cfg.monitor_counts > 0
+    plate, mask, power, detector = build_objects(cfg)
+    draws, poisson_built = [], 0
+
+    def counted(*args):
+        nonlocal poisson_built
+        start = CountingSeedWords.built
+        draws.append(first_poisson(*args))
+        poisson_built += CountingSeedWords.built - start
+        return draws[-1]
+
+    monkeypatch.setattr(_streams, "_SeedWords", CountingSeedWords)
+    monkeypatch.setattr(experiment, "first_poisson", counted)
+    experiment.run_experiment(plate, mask, power, detector, detector_u=cfg.detector_u,
+                              repetitions=cfg.repetitions, seed=cfg.seed)
+    assert sum(d.size for d in draws) == 2 * 8 * 2500
+    assert poisson_built <= 50
 
 
 @pytest.mark.parametrize("lam", [np.nan, -1.0, -1e-300, np.inf, 1e19])
