@@ -128,7 +128,7 @@ def first_poisson(seed: int, lam, *path) -> np.ndarray:
     rows = np.flatnonzero(ptrs)
     raw = _pcg64_raw(words[rows], 2)
     for r in range(_POISSON_ROUNDS):
-        if r == 1:
+        if r == 1:    # the rows the first round left: prefetch all their rounds
             raw = _pcg64_raw(words[rows], 2 * _POISSON_ROUNDS)
         k, accept, reject = _ptrs_round(lam[rows], raw[:, 2 * r], raw[:, 2 * r + 1])
         draws[rows[accept]] = k[accept]

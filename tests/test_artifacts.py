@@ -1,8 +1,9 @@
 """Artifact bytes: pinned hashes of the bundled configs' outputs, the
-table writer against the per-cell encoders it replaced, the blocked
-conversion of numpy columns to rows, ``run``'s counts table against its
-record-by-record rows, mirrored sweep rows against rows encoded one by
-one, and the writer's bytes across block sizes."""
+table writer against the per-cell encoders it replaced, tables encoded
+from numpy columns against the same rows, ``run``'s tables against their
+repetition-by-repetition rows and against a wrapper that re-yields them,
+mirrored sweep rows against rows encoded one by one, and the writer's
+bytes across block sizes."""
 
 import hashlib
 import json
@@ -273,7 +274,7 @@ def test_count_rows_match_record_loop(fmt, poisson, monitor, monkeypatch, tmp_pa
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("undefined", [False, True], ids=["defined", "nan-rho"])
 def test_rho_rows_match_repetition_loop(fmt, undefined, monkeypatch, tmp_path):
-    out, run, tables = _run_tables(tmp_path, monkeypatch, fmt, True, 1e6, undefined)
+    out, _run, tables = _run_tables(tmp_path, monkeypatch, fmt, True, 1e6, undefined)
     name, header, table = tables[1]
     assert name == f"run_rho.{fmt}"
     rows = list(table)
