@@ -146,13 +146,9 @@ def _ptrs_round(lam: np.ndarray, raw_u: np.ndarray, raw_v: np.ndarray):
     are left to numpy.
 
     The fast test and the ``continue`` rule use only ``+ - * / sqrt
-    floor``.  The log test compares two sums of logs, whose array ``log``
-    need not round as the sampler's libm ``log`` does; it decides a row
-    only when its sides differ by more than ``_LOG_ULPS`` ulps of the
-    summed magnitudes of their terms.  That bounds a few ulps of
-    difference in each log and the roundings that carry them to either
-    side.  A candidate at ``2**53`` or above is left to numpy, as the
-    sampler's cast of it to an integer is not exact.
+    floor``; :func:`_log_test` decides the other rows or leaves them
+    undecided.  A candidate at ``2**53`` or above is left to numpy, as
+    the sampler's cast of it to an integer is not exact.
     """
     # next_double, as numpy's PCG64 gives it
     U = (raw_u >> 11) * (1.0 / 9007199254740992.0) - 0.5
@@ -166,17 +162,31 @@ def _ptrs_round(lam: np.ndarray, raw_u: np.ndarray, raw_v: np.ndarray):
     accept = (us >= 0.07) & (V <= vr)
     reject = ~accept & ((k < 0) | ((us < 0.013) & (V > us)))
     test = np.flatnonzero(~accept & ~reject & (k < 2.0**53))
-    lam, a, b, us, V, kt = lam[test], a[test], b[test], us[test], V[test], k[test]
-    with np.errstate(divide="ignore", invalid="ignore"):    # log(V = 0) is -inf
-        lhs = (np.log(V), np.log(1.1239 + 1.1328 / (b - 3.4)), np.log(a / (us * us) + b))
-        gam, gam_size = _loggam(kt + 1)
-        k_log = kt * np.log(lam)
-        side = (-lam + k_log - gam) - (lhs[0] + lhs[1] - lhs[2])
-        margin = _LOG_ULPS * 2.0**-52 * (np.abs(lhs[0]) + np.abs(lhs[1]) + np.abs(lhs[2])
-                                         + lam + np.abs(k_log) + gam_size)
+    side, margin = _log_test(lam[test], a[test], b[test], us[test], V[test], k[test])
     accept[test] = side > margin
     reject[test] = side < -margin
     return k, accept, reject
+
+
+def _log_test(lam, a, b, us, V, k) -> tuple[np.ndarray, np.ndarray]:
+    """PTRS's log test as ``side > 0`` (return ``k``) or ``side < 0``
+    (next round), and the margin by which ``side`` must pass 0 to decide.
+
+    ``side`` is ``(-lam + k*log(lam) - loggam(k+1)) - (log(V) +
+    log(1.1239 + 1.1328/(b - 3.4)) - log(a/(us*us) + b))``.  numpy's
+    array ``log`` need not round as the sampler's libm ``log`` does, so
+    the margin is ``_LOG_ULPS`` ulps of the summed magnitudes of the
+    terms, which bounds a few ulps of difference in each log and the
+    roundings that carry them to either side.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):    # log(V = 0) is -inf
+        lhs = (np.log(V), np.log(1.1239 + 1.1328 / (b - 3.4)), np.log(a / (us * us) + b))
+        gam, gam_size = _loggam(k + 1)
+        k_log = k * np.log(lam)
+        side = (-lam + k_log - gam) - (lhs[0] + lhs[1] - lhs[2])
+        margin = _LOG_ULPS * 2.0**-52 * (np.abs(lhs[0]) + np.abs(lhs[1]) + np.abs(lhs[2])
+                                         + lam + np.abs(k_log) + gam_size)
+    return side, margin
 
 
 def _loggam(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -135,14 +135,18 @@ def count_fallbacks(monkeypatch, draw, *args):
     return draws, CountingSeedWords.built
 
 
-def test_first_poisson_matches_numpy(monkeypatch):
-    # 10^5 streams: numpy's branch points, log-uniform means over the PTRS
-    # range, and a mean far above it
+def ptrs_case():
+    """Means and path of 10^5 streams: numpy's branch points, log-uniform
+    means over the PTRS range, and a mean far above it."""
     rng = np.random.default_rng(11)
     lam = np.exp(rng.uniform(np.log(10.0), np.log(1e7), size=(12_800, 8)))
     lam[::4, :5] = [0.0, 1e-3, 9.999, 10.0, 10.001]
     lam[1::4, 0] = 1e12
-    path = (3, np.arange(lam.shape[0])[:, None], np.arange(8))
+    return lam, (3, np.arange(lam.shape[0])[:, None], np.arange(8))
+
+
+def test_first_poisson_matches_numpy(monkeypatch):
+    lam, path = ptrs_case()
     draws, built = count_fallbacks(monkeypatch, first_poisson, 2**32 + 3, lam, *path)
     assert draws.dtype == np.int64 and draws.shape == lam.shape
     expected = [g.poisson(m) for g, m in
@@ -211,6 +215,42 @@ def test_first_poisson_with_a_huge_log_margin(monkeypatch):
     wide, wide_built = count_fallbacks(monkeypatch, first_poisson, 2, lam, 3, streams)
     assert np.array_equal(wide, expected)
     assert built < 10 and wide_built > 0.05 * lam.size
+
+
+def test_log_margin_covers_logs_a_few_ulps_off(monkeypatch):
+    # numpy's array log need not round as the sampler's libm log does:
+    # with every array log moved 4 ulps up, down, or either way per
+    # element, no side of the log test moves by its margin, and the
+    # draws of the 10^5-stream case do not change
+    lam, path = ptrs_case()
+    log_test, tested = _streams._log_test, []
+
+    def recorded(*args):
+        tested.append((args, log_test(*args)))
+        return tested[-1][1]
+
+    monkeypatch.setattr(_streams, "_log_test", recorded)
+    expected = first_poisson(2**32 + 3, lam, *path)
+    monkeypatch.undo()
+    rng, log = np.random.default_rng(4), np.log
+    for ulps in (lambda y: 4, lambda y: -4, lambda y: rng.integers(-4, 5, np.shape(y))):
+
+        def moved(x, ulps=ulps):
+            y = log(x)
+            with np.errstate(invalid="ignore"):    # log(0) is -inf
+                return np.where(np.isfinite(y), y + ulps(y) * np.spacing(np.abs(y)), y)
+
+        monkeypatch.setattr(np, "log", moved)
+        try:
+            draws = first_poisson(2**32 + 3, lam, *path)
+            moved_sides = [log_test(*args)[0] for args, _ in tested]
+        finally:
+            monkeypatch.undo()
+        assert np.array_equal(draws, expected)
+        for (_, (side, margin)), moved_side in zip(tested, moved_sides):
+            finite = np.isfinite(side)
+            assert np.count_nonzero(moved_side[finite] != side[finite]) > 0.5 * finite.sum()
+            assert np.all(np.abs(moved_side - side)[finite] < margin[finite])
 
 
 def test_overnight_run_builds_few_poisson_generators(monkeypatch, tmp_path):
