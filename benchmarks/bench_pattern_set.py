@@ -13,9 +13,9 @@ set to ``--points`` (``repetitions`` for ``--sweep run``; with
 ``write_config`` of ``perfbench/run.py``), then runs ``bornlab COMMAND``
 on it in this process, writing CSV into a temporary directory; it
 reports the sha256 of every file written but the manifest, and the
-number of ``Generator`` objects one command built for the draws that
-the array samplers of ``bornlab._streams`` left to numpy (counted by
-wrapping ``_streams._SeedWords`` in one extra, untimed run).
+number of substream generators one command built (counted by wrapping
+``_streams.substream`` in every module that calls it, in one extra,
+untimed run).
 
 Either mode prints one JSON line: the best wall time of ``--repeats``
 runs, the peak RSS of the process, and the machine facts.  Run one grid
@@ -94,19 +94,23 @@ def bench_sweep(args) -> dict:
 
         # count the generators in an untimed run, so the timed runs build
         # theirs without the counting wrapper
-        seed_words, built = _streams._SeedWords, 0
+        substream, built = _streams.substream, 0
 
-        class CountedSeedWords(seed_words):
-            def __init__(self, words):
-                nonlocal built
-                built += 1
-                super().__init__(words)
+        def counted(*args):
+            nonlocal built
+            built += 1
+            return substream(*args)
 
-        _streams._SeedWords = CountedSeedWords
+        callers = [m for name, m in sys.modules.items()
+                   if name.startswith("bornlab.") and m is not _streams
+                   and getattr(m, "substream", None) is substream]
+        for module in callers:
+            module.substream = counted
         try:
             run()
         finally:
-            _streams._SeedWords = seed_words
+            for module in callers:
+                module.substream = substream
         for _ in range(args.repeats):
             t0 = time.perf_counter()
             run()

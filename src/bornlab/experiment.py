@@ -8,11 +8,13 @@ time and nonlinearity; counts are Poisson-distributed or, in
 expected-value mode, kept at their means for deterministic end-to-end
 null checks.
 
-All randomness is drawn from per-repetition, per-combination substreams
-of a single root seed, so identical seeds give identical count streams
-no matter how the work is scheduled.  A run is one :class:`RunCounts`:
-(repetitions, 8) arrays of counts, timestamps and optional monitor
-counts, checked once, whose row ``i`` is repetition ``i``.  A repetition
+All randomness is drawn from substreams of a single root seed, one per
+purpose and block of repetitions, so identical seeds give identical
+count streams no matter how the work is scheduled, and the first
+repetitions of a run do not depend on how many follow.  A run is one
+:class:`RunCounts`: (repetitions, 8) arrays of counts, timestamps and
+optional monitor counts, checked once, whose row ``i`` is repetition
+``i``.  A repetition
 with a zero monitor count (a dwell whose power factor was clamped to 0)
 has no ``rho``.
 """
@@ -25,15 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import (
-    TAG_COUNTS,
-    TAG_MONITOR,
-    TAG_ORDER,
-    TAG_POWER,
-    first_normal,
-    first_permutation,
-    first_poisson,
-)
+from ._streams import TAG_COUNTS, TAG_MONITOR, TAG_ORDER, TAG_POWER, substream
 from .interference import (
     COMBINATIONS,
     DEFAULT_GUARD,
@@ -128,8 +122,10 @@ class RhoSeries:
         )
 
 
-#: Repetitions simulated per block of array arithmetic: bounds the
-#: memory of the temporaries, which the returned RunCounts does not keep.
+#: Repetitions per block: each block draws from its own generators and is
+#: simulated in one pass of array arithmetic, which bounds the memory of
+#: the temporaries.  Stable value, like the purpose tags: changing it
+#: changes every run that draws.
 _BLOCK_REPETITIONS = 512
 
 
@@ -150,21 +146,22 @@ def run_experiment(
     scale by their ideal intensity ratios.  Deterministic for a fixed
     seed.
 
-    Repetition ``rep`` measures the combinations in the order
-    ``substream(seed, TAG_ORDER, rep).permutation(8)`` when randomized,
+    Repetitions are simulated in blocks of ``_BLOCK_REPETITIONS``.  Each
+    purpose draws a block's values from its own generator,
+    ``substream(seed, tag, rep // _BLOCK_REPETITIONS)``, with numpy's
+    array samplers, which fill the block's (rows, 8) arrays in C order:
+    repetition by repetition, and combination by combination within one.
+    When randomized, repetition ``rep`` measures the combinations in the
+    order of its row of ``permuted`` rows of ``arange(8)`` (``TAG_ORDER``),
     else canonically.  The dwell in slot ``s`` has the global index
     ``t = 8 * rep + s`` and the power factor
     ``(1 + drift * t / 8) * (1 + fluctuation * xi)``, where ``xi`` is the
-    first normal draw of ``substream(seed, TAG_POWER, rep, comb)``.
-    Negative factors are clamped to 0 with a ``RuntimeWarning`` that
-    gives their number.  Counts and monitor counts are the first Poisson
-    draws of the dwell's ``TAG_COUNTS`` / ``TAG_MONITOR`` substreams.
-    The shuffles, normal draws and Poisson draws come from
-    :func:`first_permutation`, :func:`first_normal` and
-    :func:`first_poisson`, which build a ``Generator`` only for the rows
-    their array branch does not decide; all arithmetic runs on
-    (repetitions, 8) arrays, a block of repetitions at a time, with the
-    same bits as dwell by dwell.  A Poisson mean above numpy's limit
+    ``standard_normal`` draw of ``(rep, comb)`` (``TAG_POWER``).  Negative
+    factors are clamped to 0 with a ``RuntimeWarning`` that gives their
+    number.  Counts and monitor counts are ``poisson`` draws
+    (``TAG_COUNTS`` / ``TAG_MONITOR``).  A shorter block draws the
+    leading rows of a full one, so repetition ``rep`` gets the same
+    values in a run of any length.  A Poisson mean above numpy's limit
     (about 9.2e18) raises ``ValueError`` before it is drawn.
     """
     if repetitions < 1:
@@ -176,9 +173,8 @@ def run_experiment(
     counts, stamps = np.empty(shape), np.empty(shape, dtype=int)
     monitor = np.empty(shape) if power.monitor_counts > 0.0 else None
     n_clamped = 0
-    for first in range(0, repetitions, _BLOCK_REPETITIONS):
-        n_clamped += _simulate_rows(slice(first, first + _BLOCK_REPETITIONS), seed,
-                                    base_rates, power, detector, poisson,
+    for block in range(math.ceil(repetitions / _BLOCK_REPETITIONS)):
+        n_clamped += _simulate_rows(block, seed, base_rates, power, detector, poisson,
                                     counts, stamps, monitor)
     run = RunCounts(counts, detector.dwell_time, stamps, monitor)
     if n_clamped:
@@ -190,37 +186,37 @@ def run_experiment(
     return run
 
 
-def _simulate_rows(rows: slice, seed: int, base_rates: np.ndarray, power: PowerModel,
+def _simulate_rows(block: int, seed: int, base_rates: np.ndarray, power: PowerModel,
                    detector: DetectorModel, poisson: bool, counts: np.ndarray,
                    stamps: np.ndarray, monitor: np.ndarray | None) -> int:
-    """Fill rows ``rows`` (repetitions) of the (repetitions, 8) arrays
-    ``counts``, ``stamps`` and ``monitor`` (or None), indexed by
-    combination; returns the number of clamped power factors."""
+    """Fill the rows of block ``block`` (repetitions) of the
+    (repetitions, 8) arrays ``counts``, ``stamps`` and ``monitor`` (or
+    None), indexed by combination; returns the number of clamped power
+    factors."""
+    rows = slice(block * _BLOCK_REPETITIONS, (block + 1) * _BLOCK_REPETITIONS)
     reps = np.arange(*rows.indices(len(counts)))
     combs = np.arange(8)
+    order = np.tile(combs, (reps.size, 1))
     if power.sequence_order == "randomized":
-        order = first_permutation(seed, 8, TAG_ORDER, reps)
-    else:
-        order = np.tile(combs, (reps.size, 1))
+        order = substream(seed, TAG_ORDER, block).permuted(order, axis=1)
     # stamps[rep, comb]: global dwell index at which comb was measured
     np.put_along_axis(stamps[rows], order, 8 * reps[:, None] + combs, axis=1)
 
-    # the first draw of each substream(seed, tag, rep, comb)
-    path = (reps[:, None], combs)
     factor = 1.0 + power.linear_drift_rate * (stamps[rows] / 8.0)
     if power.relative_fluctuation > 0.0:
-        factor *= 1.0 + power.relative_fluctuation * first_normal(seed, TAG_POWER, *path)
+        xi = substream(seed, TAG_POWER, block).standard_normal(order.shape)
+        factor *= 1.0 + power.relative_fluctuation * xi
     clamped = factor < 0.0
     n_clamped = np.count_nonzero(clamped)
     # as max(factor, 0.0); np.maximum would also turn a -0.0 into +0.0
     factor[clamped] = 0.0
     mu = detector_response(detector, factor * base_rates) * detector.dwell_time
     drift = "power_drift or power_fluctuation"
-    counts[rows] = _counts(poisson, seed, mu, TAG_COUNTS, path,
+    counts[rows] = _counts(poisson, seed, mu, TAG_COUNTS, block,
                            f"mean_power, dark_rate, dwell_time, {drift}")
     if monitor is not None:
         monitor[rows] = _counts(poisson, seed, factor * power.monitor_counts,
-                                TAG_MONITOR, path, f"monitor_counts, {drift}")
+                                TAG_MONITOR, block, f"monitor_counts, {drift}")
     return n_clamped
 
 
@@ -228,17 +224,17 @@ def _simulate_rows(rows: slice, seed: int, base_rates: np.ndarray, power: PowerM
 _POISSON_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
-def _counts(poisson: bool, seed: int, mean: np.ndarray, tag: int, path, keys: str):
-    """The first Poisson draws of ``mean`` on ``(tag, *path)``, or ``mean``
-    itself in expected-value mode.  A mean above numpy's limit raises
-    before any draw, naming ``keys``, the config keys that set it."""
+def _counts(poisson: bool, seed: int, mean: np.ndarray, tag: int, block: int, keys: str):
+    """Poisson draws of ``mean`` from ``substream(seed, tag, block)``, or
+    ``mean`` itself in expected-value mode.  A mean above numpy's limit
+    raises before any draw, naming ``keys``, the config keys that set it."""
     if not poisson:
         return mean
     if np.any(too_large := mean > _POISSON_MAX):
         raise ValueError(f"{keys}: too large, a Poisson mean of "
                          f"{mean[too_large].max():.3g} counts per dwell is above "
                          f"numpy's limit of {_POISSON_MAX:.3g}")
-    return first_poisson(seed, mean, tag, *path)
+    return substream(seed, tag, block).poisson(mean)
 
 
 def rho_per_repetition(

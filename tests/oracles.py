@@ -4,10 +4,7 @@ Everything here recomputes expected values from first principles without
 touching the package's own code paths: raw bitmask inclusion-exclusion,
 union-merging recursion, Monte Carlo resampling, quadrature, and the
 interval-by-interval, piece-scanning and dwell-by-dwell loops that the
-package replaced by shared tables, bisection and array arithmetic.  The
-one exception is :func:`substreams`, which seeds numpy's generators from
-the package's seed words; ``tests/test_streams.py`` checks those words
-against numpy's ``SeedSequence``.
+package replaced by shared tables, bisection and array arithmetic.
 """
 
 from __future__ import annotations
@@ -17,8 +14,6 @@ from dataclasses import replace
 from itertools import repeat
 
 import numpy as np
-
-from bornlab import _streams
 
 
 def raw_probability(psi: complex, alpha: float = 0.0) -> float:
@@ -235,32 +230,22 @@ def single_slit_energy_quadrature(amplitude_fn, width: float, lobes: int = 200) 
     return total + 2.0 * tail
 
 
-def substreams(seed: int, *path):
-    """Generators for ``substream(seed, *row)``, built lazily, one per row
-    of the broadcast ``path`` arrays in C order.
-
-    The stream-by-stream draws that ``_streams.first_poisson``,
-    ``first_normal`` and ``first_permutation`` replaced by array
-    arithmetic: each ``PCG64`` is seeded from its row of
-    ``_streams._path_words`` and draws with numpy's own samplers.
-    """
-    return map(_streams._generator, _streams._path_words(seed, path))
-
-
 def run_experiment_scalar(base_rates, power, detector, repetitions: int,
-                          seed: int = 0, poisson: bool = True):
-    """Dwell-by-dwell simulation of ``run_experiment``.
+                          seed: int = 0, poisson: bool = True, *, block: int):
+    """Dwell-by-dwell simulation of ``run_experiment`` with repetition
+    blocks of ``block``.
 
     The per-slot loop that ``run_experiment`` replaced by array
-    arithmetic: one fresh ``SeedSequence([seed, tag, rep, comb])``
-    stream per draw, the detector response inlined on Python floats.
-    ``base_rates`` are the eight expected incident rates.  Returns
-    ``(counts, timestamps, monitor or None, clamped)``, arrays of shape
-    (repetitions, 8) in canonical combination order, ``clamped`` the
-    number of power factors clamped to 0.
+    arithmetic, the detector response inlined on Python floats.  Each
+    purpose tag draws from one ``SeedSequence([seed, tag, rep // block])``
+    generator per block, one value at a time, in (repetition,
+    combination) order.  ``base_rates`` are the eight expected incident
+    rates.  Returns ``(counts, timestamps, monitor or None, clamped)``,
+    arrays of shape (repetitions, 8) in canonical combination order,
+    ``clamped`` the number of power factors clamped to 0.
     """
-    def stream(*path):
-        return np.random.default_rng(np.random.SeedSequence([seed, *path]))
+    def stream(tag, rep):
+        return np.random.default_rng(np.random.SeedSequence([seed, tag, rep // block]))
 
     def response(rate):
         out = rate + detector.dark_rate
@@ -277,26 +262,26 @@ def run_experiment_scalar(base_rates, power, detector, repetitions: int,
     monitor = np.empty((repetitions, 8)) if with_monitor else None
     clamped = 0
     for rep in range(repetitions):
+        if rep % block == 0:
+            order_rng, power_rng, counts_rng, monitor_rng = (
+                stream(tag, rep) for tag in (1, 2, 3, 4))
         if power.sequence_order == "randomized":
-            order = stream(1, rep).permutation(8)
+            order = order_rng.permutation(8).tolist()
         else:
-            order = np.arange(8)
-        for slot, comb in enumerate(order):
-            t = rep * 8 + slot
+            order = list(range(8))
+        for comb in range(8):
+            t = rep * 8 + order.index(comb)
             factor = 1.0 + power.linear_drift_rate * (t / 8.0)
             if power.relative_fluctuation > 0.0:
-                xi = stream(2, rep, comb).standard_normal()
-                factor *= 1.0 + power.relative_fluctuation * xi
+                factor *= 1.0 + power.relative_fluctuation * power_rng.standard_normal()
             clamped += factor < 0.0
             factor = max(factor, 0.0)
             mu = response(factor * float(base_rates[comb])) * dwell
-            counts[rep, comb] = stream(3, rep, comb).poisson(mu) if poisson else mu
+            counts[rep, comb] = counts_rng.poisson(mu) if poisson else mu
             stamps[rep, comb] = t
             if with_monitor:
                 mu_mon = factor * power.monitor_counts
-                monitor[rep, comb] = (
-                    stream(4, rep, comb).poisson(mu_mon) if poisson else mu_mon
-                )
+                monitor[rep, comb] = monitor_rng.poisson(mu_mon) if poisson else mu_mon
     return counts, stamps, monitor, clamped
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bornlab import optics
+from bornlab import experiment, optics
 from bornlab.cli import (
     COMMANDS,
     SWEEP_COLUMNS,
@@ -21,9 +21,12 @@ from bornlab.config import (
     ConfigError,
     RunConfig,
     build_objects,
+    load_config,
     parse_config,
     serialize_config,
 )
+
+from oracles import run_experiment_scalar
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -325,20 +328,30 @@ class TestCli:
             + "power_fluctuation = 0.8\nmonitor_counts = 1e6\n",
             encoding="utf-8",
         )
+        # the oracle's draws give the expected numbers
+        config = load_config(cfg)
+        plate, mask, power, det = build_objects(config)
+        base = power.mean_power * optics.pattern_set(
+            plate, mask, np.array([config.detector_u]), normalize=True)[:, 0]
+        _, _, monitor, clamped = run_experiment_scalar(
+            base, power, det, config.repetitions, config.seed,
+            block=experiment._BLOCK_REPETITIONS)
+        n_zero = int(np.count_nonzero(np.any(monitor == 0.0, axis=1)))
+        assert 0 < n_zero < config.repetitions
         out = tmp_path / "out"
         with pytest.warns(RuntimeWarning) as warned:
             assert main(["--config", str(cfg), "--out", str(out), "run"]) == 0
         assert [str(w.message) for w in warned] == [
-            "power factor clamped to 0 in 84 of 800 dwells",
-            "zero monitor counts leave rho undefined in 56 of 100 repetitions",
+            f"power factor clamped to 0 in {clamped} of 800 dwells",
+            f"zero monitor counts leave rho undefined in {n_zero} of 100 repetitions",
         ]
         assert "error" not in capsys.readouterr().err
         summary = json.loads((out / "manifest.json").read_text())["summary"]
-        assert summary["n_undefined"] == 56
-        assert summary["rho_defined_repetitions"] == 44
+        assert summary["n_undefined"] == n_zero
+        assert summary["rho_defined_repetitions"] == 100 - n_zero
         flags = [line.rsplit(",", 1)[1] for line in
                  (out / "run_rho.csv").read_text().splitlines()[1:]]
-        assert flags.count("0") == 56
+        assert flags.count("0") == n_zero
 
     def test_run_negative_expected_count_exits_2_naming_the_dwell(self, tmp_path, capsys):
         # a detector driven past its nonlinearity gives negative mean counts

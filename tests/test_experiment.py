@@ -161,14 +161,13 @@ class TestRunExperiment:
     def test_poisson_mean_above_numpy_limit_rejected(self):
         # numpy draws a mean at its limit and rejects the next float up
         limit = experiment._POISSON_MAX
-        path = (np.array([[0]]), np.arange(1))
-        draw = experiment._counts(True, 0, np.array([[limit]]), 1, path, "k")
+        draw = experiment._counts(True, 0, np.array([[limit]]), 1, 0, "k")
         assert draw[0, 0] > 0.9 * limit
         above = np.array([[1.0, np.nextafter(limit, math.inf)]])
         with pytest.raises(ValueError, match=r"^k: too large, a Poisson mean of 9.22e\+18 "):
-            experiment._counts(True, 0, above, 1, (np.array([[0]]), np.arange(2)), "k")
+            experiment._counts(True, 0, above, 1, 0, "k")
         # expected-value mode draws nothing, so any finite mean passes
-        assert experiment._counts(False, 0, above, 1, path, "k") is above
+        assert experiment._counts(False, 0, above, 1, 0, "k") is above
 
 
 class TestEstimate:
@@ -239,7 +238,8 @@ class TestEstimate:
 
 def scalar_run(plate, mask, power, det, u, repetitions, seed, poisson=True):
     base = power.mean_power * pattern_set(plate, mask, np.array([u]), normalize=True)[:, 0]
-    return run_experiment_scalar(base, power, det, repetitions, seed, poisson)
+    return run_experiment_scalar(base, power, det, repetitions, seed, poisson,
+                                 block=experiment._BLOCK_REPETITIONS)
 
 
 class TestAgainstScalarLoop:
@@ -247,10 +247,11 @@ class TestAgainstScalarLoop:
     @pytest.mark.parametrize("poisson", [True, False])
     @pytest.mark.parametrize("fluctuation", [0.0, 1e-3])
     @pytest.mark.parametrize("monitor", [0.0, 1e6])
+    @pytest.mark.parametrize("block", [1, 7, 512])
     def test_bitwise_equal(self, plate, mask, monkeypatch, order, poisson,
-                           fluctuation, monitor):
-        # small blocks, so that block edges fall inside the run
-        monkeypatch.setattr(experiment, "_BLOCK_REPETITIONS", 7)
+                           fluctuation, monitor, block):
+        # blocks of 1 and 7 put block edges inside the run
+        monkeypatch.setattr(experiment, "_BLOCK_REPETITIONS", block)
         power = PowerModel(mean_power=3e5, relative_fluctuation=fluctuation,
                            linear_drift_rate=2e-3, sequence_order=order,
                            monitor_counts=monitor)
@@ -294,6 +295,21 @@ class TestAgainstScalarLoop:
             run = run_experiment(plate, mask, power, det, 0.0, 25, seed=8,
                                  poisson=poisson)
         assert np.array_equal(run.counts, counts)
+
+    @pytest.mark.parametrize("block", [7, 512])
+    def test_leading_repetitions_do_not_depend_on_the_length(self, plate, mask,
+                                                             monkeypatch, block):
+        monkeypatch.setattr(experiment, "_BLOCK_REPETITIONS", block)
+        power = PowerModel(mean_power=3e5, relative_fluctuation=1e-3,
+                           linear_drift_rate=2e-3, sequence_order="randomized",
+                           monitor_counts=1e6)
+        det = DetectorModel(dead_time=50e-9, dark_rate=40.0)
+        long = run_experiment(plate, mask, power, det, 500.0, 2 * block + 3, seed=6)
+        for n in sorted({1, block - 1, block, block + 1, 2 * block, 2 * block + 1} - {0}):
+            run = run_experiment(plate, mask, power, det, 500.0, n, seed=6)
+            assert np.array_equal(run.counts, long.counts[:n])
+            assert np.array_equal(run.timestamps, long.timestamps[:n])
+            assert np.array_equal(run.monitor, long.monitor[:n])
 
     def test_no_warning_without_clamps(self, plate, mask, recwarn):
         run_experiment(plate, mask, PowerModel(mean_power=1e5, relative_fluctuation=1e-3),
