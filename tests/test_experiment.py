@@ -1,9 +1,14 @@
 import math
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bornlab import experiment
+from bornlab import _streams, experiment
+from bornlab._streams import substream
+from bornlab.config import build_objects, load_config
 from bornlab.experiment import (
     RunCounts,
     estimate_rho_series,
@@ -15,6 +20,8 @@ from bornlab.optics import pattern_set
 from bornlab.systematics import DetectorModel, PowerModel, poisson_sigma
 
 from oracles import rho_per_repetition_scalar, run_experiment_scalar
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def dwell_indices(repetitions):
@@ -169,6 +176,20 @@ class TestRunExperiment:
         # expected-value mode draws nothing, so any finite mean passes
         assert experiment._counts(False, 0, above, 1, 0, "k") is above
 
+    @pytest.mark.parametrize("lam", [np.nan, -1.0, -1e-300, np.inf, 1e19])
+    def test_invalid_poisson_mean_raises(self, lam):
+        # above the limit raises before drawing, naming the keys; NaN and
+        # negative means raise numpy's own error for an array of means
+        means = np.array([[20.0, lam, 30.0]])
+        if lam > experiment._POISSON_MAX:
+            match = "^k: too large"
+        else:
+            with pytest.raises(ValueError) as numpy_error:
+                np.random.default_rng(0).poisson(means)
+            match = re.escape(str(numpy_error.value))
+        with pytest.raises(ValueError, match=match):
+            experiment._counts(True, 0, means, 3, 0, "k")
+
 
 class TestEstimate:
     def test_constant_records(self):
@@ -236,6 +257,19 @@ class TestEstimate:
         assert abs(series.mean) <= 3 * series.sem
 
 
+def count_substreams(monkeypatch):
+    """The (tag, block) paths of the generators run_experiment builds from
+    now on, in a list that fills as it builds them."""
+    built = []
+
+    def counted(seed, *path):
+        built.append(path)
+        return substream(seed, *path)
+
+    monkeypatch.setattr(experiment, "substream", counted)
+    return built
+
+
 def scalar_run(plate, mask, power, det, u, repetitions, seed, poisson=True):
     base = power.mean_power * pattern_set(plate, mask, np.array([u]), normalize=True)[:, 0]
     return run_experiment_scalar(base, power, det, repetitions, seed, poisson,
@@ -296,20 +330,99 @@ class TestAgainstScalarLoop:
                                  poisson=poisson)
         assert np.array_equal(run.counts, counts)
 
+    @pytest.mark.parametrize("order", ["fixed", "randomized"])
+    @pytest.mark.parametrize("poisson", [True, False])
     @pytest.mark.parametrize("block", [7, 512])
     def test_leading_repetitions_do_not_depend_on_the_length(self, plate, mask,
-                                                             monkeypatch, block):
+                                                             monkeypatch, order,
+                                                             poisson, block):
         monkeypatch.setattr(experiment, "_BLOCK_REPETITIONS", block)
         power = PowerModel(mean_power=3e5, relative_fluctuation=1e-3,
-                           linear_drift_rate=2e-3, sequence_order="randomized",
+                           linear_drift_rate=2e-3, sequence_order=order,
                            monitor_counts=1e6)
         det = DetectorModel(dead_time=50e-9, dark_rate=40.0)
-        long = run_experiment(plate, mask, power, det, 500.0, 2 * block + 3, seed=6)
+        long = run_experiment(plate, mask, power, det, 500.0, 2 * block + 3, seed=6,
+                              poisson=poisson)
         for n in sorted({1, block - 1, block, block + 1, 2 * block, 2 * block + 1} - {0}):
-            run = run_experiment(plate, mask, power, det, 500.0, n, seed=6)
+            run = run_experiment(plate, mask, power, det, 500.0, n, seed=6,
+                                 poisson=poisson)
             assert np.array_equal(run.counts, long.counts[:n])
             assert np.array_equal(run.timestamps, long.timestamps[:n])
             assert np.array_equal(run.monitor, long.monitor[:n])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_bitwise_equal_at_edge_seeds(self, plate, mask, monkeypatch, seed):
+        monkeypatch.setattr(experiment, "_BLOCK_REPETITIONS", 7)
+        power = PowerModel(mean_power=3e5, relative_fluctuation=1e-3,
+                           sequence_order="randomized", monitor_counts=1e6)
+        det = DetectorModel(dead_time=50e-9, dark_rate=40.0)
+        run = run_experiment(plate, mask, power, det, 500.0, 16, seed=seed)
+        counts, stamps, mon, _ = scalar_run(plate, mask, power, det, 500.0, 16, seed)
+        assert np.array_equal(run.counts, counts)
+        assert np.array_equal(run.timestamps, stamps)
+        assert np.array_equal(run.monitor, mon)
+
+    @pytest.mark.parametrize("tag", ["order", "power", "counts", "monitor"])
+    def test_each_block_draws_from_its_own_substream(self, plate, mask, monkeypatch, tag):
+        # 12 repetitions in blocks of 5: two full blocks and a partial one
+        monkeypatch.setattr(experiment, "_BLOCK_REPETITIONS", 5)
+        power = PowerModel(mean_power=3e5, relative_fluctuation=0.1,
+                           sequence_order="randomized", monitor_counts=50.0)
+        det = DetectorModel(dwell_time=1.0)
+        drawn = run_experiment(plate, mask, power, det, 0.0, 12, seed=9)
+        means = run_experiment(plate, mask, power, det, 0.0, 12, seed=9, poisson=False)
+        for block in range(3):
+            rows = slice(5 * block, 5 * block + 5)
+            n = len(drawn.counts[rows])
+            gen = substream(9, getattr(_streams, f"TAG_{tag.upper()}"), block)
+            if tag == "order":
+                order = gen.permuted(np.tile(np.arange(8), (n, 1)), axis=1)
+                assert np.array_equal(np.argsort(drawn.timestamps[rows], axis=1), order)
+            elif tag == "power":
+                xi = gen.standard_normal((n, 8))
+                assert np.array_equal(means.monitor[rows], 50.0 * (1.0 + 0.1 * xi))
+            else:
+                run = getattr(drawn, tag)[rows]
+                assert np.array_equal(run, gen.poisson(getattr(means, tag)[rows]))
+
+    @pytest.mark.parametrize(("poisson", "options", "tags"), [
+        (False, {}, ()),
+        (False, {"sequence_order": "randomized"}, ("ORDER",)),
+        (False, {"relative_fluctuation": 1e-3}, ("POWER",)),
+        (False, {"monitor_counts": 1e6}, ()),
+        (True, {}, ("COUNTS",)),
+        (True, {"monitor_counts": 1e6}, ("COUNTS", "MONITOR")),
+        (True, {"sequence_order": "randomized", "relative_fluctuation": 1e-3,
+                "monitor_counts": 1e6}, ("ORDER", "POWER", "COUNTS", "MONITOR")),
+    ])
+    def test_one_generator_per_drawing_purpose_and_block(self, plate, mask, monkeypatch,
+                                                         poisson, options, tags):
+        monkeypatch.setattr(experiment, "_BLOCK_REPETITIONS", 7)
+        built = count_substreams(monkeypatch)
+        run_experiment(plate, mask, PowerModel(mean_power=3e5, **options), DetectorModel(),
+                       0.0, 30, seed=3, poisson=poisson)
+        expected = [(getattr(_streams, f"TAG_{tag}"), block)
+                    for tag in tags for block in range(5)]
+        assert sorted(built) == sorted(expected)
+
+    def test_overnight_run_builds_one_generator_per_purpose_and_block(
+            self, monkeypatch, tmp_path):
+        # the benchmark's overnight-run workload: 2,500 repetitions in 5
+        # blocks, all four purposes drawing
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        try:
+            import run as perfbench_run
+        finally:
+            sys.path.remove(str(ROOT / "perfbench"))
+        cfg_path = tmp_path / "overnight.cfg"
+        perfbench_run.write_config(ROOT, perfbench_run.WORKLOADS["overnight-run"], cfg_path)
+        cfg = load_config(cfg_path)
+        plate, mask, power, detector = build_objects(cfg)
+        built = count_substreams(monkeypatch)
+        run_experiment(plate, mask, power, detector, cfg.detector_u, cfg.repetitions,
+                       seed=cfg.seed)
+        assert cfg.repetitions == 2500 and experiment._BLOCK_REPETITIONS == 512
+        assert sorted(built) == [(tag, block) for tag in range(1, 5) for block in range(5)]
 
     def test_no_warning_without_clamps(self, plate, mask, recwarn):
         run_experiment(plate, mask, PowerModel(mean_power=1e5, relative_fluctuation=1e-3),

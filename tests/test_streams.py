@@ -1,4 +1,5 @@
-"""Substreams, and the statistics of the values ``run_experiment`` draws
+"""Substreams, the properties of numpy's array samplers that
+``run_experiment`` relies on, and the statistics of the values it draws
 from one generator per purpose and block of repetitions.
 
 The statistical bounds are fixed at 5 standard deviations (for the
@@ -40,6 +41,77 @@ def test_substream_matches_numpy_seed_sequence(seed, width):
 def test_negative_seed_raises():
     with pytest.raises(ValueError, match="seed"):
         substream(-1, 1, 0)
+
+
+@pytest.mark.parametrize("bad", [-1, -2**40])
+def test_negative_path_value_raises(bad):
+    with pytest.raises(ValueError, match="non-negative"):
+        substream(0, 1, bad)
+
+
+# run_experiment draws a block's (rows, 8) arrays with numpy's array
+# samplers and relies on two of their properties, which NEP 19 does not
+# promise across numpy versions: an array draw gives the values that one
+# draw at a time gives in C order, and so a partial block draws the
+# leading rows of a full one.
+BLOCK = 512
+POISSON_MEANS = ["zero", "tiny", "below-ten", "at-ten", "ptrs", "huge", "mixed"]
+
+
+def poisson_means(kind, rows=BLOCK):
+    """(rows, 8) means: one value per branch of numpy's Poisson sampler
+    (0, the multiplication method below 10, PTRS from 10), or, for
+    ``mixed``, branch points among log-uniform means up to 1e12."""
+    scalar = {"zero": 0.0, "tiny": 1e-3, "below-ten": 5.0, "at-ten": 10.0,
+              "ptrs": 1e4, "huge": 1e12}
+    if kind in scalar:
+        return np.full((rows, 8), scalar[kind])
+    lam = np.exp(np.random.default_rng(11).uniform(np.log(1e-3), np.log(1e12), (rows, 8)))
+    lam[::3, :5] = [0.0, 1e-3, 9.999, 10.0, 10.001]
+    return lam
+
+
+def array_draw(sampler, seed, rows):
+    """The draws of one block's generator for a (rows, 8) block, as
+    run_experiment makes them."""
+    gen = substream(seed, 3, 0)
+    if sampler == "poisson":
+        return gen.poisson(poisson_means("mixed", rows))
+    if sampler == "normal":
+        return gen.standard_normal((rows, 8))
+    return gen.permuted(np.tile(np.arange(8), (rows, 1)), axis=1)
+
+
+@pytest.mark.parametrize("kind", POISSON_MEANS)
+def test_poisson_array_draws_follow_c_order(kind):
+    lam = poisson_means(kind)
+    draws = substream(SEED, 3, 0).poisson(lam)
+    one = substream(SEED, 3, 0)
+    assert draws.shape == lam.shape
+    assert np.array_equal(draws.ravel(), [one.poisson(m) for m in lam.ravel().tolist()])
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_normal_array_draws_follow_c_order(seed):
+    draws = array_draw("normal", seed, BLOCK)
+    one = substream(seed, 3, 0)
+    expected = np.array([one.standard_normal() for _ in range(draws.size)])
+    # compared bit for bit, so that a -0.0 or a last-bit difference shows
+    assert np.array_equal(draws.ravel().view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_permuted_rows_are_one_permutation_each(seed):
+    perms = array_draw("permuted", seed, BLOCK)
+    one = substream(seed, 3, 0)
+    assert np.array_equal(perms, [one.permutation(8) for _ in range(BLOCK)])
+
+
+@pytest.mark.parametrize("sampler", ["poisson", "normal", "permuted"])
+@pytest.mark.parametrize("rows", [1, 7, BLOCK - 1])
+def test_partial_block_draws_the_leading_rows(sampler, rows):
+    full = array_draw(sampler, SEED, BLOCK)
+    assert np.array_equal(array_draw(sampler, SEED, rows), full[:rows])
 
 
 def simulate(plate, mask, poisson, **power):
