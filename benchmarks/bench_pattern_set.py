@@ -142,7 +142,6 @@ def main() -> None:
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "nproc": os.cpu_count(), "numpy": np.__version__,
         "python": platform.python_version(),
-        "BORNLAB_THREADS": os.environ.get("BORNLAB_THREADS"),
     }))
 
 

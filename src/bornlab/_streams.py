@@ -4,8 +4,7 @@ Every stochastic quantity in the toolkit (measurement order, power
 fluctuation, photocounts, monitor counts, mask displacements) draws from
 its own substream, keyed by the root seed, a purpose tag, and the
 indices it belongs to (a block of repetitions, a combination).  Results
-are therefore independent of execution order and of how work is split
-across threads.
+are therefore independent of execution order.
 """
 
 from __future__ import annotations

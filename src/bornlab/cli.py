@@ -10,12 +10,11 @@ Commands map one-to-one onto the toolkit's figure-class computations:
 * ``sweep-detector``  dead-time / nonlinearity sweep
 * ``hierarchy``       sum-rule audit over random amplitude sets
 
-Artifacts are byte-identical for identical (command, config, seed)
-regardless of the BORNLAB_THREADS worker cap: CSV floats carry 17
-significant digits and JSON floats the shortest repr that round-trips,
-row values never depend on the work split, and the manifest carries no
-timestamps or machine identifiers.  A command's files replace the
-previous ones only once all of them are written.
+Artifacts are byte-identical for identical (command, config, seed):
+CSV floats carry 17 significant digits and JSON floats the shortest repr
+that round-trips, and the manifest carries no timestamps or machine
+identifiers.  A command's files replace the previous ones only once all
+of them are written.
 
 Tables computed as numpy columns are handed to the writer as a
 ``_Columns`` table and encoded straight from them, ``_ROW_BLOCK`` rows

@@ -213,7 +213,8 @@ def _simulate_rows(block: int, seed: int, base_rates: np.ndarray, power: PowerMo
     mu = detector_response(detector, factor * base_rates) * detector.dwell_time
     drift = "power_drift or power_fluctuation"
     counts[rows] = _counts(poisson, seed, mu, TAG_COUNTS, block,
-                           f"mean_power, dark_rate, dwell_time, {drift}")
+                           f"mean_power, dark_rate, dwell_time, nonlinearity, "
+                           f"full_scale_rate, {drift}")
     if monitor is not None:
         monitor[rows] = _counts(poisson, seed, factor * power.monitor_counts,
                                 TAG_MONITOR, block, f"monitor_counts, {drift}")
@@ -226,10 +227,14 @@ _POISSON_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 def _counts(poisson: bool, seed: int, mean: np.ndarray, tag: int, block: int, keys: str):
     """Poisson draws of ``mean`` from ``substream(seed, tag, block)``, or
-    ``mean`` itself in expected-value mode.  A mean above numpy's limit
-    raises before any draw, naming ``keys``, the config keys that set it."""
+    ``mean`` itself in expected-value mode.  A mean that is negative, NaN
+    or above numpy's limit raises before any draw, naming ``keys``, the
+    config keys that set it."""
     if not poisson:
         return mean
+    if np.any(invalid := ~(mean >= 0.0)):  # NaN fails >= too
+        raise ValueError(f"{keys}: a Poisson mean must be >= 0 "
+                         f"(got {mean[invalid][0]:.3g} counts per dwell)")
     if np.any(too_large := mean > _POISSON_MAX):
         raise ValueError(f"{keys}: too large, a Poisson mean of "
                          f"{mean[too_large].max():.3g} counts per dwell is above "

@@ -33,7 +33,7 @@ by their float64 bits, so ``-0.0`` and ``0.0`` stay distinct).  Every
 interval's term is then formed from those rows with the same operations
 as the interval-by-interval sum, and added to its aperture's amplitude
 in interval order, starting from zero.  The result has the same bits as
-that sum, for any block layout and any worker count.  The intervals
+that sum, for any block size.  The intervals
 whose value is zero (the opaque gaps of an opaque geometry) are left
 out: the sum starts from +0.0 and, under round-to-nearest, never becomes
 -0.0, so adding a zero term of either sign leaves its bits as they are.
@@ -67,7 +67,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._parallel import map_slices
 from .interference import COMBINATIONS
 
 #: Mask feature schemes.
@@ -362,57 +361,54 @@ def _fourier_pass(apertures: Sequence[CombinationAperture], u: np.ndarray,
     n_int, n_w, n_c = val.size, widths.size, centers.size
     intensity = out.dtype.kind == "f"
 
-    def fill(start: int, stop: int) -> None:
-        cap = min(_BLOCK, stop - start)
-        x_buf = np.empty(n_w * cap)
-        s_buf = np.empty(n_w * cap)
-        # complex sinc rows: a complex coefficient times a float row casts
-        # the row, and casting once per block gives the same bits
-        sinc_buf = np.zeros(n_w * cap, dtype=np.complex128)  # imag stays 0
-        phase_buf = np.empty(n_c * cap, dtype=np.complex128)
-        term_buf = np.empty(n_int * cap, dtype=np.complex128)
-        gather_buf = np.empty(n_int * cap, dtype=np.complex128)
-        acc_buf = np.empty(n_ap * cap, dtype=np.complex128)
-        sq_buf = np.empty(2 * n_ap * cap)
-        for a in range(start, stop, cap):
-            b = min(a + cap, stop)
-            n = b - a
-            ub = u[a:b]
-            x = np.multiply(sinc_scale, ub, out=_rows(x_buf, n_w, n))
-            s = np.sin(x, out=_rows(s_buf, n_w, n))
-            nonzero = x != 0.0
-            np.divide(s, x, out=s, where=nonzero)
-            s[~nonzero] = 1.0
-            sinc = _rows(sinc_buf, n_w, n)
-            sinc.real = s
-            phase = _rows(phase_buf, n_c, n)
-            phase.real = 0.0
-            np.multiply(phase_scale, ub, out=phase.imag)
-            np.exp(phase, out=phase)
+    cap = min(_BLOCK, u.size)
+    x_buf = np.empty(n_w * cap)
+    s_buf = np.empty(n_w * cap)
+    # complex sinc rows: a complex coefficient times a float row casts
+    # the row, and casting once per block gives the same bits
+    sinc_buf = np.zeros(n_w * cap, dtype=np.complex128)  # imag stays 0
+    phase_buf = np.empty(n_c * cap, dtype=np.complex128)
+    term_buf = np.empty(n_int * cap, dtype=np.complex128)
+    gather_buf = np.empty(n_int * cap, dtype=np.complex128)
+    acc_buf = np.empty(n_ap * cap, dtype=np.complex128)
+    sq_buf = np.empty(2 * n_ap * cap)
+    for a in range(0, u.size, cap):
+        b = min(a + cap, u.size)
+        n = b - a
+        ub = u[a:b]
+        x = np.multiply(sinc_scale, ub, out=_rows(x_buf, n_w, n))
+        s = np.sin(x, out=_rows(s_buf, n_w, n))
+        nonzero = x != 0.0
+        np.divide(s, x, out=s, where=nonzero)
+        s[~nonzero] = 1.0
+        sinc = _rows(sinc_buf, n_w, n)
+        sinc.real = s
+        phase = _rows(phase_buf, n_c, n)
+        phase.real = 0.0
+        np.multiply(phase_scale, ub, out=phase.imag)
+        np.exp(phase, out=phase)
 
-            # term = (val * w) * sinc * phase, in the reference's order
-            term = _rows(term_buf, n_int, n)
-            np.take(sinc, w_row, axis=0, out=term, mode="clip")
-            np.multiply(coef, term, out=term)
-            gathered = _rows(gather_buf, n_int, n)
-            np.take(phase, c_row, axis=0, out=gathered, mode="clip")
-            np.multiply(term, gathered, out=term)
+        # term = (val * w) * sinc * phase, in the reference's order
+        term = _rows(term_buf, n_int, n)
+        np.take(sinc, w_row, axis=0, out=term, mode="clip")
+        np.multiply(coef, term, out=term)
+        gathered = _rows(gather_buf, n_int, n)
+        np.take(phase, c_row, axis=0, out=gathered, mode="clip")
+        np.multiply(term, gathered, out=term)
 
-            # sequential sums from +0, one slot at a time; a reduction
-            # over the interval axis would not give the same bits
-            acc = _rows(acc_buf, n_ap, n)
-            acc.fill(0.0)
-            for rows, first in zip(rows_in_slot, slot_start):
-                np.add(acc[:rows], term[first:first + rows], out=acc[:rows])
-            if intensity:
-                re2, im2 = sq_buf[: 2 * n_ap * n].reshape(2, n_ap, n)
-                np.multiply(acc.real, acc.real, out=re2)
-                np.multiply(acc.imag, acc.imag, out=im2)
-                out[order, a:b] = np.add(re2, im2, out=re2)
-            else:
-                out[order, a:b] = acc
-
-    map_slices(fill, u.size)
+        # sequential sums from +0, one slot at a time; a reduction
+        # over the interval axis would not give the same bits
+        acc = _rows(acc_buf, n_ap, n)
+        acc.fill(0.0)
+        for rows, first in zip(rows_in_slot, slot_start):
+            np.add(acc[:rows], term[first:first + rows], out=acc[:rows])
+        if intensity:
+            re2, im2 = sq_buf[: 2 * n_ap * n].reshape(2, n_ap, n)
+            np.multiply(acc.real, acc.real, out=re2)
+            np.multiply(acc.imag, acc.imag, out=im2)
+            out[order, a:b] = np.add(re2, im2, out=re2)
+        else:
+            out[order, a:b] = acc
 
 
 def _grid(u) -> np.ndarray:

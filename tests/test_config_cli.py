@@ -363,6 +363,19 @@ class TestCli:
             "error: repetition 0, combination A: counts must be finite and >= 0 "
             "(got -4.125e+08)\n")
 
+    def test_run_negative_poisson_mean_exits_2_naming_the_keys(self, tmp_path, capsys):
+        # the config above with Poisson counts: the mean is checked before any draw
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("mean_power = 1e6\nnonlinearity = 0.9\nfull_scale_rate = 1e3\n",
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(key in err for key in ("mean_power", "nonlinearity", "full_scale_rate"))
+        assert "a Poisson mean must be >= 0 (got -4.13e+08 counts per dwell)" in err
+        assert not out.exists() or not list(out.iterdir())
+
     @pytest.mark.parametrize("key", ["mean_power", "dwell_time", "dark_rate",
                                      "monitor_counts"])
     def test_run_poisson_mean_above_numpy_limit_exits_2_naming_the_key(

@@ -1,5 +1,4 @@
 import math
-import re
 import sys
 from pathlib import Path
 
@@ -178,15 +177,12 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("lam", [np.nan, -1.0, -1e-300, np.inf, 1e19])
     def test_invalid_poisson_mean_raises(self, lam):
-        # above the limit raises before drawing, naming the keys; NaN and
-        # negative means raise numpy's own error for an array of means
+        # every invalid mean raises before drawing, naming the keys
         means = np.array([[20.0, lam, 30.0]])
         if lam > experiment._POISSON_MAX:
             match = "^k: too large"
         else:
-            with pytest.raises(ValueError) as numpy_error:
-                np.random.default_rng(0).poisson(means)
-            match = re.escape(str(numpy_error.value))
+            match = rf"^k: a Poisson mean must be >= 0 \(got {lam:.3g} counts per dwell\)$"
         with pytest.raises(ValueError, match=match):
             experiment._counts(True, 0, means, 3, 0, "k")
 

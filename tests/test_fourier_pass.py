@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from bornlab import optics
-from bornlab._parallel import THREADS_ENV
 from bornlab.interference import COMBINATIONS
 from bornlab.optics import (
     BLOCKING,
@@ -24,6 +23,10 @@ from bornlab.optics import (
 from oracles import far_field_amplitude_loop, pattern_set_loop
 
 BLOCK = optics._BLOCK
+#: Block sizes of the Fourier pass, each of which must give the loop's
+#: bits: one point per block, a prime, the default, and one block for
+#: most grids below.
+BLOCK_SIZES = [1, 7, 128, 4096]
 
 
 def assert_same_bits(got, want):
@@ -65,6 +68,13 @@ def geometry(name, scheme, displacement=0.0):
 
 def displacements(rng, scale=10e-6):
     return {c: float(rng.uniform(-scale, scale)) for c in COMBINATIONS}
+
+
+def test_fourier_zero_width_grid_point(rng):
+    # u = 0 exercises the sinc branch
+    ap = random_aperture(rng, 4)
+    out = far_field_amplitude(ap, np.array([0.0]))
+    assert out[0] == pytest.approx(np.sum(ap.values * np.diff(ap.edges)), rel=1e-12)
 
 
 class TestFarFieldAmplitude:
@@ -127,6 +137,13 @@ class TestFarFieldAmplitude:
         ap = random_aperture(rng, 11)
         assert_same_bits(far_field_amplitude(ap, u), far_field_amplitude_loop(ap, u))
 
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_block_sizes(self, plate, mask, monkeypatch, block):
+        ap = build_combination_aperture(plate, mask, "ABC")
+        u = np.linspace(-4e4, 4e4, 4096)
+        monkeypatch.setattr(optics, "_BLOCK", block)
+        assert_same_bits(far_field_amplitude(ap, u), far_field_amplitude_loop(ap, u))
+
 
 class TestPatternSet:
     @pytest.mark.parametrize("scheme", [OPENING, BLOCKING])
@@ -163,23 +180,16 @@ class TestPatternSet:
         assert_same_curves(pattern_set(plate, mask, u, displacements=shifts),
                            pattern_set_loop(plate, mask, u, displacements=shifts))
 
-    def test_curves_identical_across_worker_counts(self, rng, monkeypatch):
-        # 3001 points: two workers split the grid at 1500, which is not a
-        # block edge of the serial pass
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_curves_identical_across_block_sizes(self, rng, monkeypatch, block):
+        # a partial last block at sizes 7 and 128, one block at 4096
         plate = leaky_plate()
         mask = combination_mask_for_plate(plate, BLOCKING, leakage_amplitude=0.1)
         u = np.linspace(-4e4, 4e4, 3001)
         shifts = displacements(rng)
-        results = []
-        for workers in (None, "1", "2"):
-            if workers is None:
-                monkeypatch.delenv(THREADS_ENV, raising=False)
-            else:
-                monkeypatch.setenv(THREADS_ENV, workers)
-            results.append(pattern_set(plate, mask, u, displacements=shifts))
-        for other in results[1:]:
-            assert_same_curves(other, results[0])
-        assert_same_curves(results[0], pattern_set_loop(plate, mask, u, displacements=shifts))
+        monkeypatch.setattr(optics, "_BLOCK", block)
+        assert_same_curves(pattern_set(plate, mask, u, displacements=shifts),
+                           pattern_set_loop(plate, mask, u, displacements=shifts))
 
 
 class TestDisplacementKeys:
@@ -223,11 +233,8 @@ class TestEvenCurves:
         shifts = displacements(rng)
         want = pattern_set_loop(plate, mask, u, displacements=shifts)
         want_raw = pattern_set_loop(plate, mask, u, normalize=False, displacements=shifts)
-        for workers in (None, "1", "2"):
-            if workers is None:
-                monkeypatch.delenv(THREADS_ENV, raising=False)
-            else:
-                monkeypatch.setenv(THREADS_ENV, workers)
+        for block in BLOCK_SIZES:
+            monkeypatch.setattr(optics, "_BLOCK", block)
             assert_same_curves(pattern_set(plate, mask, u, displacements=shifts), want)
             assert_same_curves(
                 pattern_set(plate, mask, u, normalize=False, displacements=shifts), want_raw)
