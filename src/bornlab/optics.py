@@ -28,15 +28,34 @@ eight of ``pattern_set``, the one of ``far_field_amplitude``).  The
 intervals of the apertures share a few distinct widths and centers: the
 plate slits recur in every combination.  So the grid is cut into blocks
 of ``u``, and per block each distinct width's sinc row and each distinct
-center's phase row is computed once (widths and centers are told apart
-by their float64 bits, so ``-0.0`` and ``0.0`` stay distinct).  Every
-interval's term is then formed from those rows with the same operations
-as the interval-by-interval sum, and added to its aperture's amplitude
-in interval order, starting from zero.  The result has the same bits as
-that sum, for any block size.  The intervals
-whose value is zero (the opaque gaps of an opaque geometry) are left
-out: the sum starts from +0.0 and, under round-to-nearest, never becomes
--0.0, so adding a zero term of either sign leaves its bits as they are.
+``|c|``'s cosine and sine rows are computed once.  Every interval's term
+is then formed from those rows with the same operations as the
+interval-by-interval sum, and added to its aperture's amplitude in
+interval order, starting from zero.  The result has the same bits as
+that sum, for any block size.  The intervals whose value is zero (the
+opaque gaps of an opaque geometry) are left out: the sum starts from
++0.0 and, under round-to-nearest, never becomes -0.0, so adding a zero
+term of either sign leaves its bits as they are.
+
+The arithmetic is planar: transmissions are real, so a term is a real
+coefficient ``t * w``, times a real sinc, times the real and the
+imaginary plane of the phase, and the amplitude is a pair of float
+sums.  The complex product that the interval-by-interval sum forms
+(coefficient ``(a, 0)`` times phase ``(p, q)``) has the exact zero
+``0 * q`` and ``0 * p`` as its cross products, so its parts round like
+``a * p`` and ``a * q``, up to the signs of zeros, which sums from +0.0
+cannot see.  With a nonzero imaginary part in both factors the complex
+product may round differently (numpy's complex multiply can fuse a
+multiply and an add), which is why the transmissions are real.  Two
+facts of libm complete the argument, and the tests against the
+interval-by-interval loop, which uses numpy's complex ``exp``, check
+both on every machine that runs them:
+
+* ``exp(iy)`` has the bits of ``(cos(y), sin(y))``: the loop's phase is
+  numpy's complex ``exp``, the kernel's the real ``cos`` and ``sin``;
+* ``sin`` is odd and ``cos`` even bit for bit: the phase argument of a
+  center ``-c`` is exactly ``-y``, so a center ``c < 0`` shares the rows
+  of ``-c`` and negates the sine.
 
 ``pattern_set`` also evaluates each distinct ``|u|`` only once and
 copies the intensity to both ``+u`` and ``-u``.  Every aperture it
@@ -45,22 +64,25 @@ has the bits that a direct evaluation at ``-u`` gives:
 
 * ``(pi w) * -u`` is exactly ``-x``, and ``sin`` is odd, so the sinc
   rows at ``-u`` equal those at ``u``;
-* ``exp(-iy)`` is ``conj(exp(iy))``, so the phase rows are conjugates;
+* the sine rows at ``-u`` are negated and the cosine rows unchanged;
 * a term is a real coefficient times these rows, and the sequential sums
   round symmetrically under negation, so the amplitude at ``-u`` is the
   conjugate of the one at ``u`` up to the signs of zeros;
 * ``re * re + im * im`` drops the sign of the imaginary part and of zeros.
 
-This rests on libm's ``sin`` being odd and ``cos`` even bit for bit,
-which the tests against the interval-by-interval loop check.
 ``far_field_amplitude`` returns complex amplitudes, whose signed zeros
 would differ, so it evaluates every point as given.
+
+``pattern_set`` cuts the plate into its pieces once and builds the
+intervals of all eight combinations as plain lists for the pass;
+``build_combination_aperture`` is the one-combination case of the same
+builder.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
@@ -120,9 +142,9 @@ class SlitPlate:
             self, "slits", _validate_features(self.slits, "slits", allow_empty=False)
         )
         _check_amplitude(self.leakage_amplitude, "plate leakage amplitude")
-        if not self.plate_half_width > 0.0:
+        if not 0.0 < self.plate_half_width < math.inf:
             raise ValueError(
-                f"plate_half_width must be > 0 (got {self.plate_half_width})"
+                f"plate_half_width must be finite and > 0 (got {self.plate_half_width})"
             )
         for c, w in self.slits:
             if c - w / 2 < -self.plate_half_width or c + w / 2 > self.plate_half_width:
@@ -167,10 +189,13 @@ class CombinationMask:
 
 @dataclass(frozen=True, eq=False)
 class CombinationAperture:
-    """Piecewise-constant complex transmission of one combination.
+    """Piecewise-constant real transmission of one combination.
 
     ``values[i]`` holds on ``[edges[i], edges[i+1])``; the transmission is
-    zero outside ``[edges[0], edges[-1]]``.
+    zero outside ``[edges[0], edges[-1]]``.  Transmissions are real: a
+    layer that shifts the phase by pi has a negative value.  Complex
+    values are accepted when every imaginary part is zero, and are stored
+    as their real parts.
     """
 
     edges: np.ndarray
@@ -179,9 +204,17 @@ class CombinationAperture:
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.complex128)
+        values = np.asarray(self.values)
+        if values.dtype.kind != "c":
+            values = values.astype(np.float64)
         if edges.ndim != 1 or values.ndim != 1 or edges.size != values.size + 1:
             raise ValueError("need n+1 edges for n interval values")
+        if not (np.isfinite(edges).all() and np.isfinite(values).all()):
+            raise ValueError("edges and values must be finite")
+        if values.dtype.kind == "c":
+            if np.any(values.imag != 0.0):
+                raise ValueError("transmissions must be real (got a nonzero imaginary part)")
+            values = np.ascontiguousarray(values.real)
         if not (edges[1:] > edges[:-1]).all():
             raise ValueError("edges must be strictly increasing")
         if values.size and np.abs(values).max() > 1.0 + 1e-12:
@@ -190,11 +223,11 @@ class CombinationAperture:
         object.__setattr__(self, "values", values)
 
     def transmission(self, x):
-        """Complex transmission at position(s) x."""
+        """Transmission at position(s) x."""
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.edges, x, side="right") - 1
         inside = (idx >= 0) & (idx < self.values.size)
-        out = np.zeros(x.shape, dtype=np.complex128)
+        out = np.zeros(x.shape)
         out[inside] = self.values[idx[inside]]
         return out if out.ndim else out[()]
 
@@ -236,19 +269,61 @@ def combination_mask_for_plate(
     return CombinationMask(scheme, features, leakage_amplitude, displacement)
 
 
-def _plate_pieces(plate: SlitPlate):
-    """Breakpoints and values of the plate transmission on its extent."""
-    w = plate.plate_half_width
-    edges = [-w]
-    values = []
+def _combination_pieces(plate: SlitPlate, mask: CombinationMask, shifts):
+    """Edges and values, as lists, of the pointwise product of the plate
+    and each displaced mask row.
+
+    ``shifts`` holds (combination, displacement) pairs; the plate is cut
+    into its pieces once for all of them.  Raises if the mask defines no
+    feature row for one of the combinations.
+    """
+    half = plate.plate_half_width
     g = plate.leakage_amplitude
+    plate_edges = [-half]
     for c, width in sorted(plate.slits):
-        a, b = c - width / 2, c + width / 2
-        edges.extend([a, b])
-        values.extend([g, 1.0])
-    edges.append(w)
-    values.append(g)
-    return edges, values
+        plate_edges.extend([c - width / 2, c + width / 2])
+    plate_edges.append(half)
+    plate_cuts = set(plate_edges)
+    # x lies on plate piece i - 1 for i = bisect_right(plate_edges, x);
+    # i = 0 and i = len(plate_edges) are off the plate
+    plate_value = [0.0, *[g, 1.0] * len(plate.slits), g, 0.0]
+    if mask.scheme == OPENING:
+        base, feat_val = mask.leakage_amplitude, 1.0
+    else:
+        base, feat_val = 1.0, mask.leakage_amplitude
+
+    pieces = []
+    for combination, shift in shifts:
+        if combination not in mask.features:
+            raise ValueError(
+                f"mask defines no feature row for combination {combination!r}"
+            )
+        feats = [
+            (c + shift - w / 2, c + shift + w / 2)
+            for c, w in mask.features[combination]
+        ]
+        cut = sorted(plate_cuts.union(e for ab in feats for e in ab if -half < e < half))
+        # x lies under a feature when one starting at or before x ends
+        # after x: i = bisect_right(starts, x) features start at or before
+        # x, and reach[i] is the furthest end among them
+        feats.sort()
+        starts = [lo for lo, _hi in feats]
+        reach = [-math.inf, *accumulate((hi for _lo, hi in feats), max)]
+
+        edges = [cut[0]]
+        values: list[float] = []
+        for lo, hi in zip(cut, cut[1:]):
+            mid = 0.5 * (lo + hi)
+            v = plate_value[bisect_right(plate_edges, mid)] * (
+                feat_val if mid < reach[bisect_right(starts, mid)] else base
+            )
+            if values and v == values[-1]:
+                edges[-1] = hi  # coalesce equal neighbors
+            else:
+                edges.append(hi)
+                values.append(v)
+        pieces.append((edges, values))
+    return pieces
 
 
 def build_combination_aperture(
@@ -262,153 +337,132 @@ def build_combination_aperture(
     ``displacement`` replaces the mask's own displacement when given.
     Raises if the mask defines no feature row for the combination.
     """
-    if combination not in mask.features:
-        raise ValueError(
-            f"mask defines no feature row for combination {combination!r}"
-        )
     shift = mask.displacement if displacement is None else displacement
-    plate_edges, plate_values = _plate_pieces(plate)
-    feats = [
-        (c + shift - w / 2, c + shift + w / 2)
-        for c, w in mask.features[combination]
-    ]
-    if mask.scheme == OPENING:
-        base, feat_val = mask.leakage_amplitude, 1.0
-    else:
-        base, feat_val = 1.0, mask.leakage_amplitude
-
-    half = plate.plate_half_width
-    cut = sorted(
-        set(plate_edges) | {e for ab in feats for e in ab if -half < e < half}
-    )
-    # x lies in plate piece i when plate_edges[i] <= x < plate_edges[i + 1],
-    # and under a feature when one starting at or before x ends after x
-    feats.sort()
-    starts = [lo for lo, _hi in feats]
-    reach = list(accumulate((hi for _lo, hi in feats), max))
-
-    def plate_at(x: float) -> float:
-        i = bisect_right(plate_edges, x) - 1
-        return plate_values[i] if 0 <= i < len(plate_values) else 0.0
-
-    def mask_at(x: float) -> float:
-        i = bisect_right(starts, x)
-        return feat_val if i and x < reach[i - 1] else base
-
-    edges = [cut[0]]
-    values: list[float] = []
-    for lo, hi in zip(cut[:-1], cut[1:]):
-        mid = 0.5 * (lo + hi)
-        v = plate_at(mid) * mask_at(mid)
-        if values and v == values[-1]:
-            edges[-1] = hi  # coalesce equal neighbors
-        else:
-            edges.append(hi)
-            values.append(v)
+    [(edges, values)] = _combination_pieces(plate, mask, [(combination, shift)])
     return CombinationAperture(
-        np.array(edges), np.array(values, dtype=np.complex128), combination
+        np.array(edges, dtype=np.float64), np.array(values, dtype=np.float64), combination
     )
 
 
-#: Grid points per block of the Fourier pass.  A table or term row takes
-#: 2 kB per block, so the work buffers stay in cache and small enough to
-#: be reused from the heap instead of being mapped afresh on each call.
+#: Grid points per block of the Fourier pass.  A trig or term row takes
+#: 1 kB per block, so the work arrays stay in cache.
 _BLOCK = 128
 
 
-def _rows(buf: np.ndarray, k: int, n: int) -> np.ndarray:
-    """The first ``k * n`` elements of a flat buffer as a contiguous (k, n) array."""
-    return buf[: k * n].reshape(k, n)
-
-
-def _fourier_pass(apertures: Sequence[CombinationAperture], u: np.ndarray,
-                  out: np.ndarray) -> None:
+def _fourier_pass(pieces, u: np.ndarray, out: np.ndarray) -> None:
     """Transform every aperture on the contiguous float64 grid ``u``.
 
-    Row k of ``out`` receives the far-field amplitude of ``apertures[k]``
-    if ``out`` is complex, and its squared modulus if ``out`` is float.
+    ``pieces`` holds the (edges, values) lists of each aperture.  Row k of
+    ``out`` receives the far-field amplitude of aperture k if ``out`` is
+    complex, and its squared modulus if ``out`` is float.
     """
-    n_ap = len(apertures)
-    sizes = [ap.values.size for ap in apertures]
-    owner = np.repeat(np.arange(n_ap), sizes)
-    lo = np.concatenate([ap.edges[:-1] for ap in apertures])
-    hi = np.concatenate([ap.edges[1:] for ap in apertures])
-    val = np.concatenate([ap.values for ap in apertures])
-    # a zero term adds a zero to a sum that is never -0.0, which leaves it as it is
-    keep = val != 0.0
-    owner, lo, hi, val = owner[keep], lo[keep], hi[keep], val[keep]
+    # Per interval: the row of its width among the distinct widths, the
+    # row of its |center| among the distinct |center|s (a center c < 0
+    # shares the phase row of -c and negates its sine), and its
+    # coefficients for the cosine and the sine plane.
+    widths: dict[float, int] = {}
+    centers: dict[float, int] = {}
+    terms = []
+    for edges, values in pieces:
+        rows = []
+        for lo, hi, v in zip(edges, edges[1:], values):
+            # a zero term adds a zero to a sum that is never -0.0, which
+            # leaves it as it is
+            if v != 0.0:
+                w = hi - lo
+                c = 0.5 * (lo + hi)
+                rows.append((widths.setdefault(w, len(widths)),
+                             centers.setdefault(abs(c), len(centers)),
+                             v * w, -v * w if c < 0.0 else v * w))
+        terms.append(rows)
     # Longest aperture first, and the intervals slot-major: slot i holds
     # the i-th interval of every aperture that has one, and those
     # apertures are the first rows of the accumulator.
-    counts = np.bincount(owner, minlength=n_ap)
-    order = np.argsort(-counts, kind="stable")
-    rank = np.empty(n_ap, dtype=np.intp)
-    rank[order] = np.arange(n_ap)
-    slot = np.arange(val.size) - (np.cumsum(counts) - counts)[owner]
-    perm = np.lexsort((rank[owner], slot))
-    lo, hi, val = lo[perm], hi[perm], val[perm]
-    rows_in_slot = np.bincount(slot).tolist()
-    slot_start = np.cumsum([0] + rows_in_slot).tolist()
-
-    width = hi - lo
-    center = 0.5 * (lo + hi)
-    coef = (val * width)[:, None]
-    widths, w_row = np.unique(width.view(np.uint64), return_inverse=True)
-    centers, c_row = np.unique(center.view(np.uint64), return_inverse=True)
-    sinc_scale = (np.pi * widths.view(np.float64))[:, None]
-    # the phase argument is (-2j * pi * c) * u, whose real part is zero
-    phase_scale = (-2j * np.pi * centers.view(np.float64)).imag[:, None]
-    n_int, n_w, n_c = val.size, widths.size, centers.size
+    n_ap = len(terms)
+    order = sorted(range(n_ap), key=lambda k: -len(terms[k]))
+    shorter = [-len(terms[k]) for k in order]  # ascending
+    rows_in_slot = [bisect_left(shorter, -i) for i in range(-shorter[0])]
+    slot_start = list(accumulate(rows_in_slot, initial=0))
+    table = [terms[k][i] for i, rows in enumerate(rows_in_slot) for k in order[:rows]]
+    w_row, c_row, cos_coef, sin_coef = zip(*table) if table else ((),) * 4
+    n_int, n_w, n_c = len(table), len(widths), len(centers)
+    # trig rows: sin(x), then the sinc, for the widths; sin(y) and cos(y)
+    # for the centers
+    scale = np.empty((n_w + n_c, 1))
+    scale[:n_w, 0] = np.pi * np.array(list(widths), dtype=np.float64)
+    # the phase argument is (-2j * pi * c) * u, whose real part is +-0
+    scale[n_w:, 0] = (-2j * np.pi * np.array(list(centers), dtype=np.float64)).imag
+    # the trig rows that each interval's two planes take: its sinc twice,
+    # then its cosine and its sine
+    sinc_rows = np.array([w_row, w_row], dtype=np.intp).T.copy()
+    phase_rows = (np.array([c_row, c_row], dtype=np.intp).T + (n_w + n_c, n_w)).copy()
+    rank = np.array(order, dtype=np.intp)
     intensity = out.dtype.kind == "f"
 
     cap = min(_BLOCK, u.size)
-    x_buf = np.empty(n_w * cap)
-    s_buf = np.empty(n_w * cap)
-    # complex sinc rows: a complex coefficient times a float row casts
-    # the row, and casting once per block gives the same bits
-    sinc_buf = np.zeros(n_w * cap, dtype=np.complex128)  # imag stays 0
-    phase_buf = np.empty(n_c * cap, dtype=np.complex128)
-    term_buf = np.empty(n_int * cap, dtype=np.complex128)
-    gather_buf = np.empty(n_int * cap, dtype=np.complex128)
-    acc_buf = np.empty(n_ap * cap, dtype=np.complex128)
-    sq_buf = np.empty(2 * n_ap * cap)
+    # Rows per point of the work arrays: arguments, trig rows, coefficient
+    # times sinc, term planes, accumulator.  They share one allocation,
+    # which the allocator hands back on the next call; separate ones of
+    # 60-220 kB each were returned to the system and faulted back in on
+    # every call.
+    shape_rows = [n_w + n_c, n_w + 2 * n_c, 2 * n_int, 2 * n_int, 2 * n_ap]
+    work = np.empty(sum(shape_rows) * cap + 2 * n_int * cap)
+    offsets = list(accumulate(shape_rows, initial=0))
+    # the coefficients repeated along the grid, so that multiplying by
+    # them is one contiguous operation
+    coef_full = work[offsets[-1] * cap:].reshape(n_int, 2, cap)
+    coef_full[...] = np.array([cos_coef, sin_coef], dtype=np.float64).T[:, :, None]
+
+    def views(n):
+        """The work arrays of an n-point block, and the slot sums' views."""
+        arg, trig, scaled, planes, acc = (
+            work[lo * n: hi * n] for lo, hi in zip(offsets, offsets[1:]))
+        planes = planes.reshape(n_int, 2, n)
+        acc = acc.reshape(n_ap, 2, n)
+        slots = [(acc[:k], planes[first:first + k])
+                 for k, first in zip(rows_in_slot, slot_start)]
+        return (arg.reshape(n_w + n_c, n), trig.reshape(n_w + 2 * n_c, n),
+                scaled.reshape(n_int, 2, n), coef_full[:, :, :n], planes, acc, slots)
+
+    full = views(cap)
     for a in range(0, u.size, cap):
         b = min(a + cap, u.size)
-        n = b - a
-        ub = u[a:b]
-        x = np.multiply(sinc_scale, ub, out=_rows(x_buf, n_w, n))
-        s = np.sin(x, out=_rows(s_buf, n_w, n))
-        nonzero = x != 0.0
-        np.divide(s, x, out=s, where=nonzero)
-        s[~nonzero] = 1.0
-        sinc = _rows(sinc_buf, n_w, n)
-        sinc.real = s
-        phase = _rows(phase_buf, n_c, n)
-        phase.real = 0.0
-        np.multiply(phase_scale, ub, out=phase.imag)
-        np.exp(phase, out=phase)
+        arg, trig, scaled, coef, planes, acc, slots = full if b - a == cap else views(b - a)
+        np.multiply(scale, u[a:b], out=arg)
+        np.sin(arg, out=trig[: n_w + n_c])
+        np.cos(arg[n_w:], out=trig[n_w + n_c:])
+        x, sinc = arg[:n_w], trig[:n_w]
+        if x.all():
+            np.divide(sinc, x, out=sinc)
+        else:
+            nonzero = x != 0.0
+            np.divide(sinc, x, out=sinc, where=nonzero)
+            sinc[~nonzero] = 1.0
 
-        # term = (val * w) * sinc * phase, in the reference's order
-        term = _rows(term_buf, n_int, n)
-        np.take(sinc, w_row, axis=0, out=term, mode="clip")
-        np.multiply(coef, term, out=term)
-        gathered = _rows(gather_buf, n_int, n)
-        np.take(phase, c_row, axis=0, out=gathered, mode="clip")
-        np.multiply(term, gathered, out=term)
+        # term = (val * w) * sinc * phase, in the reference's order, as
+        # its real (cos) and imaginary (sin) planes
+        np.take(trig, sinc_rows, axis=0, out=scaled, mode="clip")
+        np.multiply(coef, scaled, out=scaled)
+        np.take(trig, phase_rows, axis=0, out=planes, mode="clip")
+        np.multiply(scaled, planes, out=planes)
 
         # sequential sums from +0, one slot at a time; a reduction
         # over the interval axis would not give the same bits
-        acc = _rows(acc_buf, n_ap, n)
         acc.fill(0.0)
-        for rows, first in zip(rows_in_slot, slot_start):
-            np.add(acc[:rows], term[first:first + rows], out=acc[:rows])
+        for into, add in slots:
+            np.add(into, add, out=into)
         if intensity:
-            re2, im2 = sq_buf[: 2 * n_ap * n].reshape(2, n_ap, n)
-            np.multiply(acc.real, acc.real, out=re2)
-            np.multiply(acc.imag, acc.imag, out=im2)
-            out[order, a:b] = np.add(re2, im2, out=re2)
+            np.multiply(acc, acc, out=acc)
+            out[rank, a:b] = np.add(acc[:, 0], acc[:, 1], out=acc[:, 0])
         else:
-            out[order, a:b] = acc
+            out.real[rank, a:b] = acc[:, 0]
+            out.imag[rank, a:b] = acc[:, 1]
+
+
+#: Values of the copy through which ``pattern_set`` spreads its curves
+#: from the distinct ``|u|`` over the grid (512 kB): all eight rows at
+#: once on small grids, one at a time on large ones.
+_SPREAD_VALUES = 1 << 16
 
 
 def _grid(u) -> np.ndarray:
@@ -452,7 +506,7 @@ def far_field_amplitude(aperture: CombinationAperture, u):
     """
     u_arr = _grid(u)
     out = np.empty((1, u_arr.size), dtype=np.complex128)
-    _fourier_pass([aperture], u_arr, out)
+    _fourier_pass([(aperture.edges.tolist(), aperture.values.tolist())], u_arr, out)
     if np.ndim(u) == 0:
         return complex(out[0, 0])
     return out[0]
@@ -487,23 +541,26 @@ def pattern_set(
         if not math.isfinite(shift):
             raise ValueError("displacement must be finite")
         shifts[label] = shift
-    apertures = [
-        build_combination_aperture(plate, mask, combo, shifts[combo])
-        for combo in COMBINATIONS
-    ]
+    pieces = _combination_pieces(plate, mask, shifts.items())
     stacked = np.empty((len(COMBINATIONS), u_arr.size))
     distinct = _distinct_magnitudes(u_arr, stacked[:2])
     if distinct is None:
-        _fourier_pass(apertures, u_arr, stacked)
+        _fourier_pass(pieces, u_arr, stacked)
     else:
-        # evaluate each |u| once in the leading columns, then spread every
-        # row over the grid; the keys, no longer needed, hold the row meanwhile
+        # evaluate each |u| once in the leading columns, then spread the
+        # rows over the grid from a copy of those columns, as many rows at
+        # a time as _SPREAD_VALUES allows; the copy takes the keys' place
         keys, inverse = distinct
         k = keys.size
-        _fourier_pass(apertures, keys, stacked[:, :k])
-        for row in stacked:
-            keys[:] = row[:k]
-            np.take(keys, inverse, out=row)
+        _fourier_pass(pieces, keys, stacked[:, :k])
+        del distinct, keys
+        group = max(1, _SPREAD_VALUES // k)
+        copy = np.empty((min(group, len(stacked)), k))
+        for first in range(0, len(stacked), group):
+            rows = stacked[first:first + group]
+            part = copy[: len(rows)]
+            part[:] = rows[:, :k]
+            np.take(part, inverse, axis=1, out=rows)
     if normalize:
         peak = float(np.max(stacked[COMBINATIONS.index("ABC")]))
         if peak <= 0.0:

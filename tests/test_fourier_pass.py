@@ -5,8 +5,12 @@ sinc and phase rows per block of ``u``; these tests require the exact
 bits of the reference loop in ``oracles``, not closeness.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornlab import optics
 from bornlab.interference import COMBINATIONS
@@ -45,7 +49,7 @@ def assert_same_curves(got, want):
 
 def random_aperture(rng, n):
     edges = np.sort(rng.uniform(-2e-3, 2e-3, n + 1))
-    values = rng.uniform(0, 1, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    values = rng.uniform(-1, 1, n)
     return CombinationAperture(edges, values, "ABC")
 
 
@@ -100,12 +104,29 @@ class TestFarFieldAmplitude:
         # intervals symmetric about 0 have center +0.0; -0.0 as an edge
         # and as a grid point must not be confused with +0.0
         edges = np.array([-3e-4, -1e-4, -0.0, 1e-4, 3e-4])
-        ap = CombinationAperture(edges, np.array([0.3, 1.0, 0.5j, 0.3]), "A")
+        ap = CombinationAperture(edges, np.array([0.3, 1.0, -0.5, 0.3]), "A")
         sym = CombinationAperture(np.array([-2e-4, 2e-4]), np.array([1.0 + 0j]), "B")
         u = np.array([-0.0, 0.0, -1e4, 1e4, 5e-324, -5e-324, 2.5e4])
         for aperture in (ap, sym):
             assert_same_bits(far_field_amplitude(aperture, u),
                              far_field_amplitude_loop(aperture, u))
+
+    def test_nonzero_imaginary_part_rejected(self):
+        edges = np.array([-1e-4, 0.0, 1e-4])
+        for values in ([0.5, 0.5j], [complex(0.3, 1e-300), 1.0], [complex(-0.5, -5e-324), 0.0]):
+            with pytest.raises(ValueError, match="nonzero imaginary part"):
+                CombinationAperture(edges, np.array(values), "A")
+
+    def test_complex_values_with_zero_imaginary_parts_are_stored_real(self, rng):
+        # a complex aperture whose imaginary parts are +-0 is the real
+        # aperture of its real parts, bit for bit
+        ap = random_aperture(rng, 6)
+        values = ap.values.astype(np.complex128)
+        values.imag = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0]
+        cast = CombinationAperture(ap.edges, values, "ABC")
+        assert_same_bits(cast.values, ap.values)
+        u = np.linspace(-5e4, 5e4, BLOCK + 5)
+        assert_same_bits(far_field_amplitude(cast, u), far_field_amplitude_loop(ap, u))
 
     def test_aperture_without_intervals_gives_zeros(self):
         empty = CombinationAperture(np.array([0.0]), np.array([], dtype=complex), "0")
@@ -115,12 +136,13 @@ class TestFarFieldAmplitude:
         assert_same_bits(got, far_field_amplitude_loop(empty, u))
 
     def test_zero_valued_intervals(self, rng):
-        # zero-valued intervals, signed zeros among them, in random and opaque apertures
+        # zero-valued intervals, signed zeros among them, in random and
+        # opaque apertures; complex zeros are stored as their real parts
         zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
         u = np.concatenate([np.linspace(-5e4, 5e4, BLOCK + 9), [0.0, -0.0]])
         for _ in range(20):
             ap = random_aperture(rng, 9)
-            values = ap.values.copy()
+            values = ap.values.astype(np.complex128)
             hit = rng.random(values.size) < 0.5
             values[hit] = rng.choice(zeros, np.count_nonzero(hit))
             ap = CombinationAperture(ap.edges, values, "AB")
@@ -192,6 +214,56 @@ class TestPatternSet:
                            pattern_set_loop(plate, mask, u, displacements=shifts))
 
 
+#: Points in every drawn grid: both zeros, and the smallest subnormal,
+#: at which every sinc argument underflows to zero.
+SPECIAL_POINTS = [0.0, -0.0, 5e-324]
+
+
+@st.composite
+def lit_geometries(draw):
+    """A three-slit plate, a mask of either scheme with per-combination
+    displacements, and leakages from none to 20% in intensity; the
+    all-open curve is never dark, so every draw can be normalized."""
+    slit_width = draw(st.floats(5e-6, 60e-6))
+    separation = slit_width + draw(st.floats(1e-6, 340e-6))
+    feature_width = draw(st.floats(0.01, 0.99)) * separation
+    scheme = draw(st.sampled_from([OPENING, BLOCKING]))
+    plate_leakage = draw(st.floats(0.0, 0.2))
+    mask_leakage = draw(st.floats(0.0, 0.2))
+    # behind an opening mask without leakage (or so little that the
+    # curves would underflow), a displacement of at most half the shift
+    # at which an opening leaves its slit keeps the all-open row lit
+    reach = 100e-6
+    if scheme == OPENING and max(plate_leakage, mask_leakage) < 1e-12:
+        reach = min(reach, (feature_width + slit_width) / 4)
+    plate = triple_slit_plate(slit_width, separation,
+                              leakage_amplitude=math.sqrt(plate_leakage))
+    mask = combination_mask_for_plate(
+        plate, scheme, feature_width, leakage_amplitude=math.sqrt(mask_leakage),
+        displacement=draw(st.floats(-1.0, 1.0)) * reach)
+    shifts = {c: draw(st.floats(-1.0, 1.0)) * reach for c in COMBINATIONS}
+    return plate, mask, shifts
+
+
+@st.composite
+def grids_with_zeros(draw):
+    """Up to about 3 blocks of points in any order, some of them mirrored,
+    plus ``SPECIAL_POINTS``."""
+    points = draw(st.lists(st.floats(-6e4, 6e4), max_size=2 * BLOCK))
+    mirrored = draw(st.lists(st.floats(0.0, 6e4), max_size=BLOCK))
+    return np.array(draw(st.permutations(
+        points + mirrored + [-p for p in mirrored] + SPECIAL_POINTS)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=lit_geometries(), u=grids_with_zeros(), normalize=st.booleans())
+def test_pattern_set_matches_loop_property(geometry, u, normalize):
+    plate, mask, shifts = geometry
+    assert_same_curves(
+        pattern_set(plate, mask, u, normalize=normalize, displacements=shifts),
+        pattern_set_loop(plate, mask, u, normalize=normalize, displacements=shifts))
+
+
 class TestDisplacementKeys:
     def test_unknown_label_rejected(self, plate, mask):
         with pytest.raises(ValueError, match="'ab'"):
@@ -238,6 +310,18 @@ class TestEvenCurves:
             assert_same_curves(pattern_set(plate, mask, u, displacements=shifts), want)
             assert_same_curves(
                 pattern_set(plate, mask, u, normalize=False, displacements=shifts), want_raw)
+
+    @pytest.mark.parametrize("spread", [1, 700, optics._SPREAD_VALUES])
+    def test_rows_spread_in_groups(self, rng, monkeypatch, spread):
+        # one row at a time; two at a time on the mirrored grid (301
+        # distinct |u|); and all eight at once
+        plate, mask = geometry("leaky", BLOCKING)
+        shifts = displacements(rng)
+        monkeypatch.setattr(optics, "_SPREAD_VALUES", spread)
+        for grid in ("mirrored", "partly mirrored", "signed zeros", "unsorted"):
+            u = even_grids()[grid]
+            assert_same_curves(pattern_set(plate, mask, u, displacements=shifts),
+                               pattern_set_loop(plate, mask, u, displacements=shifts))
 
     def test_mirrored_grid_is_evaluated_at_half_its_points(self):
         keys, inverse = optics._distinct_magnitudes(np.linspace(-3e4, 3e4, 601), np.empty((2, 601)))

@@ -54,6 +54,23 @@ class TestGeometryValidation:
         with pytest.raises(ValueError, match="no feature row"):
             build_combination_aperture(plate, mask, "AB")
 
+    @pytest.mark.parametrize("edges, values", [
+        ([0.0, 1e-4], [math.nan]),
+        ([0.0, 1e-4, 2e-4], [0.5, -math.inf]),
+        ([0.0, math.inf], [1.0]),
+        ([-math.inf, 0.0], [0.5]),
+        ([0.0, math.nan, 2e-4], [1.0, 1.0]),
+        ([0.0, 1e-4], [complex(0.5, math.nan)]),
+    ])
+    def test_aperture_non_finite_rejected(self, edges, values):
+        with pytest.raises(ValueError, match="edges and values must be finite"):
+            CombinationAperture(np.array(edges), np.array(values), "A")
+
+    @pytest.mark.parametrize("half", [math.inf, math.nan])
+    def test_plate_half_width_must_be_finite(self, half):
+        with pytest.raises(ValueError, match=r"plate_half_width must be finite and > 0 \(got"):
+            triple_slit_plate(plate_half_width=half)
+
 
 class TestApertureConstruction:
     def test_ideal_all_open(self, plate, mask):
