@@ -247,7 +247,7 @@ def lit_geometries(draw):
 
 @st.composite
 def grids_with_zeros(draw):
-    """Up to about 3 blocks of points in any order, some of them mirrored,
+    """Up to four blocks of points in any order, some of them mirrored,
     plus ``SPECIAL_POINTS``."""
     points = draw(st.lists(st.floats(-6e4, 6e4), max_size=2 * BLOCK))
     mirrored = draw(st.lists(st.floats(0.0, 6e4), max_size=BLOCK))
