@@ -23,15 +23,16 @@ are taken with ``tolist()`` and fill the row template, repeated once per
 row, with one ``%`` call.  Any other iterable of rows is encoded
 ``_READ_BACK`` rows at a time, each column's format chosen from the
 types of its cells (a column of mixed types is formatted cell by cell).
-The writer's memory does not grow with the table, and the bytes depend
-neither on the path nor on the block size.  The 20,000-row counts table
-of a 2,500-repetition ``run --format json`` takes about 0.03 s from its
-columns and 0.05 s from the same rows on a 2-vCPU VM.  When a sweep
-table's second half mirrors its first (the same cells, bit for bit, with
-``position_u`` negated), each row pair is encoded once and the mirror
-row's text is read back from the file with its minus sign removed: a
-10^6-point ``sweep-mask`` takes about 15 s instead of 25 s on a 2-vCPU
-VM, with the same bytes and memory peak.
+On both paths a column constant within a block is written once, into
+the row template.  The writer's memory does not grow with the table, and
+the bytes depend neither on the path nor on the block size.  The
+20,000-row counts table of a 2,500-repetition ``run --format json``
+takes about 0.019 s from its columns and 0.029 s from the same rows on
+a 2-vCPU VM.  When a sweep table's second half mirrors its first (the
+same cells, bit for bit, with ``position_u`` negated), each row pair is
+encoded once and the mirror row's text is read back from the file with
+its minus sign removed: a 10^6-point ``sweep-mask`` takes about 15 s
+instead of 25 s on a 2-vCPU VM, with the same bytes and memory peak.
 """
 
 from __future__ import annotations
@@ -142,10 +143,21 @@ def _cell_spec(fmt: str, name: str, kind: type):
     return ("%.17g" if fmt == "csv" else "%s"), None
 
 
+#: Cell types whose equal values always encode to the same text.
+_FOLDABLE = (bool, int, float, str)
+
+
 def _column_fill(fmt: str, name: str, cells, kinds: set):
     """The ``%`` spec of one column of a block and the cells that fill it,
     from the set ``kinds`` of its cell types.  A column whose types need
-    different specs is given as text, each cell by its own spec."""
+    different specs is given as text, each cell by its own spec.
+
+    A column whose cells all encode to the same text is given as that
+    text, ``%``-escaped, and no cells: it is written once, into the row
+    template.  The test is exact: one cell type, the first cell equal to
+    the last and to every other.  Float zeros are never folded (``0.0 ==
+    -0.0``, but their texts differ), and NaN cells never compare equal.
+    """
     fields = {_cell_spec(fmt, name, kind) for kind in kinds}
     if len(fields) > 1:
         texts = []
@@ -154,6 +166,11 @@ def _column_fill(fmt: str, name: str, cells, kinds: set):
             texts.append(spec % (conv(value) if conv else value))
         return "%s", texts
     (spec, conv), = fields
+    first = cells[0]
+    if (len(kinds) == 1 and type(first) in _FOLDABLE and first == cells[-1]
+            and (first != 0 or type(first) is not float)
+            and cells.count(first) == len(cells)):
+        return (spec % (conv(first) if conv else first)).replace("%", "%%"), None
     return spec, (map(conv, cells) if conv else cells)
 
 
@@ -161,7 +178,9 @@ def _encoded_block(fmt: str, header, columns, kinds, n: int) -> str:
     """The text of a block of ``n`` rows (JSON objects joined by ``,``)
     from one ``%`` call on the row template repeated once per row.
     ``columns`` holds the block's cells column by column, in ``header``
-    order, and ``kinds`` the set of each column's cell types."""
+    order, and ``kinds`` the set of each column's cell types.  A column
+    constant within the block is part of the template (see
+    :func:`_column_fill`); only the other columns fill it."""
     specs, fills = zip(*map(functools.partial(_column_fill, fmt), header, columns, kinds))
     if fmt == "csv":
         order, template = range(len(specs)), ",".join(specs) + "\n"
@@ -173,7 +192,8 @@ def _encoded_block(fmt: str, header, columns, kinds, n: int) -> str:
         template = "\n  {\n" + ",\n".join(
             f"    {json.dumps(header[i]).replace('%', '%%')}: {specs[i]}"
             for i in order) + "\n  }"
-    # interleave the columns into row order by strided slice assignment
+    # interleave the other columns into row order by strided slice assignment
+    order = [i for i in order if fills[i] is not None]
     cells = [None] * (n * len(order))
     for j, i in enumerate(order):
         cells[j::len(order)] = fills[i]

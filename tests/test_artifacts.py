@@ -1,9 +1,10 @@
 """Artifact bytes: pinned hashes of the bundled configs' outputs, the
 table writer against the per-cell encoders it replaced, tables encoded
-from numpy columns against the same rows, ``run``'s tables against their
-repetition-by-repetition rows and against a wrapper that re-yields them,
-mirrored sweep rows against rows encoded one by one, and the writer's
-bytes across block sizes."""
+from numpy columns against the same rows, columns constant within a
+block (written once into the row template), ``run``'s tables against
+their repetition-by-repetition rows and against a wrapper that re-yields
+them, mirrored sweep rows against rows encoded one by one, and the
+writer's bytes across block sizes."""
 
 import hashlib
 import json
@@ -166,6 +167,62 @@ def test_blocked_rows_match_unblocked_rows(n, fmt, tmp_path):
     _write_table(whole, header, zip(*(col.tolist() for col in columns)), fmt)
     _write_table(wrapped, header, (row for row in _column_table(columns)), fmt)
     assert blocked.read_bytes() == whole.read_bytes() == wrapped.read_bytes()
+
+
+# -- a column whose cells in a block all encode to the same text is
+# -- written once, into the block's row template
+
+
+def _constant_table(n):
+    """``n`` rows: columns constant over every row, then three that must
+    not collapse to one text: zeros of both signs (+0.0 first and last),
+    NaN, and a column constant in the first ``_ROW_BLOCK`` rows whose
+    next block differs from its first and last cell in one inner row."""
+    zeros = np.zeros(n)
+    zeros[1:-1:5] = -0.0
+    step = np.full(n, 2.5)
+    step[_ROW_BLOCK + 64] = 3.5
+    columns = {
+        "big": np.full(n, 10**20, dtype=object),
+        "low": np.full(n, -(2**63)),
+        "x_defined": np.ones(n, dtype=bool),
+        "y_defined": np.zeros(n, dtype=bool),
+        "50%_level": np.full(n, "%(value)s"),
+        "label": np.full(n, "100%"),
+        "dwell_s": np.full(n, 37.5),
+        "up": np.full(n, math.inf),
+        "down": np.full(n, -math.inf),
+        "zero": zeros,
+        "nan": np.full(n, math.nan),
+        "step": step,
+    }
+    return tuple(columns), tuple(columns.values())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_only_constant_texts_fold_into_the_template(fmt):
+    header, columns = _constant_table(2 * _ROW_BLOCK)
+    for start, kept in ((0, {"zero", "nan"}), (_ROW_BLOCK, {"zero", "nan", "step"})):
+        folded = set()
+        for name, col in zip(header, columns):
+            cells = col[start:start + _ROW_BLOCK].tolist()
+            if cli._column_fill(fmt, name, cells, {type(cells[0])})[1] is None:
+                folded.add(name)
+        assert folded == set(header) - kept
+    # one NaN object in every row: list.count matches it by identity
+    assert cli._column_fill(fmt, "nan", [math.nan] * 3, {float})[1] is not None
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("source", ["columns", "rows"])
+def test_constant_columns_match_per_cell_encoders(source, fmt, tmp_path):
+    # blocks of _ROW_BLOCK rows from columns, of _READ_BACK rows from rows
+    header, columns = _constant_table(2 * _ROW_BLOCK + 1)
+    rows = list(zip(*(col.tolist() for col in columns)))
+    path = tmp_path / f"table.{fmt}"
+    _write_table(path, header, _column_table(columns) if source == "columns"
+                 else iter(rows), fmt)
+    assert path.read_bytes() == _oracle_table(header, rows, fmt).encode("utf-8")
 
 
 def _sweep(n):
