@@ -16,23 +16,19 @@ that round-trips, and the manifest carries no timestamps or machine
 identifiers.  A command's files replace the previous ones only once all
 of them are written.
 
-Tables computed as numpy columns are handed to the writer as a
-``_Columns`` table and encoded straight from them, ``_ROW_BLOCK`` rows
-at a time: each column's format comes from its dtype, the block's cells
-are taken with ``tolist()`` and fill the row template, repeated once per
-row, with one ``%`` call.  Any other iterable of rows is encoded
-``_READ_BACK`` rows at a time, each column's format chosen from the
-types of its cells (a column of mixed types is formatted cell by cell).
-On both paths a column constant within a block is written once, into
-the row template.  The writer's memory does not grow with the table, and
-the bytes depend neither on the path nor on the block size.  The
-20,000-row counts table of a 2,500-repetition ``run --format json``
-takes about 0.019 s from its columns and 0.029 s from the same rows on
-a 2-vCPU VM.  When a sweep table's second half mirrors its first (the
-same cells, bit for bit, with ``position_u`` negated), each row pair is
-encoded once and the mirror row's text is read back from the file with
-its minus sign removed: a 10^6-point ``sweep-mask`` takes about 15 s
-instead of 25 s on a 2-vCPU VM, with the same bytes and memory peak.
+Every table is handed to the writer as a ``_Columns`` table of numpy
+columns and encoded straight from them, a block of rows at a time, with
+``_BLOCK_CELLS`` cells to a block: each column's format comes from its
+dtype, the block's cells are taken with ``tolist()`` and fill the row
+template, repeated once per row, with one ``%`` call, and a column
+constant within a block is written once, into the template.  (Any
+other iterable of rows is taken as object columns, each column's format
+chosen from the types of its cells.)  The writer's memory does not grow
+with the table, and the bytes do not depend on the block size.  When a
+sweep table's second half mirrors its first (the same cells, bit for
+bit, with ``position_u`` negated), only the first half is encoded, and
+each mirror row's text is read back from the file with its minus sign
+removed.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ import math
 import os
 import re
 import sys
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -200,151 +196,139 @@ def _encoded_block(fmt: str, header, columns, kinds, n: int) -> str:
     return ("," if fmt == "json" else "").join([template] * n) % tuple(cells)
 
 
-#: Rows encoded and written, and read back to emit mirrored rows, at a time.
-_READ_BACK = 128
+#: Cells encoded at a time: a table of ``width`` columns is written in
+#: blocks of ``_BLOCK_CELLS // width`` rows (see :func:`_block_rows`).
+_BLOCK_CELLS = 6144
+
+
+def _block_rows(width: int) -> int:
+    """Rows in each block of a table of ``width`` columns (at least one)."""
+    return max(1, _BLOCK_CELLS // width)
+
 
 #: The text of one row, without a JSON array's ``[``/``,`` separator.
 _ROW_TEXT = {"csv": re.compile(r".*\n"),
              "json": re.compile(r"\n  \{\n(?:    .*\n)*  \}")}
 
-
-def _write_table(path: Path, header, rows, fmt: str) -> None:
-    """Stream ``rows`` (sequences of Python scalars, in ``header`` order)
-    to ``path`` as CSV or as a JSON array of objects.
-
-    A :class:`_Columns` table is encoded from its columns, a block of
-    ``_ROW_BLOCK`` rows at a time; any other iterable of rows is taken
-    ``_READ_BACK`` rows at a time.  Each block is encoded by
-    :func:`_encoded_block`.
-    """
-    with open(path, "w+b") as fh:
-        fh.write((",".join(header) + "\n").encode() if fmt == "csv" else b"[")
-        write = _write_columns if isinstance(rows, _Columns) else _write_rows
-        wrote = write(fh, header, rows, fmt)
-        if fmt == "json":
-            fh.write(b"\n]\n" if wrote else b"]\n")
-
-
 #: The Python type of the cells that ``tolist()`` gives, by dtype kind.
 _KIND_TYPES = {"b": bool, "i": int, "u": int, "f": float, "U": str}
 
 
-def _write_columns(fh, header, table: _Columns, fmt: str) -> bool:
-    """Write the blocks of a :class:`_Columns` table; whether it had rows.
+def _block_text(fmt: str, header, cols) -> str:
+    """The text of one block of rows given as numpy columns.
 
     Each column's spec comes from its dtype (an object column's from its
     cell types).  A JSON block goes through the non-finite rewrite only
     if a float or object column of it holds a value that is not finite.
     """
-    for start in range(0, table.rows, _ROW_BLOCK):
-        cols = table.block(start, start + _ROW_BLOCK)
-        cells = [col.tolist() for col in cols]
-        kinds = [{_KIND_TYPES[col.dtype.kind]} if col.dtype.kind in _KIND_TYPES
-                 else set(map(type, c)) for col, c in zip(cols, cells)]
-        text = ("," if start and fmt == "json" else "") + _encoded_block(
-            fmt, header, cells, kinds, len(cells[0]))
-        if fmt == "json" and any(
-                col.dtype.kind not in _KIND_TYPES
-                or col.dtype.kind == "f" and not np.isfinite(col).all() for col in cols):
-            text = _JSON_NONFINITE.sub(_json_nonfinite, text)
-        fh.write(text.encode())
-    return table.rows > 0
+    cells = [col.tolist() for col in cols]
+    kinds = [{_KIND_TYPES[col.dtype.kind]} if col.dtype.kind in _KIND_TYPES
+             else set(map(type, c)) for col, c in zip(cols, cells)]
+    text = _encoded_block(fmt, header, cells, kinds, len(cells[0]))
+    if fmt == "json" and any(
+            col.dtype.kind not in _KIND_TYPES
+            or col.dtype.kind == "f" and not np.isfinite(col).all() for col in cols):
+        text = _JSON_NONFINITE.sub(_json_nonfinite, text)
+    return text
 
 
-def _write_rows(fh, header, rows, fmt: str) -> bool:
-    """Write an iterable of rows; whether it had any.
-
-    An integer ``j`` in place of a row stands for row ``j`` with the minus
-    sign of its (negative) first cell removed: its text is taken from the
-    rows not yet written or read back from the file, not encoded again.
-    """
-    sign = "-" if fmt == "csv" else json.dumps(header[0]) + ": -"
-    comma = "," if fmt == "json" else ""
-    starts, cached, texts = [], None, []    # starts: offset of each block
+def _object_blocks(rows, size: int):
+    """The blocks of ``size`` rows of an iterable of rows, as object columns."""
     rows = iter(rows)
-    while block := list(islice(rows, _READ_BACK)):
-        fresh = [row for row in block if type(row) is not int]
-        columns = list(zip(*fresh))
-        text = _encoded_block(fmt, header, columns, [set(map(type, c)) for c in columns],
-                              len(fresh)) if fresh else ""
-        if len(fresh) < len(block):    # resolve row indices on row texts
-            encoded = iter(_ROW_TEXT[fmt].findall(text))
-            for i, row in enumerate(block):
-                if type(row) is not int:
-                    block[i] = next(encoded)
-                    continue
-                k, j = divmod(row, _READ_BACK)
-                if k < len(starts) and k != cached:
-                    fh.seek(starts[k])
-                    cached, texts = k, _ROW_TEXT[fmt].findall(fh.read(
-                        starts[k + 1] - starts[k] if k + 1 < len(starts)
-                        else -1).decode())
-                    fh.seek(0, os.SEEK_END)
-                text = (block if k == len(starts) else texts)[j]
-                block[i] = text.replace(sign, sign[:-1], 1)
-            text = comma.join(block)
-        sep = comma if starts else ""
-        starts.append(fh.tell() + len(sep))
-        text = sep + text
+    while block := list(islice(rows, size)):
+        yield [np.fromiter(col, object, len(block)) for col in zip(*block)]
+
+
+def _write_table(path: Path, header, table, fmt: str) -> None:
+    """Stream ``table`` to ``path`` as CSV or as a JSON array of objects.
+
+    ``table`` is a :class:`_Columns`, or any iterable of rows (sequences
+    of Python scalars in ``header`` order), which is taken as object
+    columns.  It is encoded a block of :func:`_block_rows` rows at a time
+    by :func:`_block_text`.  The last ``table.mirror`` rows are not
+    encoded: once the others are written, the blocks that hold their
+    mirror rows are read back from the file, last first, and each row's
+    text is written again in reverse order, without the minus sign of its
+    first cell.
+    """
+    size = _block_rows(len(header))
+    if isinstance(table, _Columns):
+        mirror, stop = table.mirror, table.rows - table.mirror
+        blocks = (table.block(start, min(start + size, stop))
+                  for start in range(0, stop, size))
+    else:
+        mirror, blocks = 0, _object_blocks(table, size)
+    sep = "," if fmt == "json" else ""
+    with open(path, "w+b") as fh:
+        fh.write((",".join(header) + "\n").encode() if fmt == "csv" else b"[")
+        starts = []    # the offset of each block's first row, then of the end
+        for cols in blocks:
+            lead = sep if starts else ""
+            starts.append(fh.tell() + len(lead))
+            fh.write((lead + _block_text(fmt, header, cols)).encode())
+        starts.append(fh.tell())
+        sign = "-" if fmt == "csv" else json.dumps(header[0]) + ": -"
+        for k in range((mirror - 1) // size, -1, -1):
+            fh.seek(starts[k])
+            texts = _ROW_TEXT[fmt].findall(fh.read(starts[k + 1] - starts[k]).decode())
+            fh.seek(0, os.SEEK_END)
+            fh.write("".join(sep + text.replace(sign, sign[:-1], 1)
+                             for text in texts[mirror - 1 - k * size::-1]).encode())
         if fmt == "json":
-            text = _JSON_NONFINITE.sub(_json_nonfinite, text)
-        fh.write(text.encode())
-    return bool(starts)
-
-
-#: Rows taken from numpy columns at a time.
-_ROW_BLOCK = 1024
+            fh.write(b"\n]\n" if len(starts) > 1 else b"]\n")
 
 
 class _Columns:
     """A table of ``rows`` rows given as numpy columns: ``block(start,
     stop)`` returns the columns of rows ``start:stop``, in header order.
+    Its last ``mirror`` rows are its first ``mirror`` rows in reverse
+    order, bit for bit, with the (negative) first column negated.
 
-    :func:`_write_table` encodes it from its columns.  It also iterates as
-    rows of Python scalars, as ``zip(*(col.tolist() for col in columns))``
-    gives them, a block at a time, so that anything that takes rows takes
-    it too.
+    It also iterates as its ``rows`` rows of Python scalars, taken from
+    the columns a block at a time, only so that a wrapper that re-yields
+    the rows of a table (perfbench's ``counted_write_table``) takes it;
+    such rows are then written as plain rows, without the mirror.
     """
 
-    def __init__(self, rows: int, block):
-        self.rows, self.block = rows, block
+    def __init__(self, rows: int, block, mirror: int = 0):
+        self.rows, self.block, self.mirror = rows, block, mirror
 
     def __iter__(self):
-        for start in range(0, self.rows, _ROW_BLOCK):
-            yield from zip(*(col.tolist() for col in self.block(start, start + _ROW_BLOCK)))
+        size = _block_rows(len(self.block(0, 0)))
+        for start in range(0, self.rows, size):
+            yield from zip(*(col.tolist() for col in self.block(start, start + size)))
 
 
-def _column_table(columns) -> _Columns:
+def _column_table(columns, mirror: int = 0) -> _Columns:
     """The table of equal-length numpy ``columns``."""
-    return _Columns(len(columns[0]), lambda start, stop: [col[start:stop] for col in columns])
+    return _Columns(len(columns[0]),
+                    lambda start, stop: [col[start:stop] for col in columns], mirror)
 
 
 def _bits(col: np.ndarray) -> np.ndarray:
     return col.view(f"u{col.itemsize}")
 
 
-def _sweep_rows(sweep: RhoSweep, extras: dict[str, np.ndarray]):
-    """The rows of a sweep table.  When the second half mirrors the first,
-    row ``n-1-i`` being row ``i`` with ``u < 0`` negated and every other
-    cell the same bit for bit, it is given as the indices of those rows."""
+def _sweep_table(sweep: RhoSweep, extras: dict[str, np.ndarray]) -> _Columns:
+    """The table of a sweep.  Its second half mirrors its first (``mirror
+    = n // 2``) when row ``n-1-i`` is row ``i`` with ``u < 0`` negated and
+    every other cell the same bit for bit."""
     c = sweep.curves
     u = sweep.u
     columns = (u, *sweep.patterns, c.i_ab, c.i_bc, c.i_ca,
                c.epsilon, c.delta, c.rho, c.rho_defined, *extras.values())
     h = u.size // 2
-    if not (np.all(u[:h] < 0) and np.array_equal(u[:h], -u[::-1][:h])
-            and all(np.array_equal(_bits(col[:h]), _bits(col[::-1][:h]))
-                    for col in columns[1:])):
-        return _column_table(columns)
-    return chain(_column_table([col[:u.size - h] for col in columns]),
-                 range(h - 1, -1, -1))
+    mirrored = (np.all(u[:h] < 0) and np.array_equal(u[:h], -u[::-1][:h])
+                and all(np.array_equal(_bits(col[:h]), _bits(col[::-1][:h]))
+                        for col in columns[1:]))
+    return _column_table(columns, h if mirrored else 0)
 
 
 def _write_sweep(path: Path, sweep: RhoSweep, fmt: str,
                  extras: dict[str, np.ndarray] | None = None) -> dict:
     extras = extras or {}
     header = SWEEP_COLUMNS + tuple(extras)
-    _write_table(path, header, _sweep_rows(sweep, extras), fmt)
+    _write_table(path, header, _sweep_table(sweep, extras), fmt)
     defined = sweep.curves.rho_defined
     n_def = int(np.count_nonzero(defined))
     summary = {

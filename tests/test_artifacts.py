@@ -3,8 +3,8 @@ table writer against the per-cell encoders it replaced, tables encoded
 from numpy columns against the same rows, columns constant within a
 block (written once into the row template), ``run``'s tables against
 their repetition-by-repetition rows and against a wrapper that re-yields
-them, mirrored sweep rows against rows encoded one by one, and the
-writer's bytes across block sizes."""
+them, mirrored sweep tables against every row encoded, and the writer's
+bytes across block sizes."""
 
 import hashlib
 import json
@@ -18,7 +18,7 @@ import pytest
 import bornlab
 from bornlab import cli
 from bornlab.cli import (
-    SWEEP_COLUMNS, _ROW_BLOCK, _column_table, _write_sweep, _write_table, main,
+    SWEEP_COLUMNS, _block_rows, _column_table, _write_sweep, _write_table, main,
 )
 from bornlab.experiment import RunCounts
 from bornlab.interference import sorkin_curves
@@ -145,6 +145,9 @@ def test_writer_matches_per_cell_encoders(table, fmt, tmp_path):
 
 # -- numpy columns are encoded, or converted to rows, a block at a time
 
+#: Rows in a block of the 4-column table of ``_columns``.
+_BLOCK = _block_rows(4)
+
 
 def _columns(n):
     """Columns of int, float (NaN included), mixed int/float and flag cells."""
@@ -158,7 +161,7 @@ def _columns(n):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
-    "n", [1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
+    "n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
 def test_blocked_rows_match_unblocked_rows(n, fmt, tmp_path):
     header, columns = _columns(n)
     blocked, whole = tmp_path / f"blocked.{fmt}", tmp_path / f"whole.{fmt}"
@@ -172,16 +175,19 @@ def test_blocked_rows_match_unblocked_rows(n, fmt, tmp_path):
 # -- a column whose cells in a block all encode to the same text is
 # -- written once, into the block's row template
 
+#: Rows in a block of the 12-column table of ``_constant_table``.
+_CONSTANT_BLOCK = _block_rows(12)
+
 
 def _constant_table(n):
     """``n`` rows: columns constant over every row, then three that must
     not collapse to one text: zeros of both signs (+0.0 first and last),
-    NaN, and a column constant in the first ``_ROW_BLOCK`` rows whose
+    NaN, and a column constant in the first ``_CONSTANT_BLOCK`` rows whose
     next block differs from its first and last cell in one inner row."""
     zeros = np.zeros(n)
     zeros[1:-1:5] = -0.0
     step = np.full(n, 2.5)
-    step[_ROW_BLOCK + 64] = 3.5
+    step[_CONSTANT_BLOCK + 64] = 3.5
     columns = {
         "big": np.full(n, 10**20, dtype=object),
         "low": np.full(n, -(2**63)),
@@ -201,11 +207,11 @@ def _constant_table(n):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_only_constant_texts_fold_into_the_template(fmt):
-    header, columns = _constant_table(2 * _ROW_BLOCK)
-    for start, kept in ((0, {"zero", "nan"}), (_ROW_BLOCK, {"zero", "nan", "step"})):
+    header, columns = _constant_table(2 * _CONSTANT_BLOCK)
+    for start, kept in ((0, {"zero", "nan"}), (_CONSTANT_BLOCK, {"zero", "nan", "step"})):
         folded = set()
         for name, col in zip(header, columns):
-            cells = col[start:start + _ROW_BLOCK].tolist()
+            cells = col[start:start + _CONSTANT_BLOCK].tolist()
             if cli._column_fill(fmt, name, cells, {type(cells[0])})[1] is None:
                 folded.add(name)
         assert folded == set(header) - kept
@@ -216,8 +222,8 @@ def test_only_constant_texts_fold_into_the_template(fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("source", ["columns", "rows"])
 def test_constant_columns_match_per_cell_encoders(source, fmt, tmp_path):
-    # blocks of _ROW_BLOCK rows from columns, of _READ_BACK rows from rows
-    header, columns = _constant_table(2 * _ROW_BLOCK + 1)
+    # blocks of _CONSTANT_BLOCK rows, from columns and from rows alike
+    header, columns = _constant_table(2 * _CONSTANT_BLOCK + 1)
     rows = list(zip(*(col.tolist() for col in columns)))
     path = tmp_path / f"table.{fmt}"
     _write_table(path, header, _column_table(columns) if source == "columns"
@@ -266,7 +272,8 @@ def test_sweep_writer_memory_does_not_grow_with_the_grid(tmp_path):
 
 
 def _run_tables(tmp_path, monkeypatch, fmt, poisson, monitor, undefined=False):
-    """Run ``main`` on a 20-repetition config in blocks of 7 rows; the run,
+    """Run ``main`` on a 20-repetition config in blocks of 42 cells (7 rows
+    of ``run_counts``, 14 of ``run_rho``); the run,
     and each table it wrote: file name, header and the rows argument.
     With ``undefined``, every third repetition's ``rho`` is made NaN."""
     cfg = tmp_path / "run.cfg"
@@ -297,7 +304,7 @@ def _run_tables(tmp_path, monkeypatch, fmt, poisson, monitor, undefined=False):
     monkeypatch.setattr(cli, "run_experiment", recorded_run)
     monkeypatch.setattr(cli, "rho_per_repetition", rho_with_nan)
     monkeypatch.setattr(cli, "_write_table", recorded_write)
-    monkeypatch.setattr(cli, "_ROW_BLOCK", 7)    # 20 repetitions: 160 rows
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", 42)    # 20 repetitions: 160 rows
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--format", fmt, "run"]) == 0
     monkeypatch.undo()
@@ -362,6 +369,9 @@ def test_count_table_memory_does_not_grow_with_the_run(tmp_path):
 # -- a mirrored sweep encodes each row pair once: its bytes must be those
 # -- of every row encoded
 
+#: Rows in a block of a sweep table without extra columns.
+_SWEEP_BLOCK = _block_rows(len(SWEEP_COLUMNS))
+
 
 def _power_extras(sweep):
     c = sweep.curves
@@ -370,23 +380,21 @@ def _power_extras(sweep):
 
 
 def _mirrored_rows_written(monkeypatch, path, sweep, fmt, extras):
-    """Write ``sweep`` through ``_write_sweep``; the number of rows it
-    gave as a reference to an earlier row."""
-    write_table, seen = cli._write_table, []
+    """Write ``sweep`` through ``_write_sweep``; the ``mirror`` of the
+    table it handed to the writer, which ``_sweep_table`` built."""
+    write_table, tables = cli._write_table, []
 
-    def counting(path, header, rows, fmt):
-        def counted():
-            for row in rows:
-                seen.append(type(row) is int)
-                yield row
+    def recorded(path, header, table, fmt):
+        tables.append(table)
+        write_table(path, header, table, fmt)
 
-        write_table(path, header, counted(), fmt)
-
-    monkeypatch.setattr(cli, "_write_table", counting)
+    monkeypatch.setattr(cli, "_write_table", recorded)
     _write_sweep(path, sweep, fmt, extras)
     monkeypatch.undo()
-    assert len(seen) == sweep.u.size
-    return sum(seen)
+    table, = tables
+    assert table.rows == sweep.u.size
+    assert table.mirror == cli._sweep_table(sweep, extras).mirror
+    return table.mirror
 
 
 def _assert_matches_plain_writer(monkeypatch, tmp_path, sweep, fmt, extras):
@@ -401,7 +409,7 @@ def _assert_matches_plain_writer(monkeypatch, tmp_path, sweep, fmt, extras):
 
 @pytest.mark.parametrize("power", [False, True], ids=["sweep", "power"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("n", [2, 3, 257, 2 * _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 2])
+@pytest.mark.parametrize("n", [2, 3, 257, 2 * _SWEEP_BLOCK + 1, 2 * _SWEEP_BLOCK + 2])
 def test_mirrored_sweep_matches_plain_writer(n, fmt, power, monkeypatch, tmp_path):
     sweep = _mirrored_sweep(n)
     assert np.isnan(sweep.curves.rho[0])
@@ -410,6 +418,19 @@ def test_mirrored_sweep_matches_plain_writer(n, fmt, power, monkeypatch, tmp_pat
     extras = _power_extras(sweep) if power else {}
     assert _assert_matches_plain_writer(
         monkeypatch, tmp_path, sweep, fmt, extras) == n // 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [2, 3, 2 * _SWEEP_BLOCK + 1])
+def test_mirrored_sweep_rows_from_a_generator_match_its_columns(n, fmt, tmp_path):
+    # a wrapper that re-yields a table's rows (perfbench's traced writer)
+    # hands the writer every row of a mirrored sweep, and no mirror
+    table = cli._sweep_table(_mirrored_sweep(n), {})
+    assert table.mirror == n // 2
+    columns, rows = tmp_path / f"columns.{fmt}", tmp_path / f"rows.{fmt}"
+    _write_table(columns, SWEEP_COLUMNS, table, fmt)
+    _write_table(rows, SWEEP_COLUMNS, (row for row in table), fmt)
+    assert rows.read_bytes() == columns.read_bytes()
 
 
 def _nudged(column):
@@ -441,7 +462,7 @@ FALLBACKS = {
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("case", sorted(FALLBACKS))
 def test_unmirrored_sweep_falls_back_to_plain_writer(case, fmt, monkeypatch, tmp_path):
-    sweep = _mirrored_sweep(2 * _ROW_BLOCK + 1)
+    sweep = _mirrored_sweep(2 * _SWEEP_BLOCK + 1)
     extras = _power_extras(sweep)
     FALLBACKS[case](sweep, extras)
     assert _assert_matches_plain_writer(monkeypatch, tmp_path, sweep, fmt, extras) == 0
@@ -460,29 +481,35 @@ def test_one_point_nan_grid_takes_plain_writer(fmt, monkeypatch, tmp_path):
 
 def _write_rows(table):
     header, rows = TABLES[table]
-    return lambda path, fmt: _write_table(path, header, iter(rows), fmt)
+    return len(header), lambda path, fmt: _write_table(path, header, iter(rows), fmt)
 
 
-def _write_mirrored_sweep(path, fmt):
-    # 151 encoded rows, then 150 mirror indices: with 3 or 128 rows a
-    # block, the block at the boundary holds both
-    _write_sweep(path, _mirrored_sweep(301), fmt, {})
+def _write_mirrored_sweep(n):
+    return len(SWEEP_COLUMNS), lambda path, fmt: _write_sweep(
+        path, _mirrored_sweep(n), fmt, {})
 
 
+#: Each case: its header width, and a function writing it to a path.
 BLOCK_INPUTS = {
     "edge-values": _write_rows("edge-values"),
     "late-float-column": _write_rows("late-float-column"),
-    "mirrored-sweep": _write_mirrored_sweep,
+    # 151 encoded rows, then 150 mirror rows: with 3 or 128 rows a block,
+    # the last encoded block holds mirrored rows and the middle row
+    "mirrored-sweep": _write_mirrored_sweep(301),
+    # 384 encoded rows: the first half ends on a block edge with 1, 3 and
+    # 128 rows a block, and at the default block size
+    "mirrored-sweep-block-edge": _write_mirrored_sweep(768),
 }
 
 
-@pytest.mark.parametrize("read_back", [1, 3, 128])
+@pytest.mark.parametrize("block_rows", [1, 3, 128])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("case", sorted(BLOCK_INPUTS))
-def test_writer_bytes_do_not_depend_on_block_size(case, fmt, read_back, monkeypatch,
+def test_writer_bytes_do_not_depend_on_block_size(case, fmt, block_rows, monkeypatch,
                                                   tmp_path):
+    width, write = BLOCK_INPUTS[case]
     unpatched, patched = tmp_path / f"unpatched.{fmt}", tmp_path / f"patched.{fmt}"
-    BLOCK_INPUTS[case](unpatched, fmt)
-    monkeypatch.setattr(cli, "_READ_BACK", read_back)
-    BLOCK_INPUTS[case](patched, fmt)
+    write(unpatched, fmt)
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", block_rows * width)
+    write(patched, fmt)
     assert patched.read_bytes() == unpatched.read_bytes()

@@ -199,8 +199,14 @@ class TestEpsilon:
     @example([0j, 976.62 + 0j, -966 + 0j])
     @settings(max_examples=300, deadline=None)
     def test_born_null_property(self, triple):
-        # epsilon rounds at the scale of the largest probability, which
-        # can be far above pABC when the paths cancel each other
+        # epsilon rounds at the scale M = max(1, largest probability), which
+        # can be far above pABC when the paths cancel each other.  With
+        # u = 2**-53: every partial sum of a subset's amplitudes is itself
+        # a subset's amplitude, of modulus <= sqrt(M), so its two additions
+        # err by <= 2u sqrt(M) and re**2 + im**2 by <= 4uM + 2uM; the
+        # seven additions of epsilon, whose partial sums stay within 3M,
+        # add <= 21uM.  Exact epsilon is 0, so |epsilon| <= 7 * 6uM + 21uM
+        # < 1e-14 M to first order, over 100x below the bound.
         pv = ProbabilityVector.from_rule(BORN, PathAmplitudes(triple))
         assert abs(epsilon(pv)) <= 1e-12 * max(1.0, *pv.array)
 
@@ -211,8 +217,16 @@ class TestEpsilon:
     @example([0j, 65j, -64j], 0.5299999999999998)
     @settings(max_examples=200, deadline=None)
     def test_background_cancellation_property(self, triple, b):
-        # the pairwise terms round at the scale of the largest probability,
-        # which can be far above pABC when the paths cancel each other
+        # the pairwise terms round at the scale S = max(1, b, largest
+        # probability), which can be far above pABC when the paths cancel
+        # each other.  With u = 2**-53: the coefficients of epsilon and of
+        # each i_xy sum to 0, so b cancels exactly and only rounding is
+        # left.  Each shifted entry errs by <= 2uS, and partial sums stay
+        # within 6S: epsilon differs by <= 8 * 2uS + 7 * 6uS + 21uS (the
+        # unshifted error, see test_born_null_property) < 9e-15 S, each
+        # i_xy by <= 4 * 2uS + 3 * 4uS + 3 * 2uS, and delta, their three
+        # moduli summed twice, by <= 3 * 26uS + 4 * 6uS < 1.2e-14 S to
+        # first order: about 90x below the bound.
         pv = ProbabilityVector.from_rule(BORN, PathAmplitudes(triple))
         shifted = pv.shifted(b)
         scale = max(1.0, b, *pv.array)
