@@ -3,8 +3,8 @@
 Every stochastic quantity in the toolkit (measurement order, power
 fluctuation, photocounts, monitor counts, mask displacements) draws from
 its own substream, keyed by the root seed, a purpose tag, and the
-indices it belongs to (a block of repetitions, a combination).  Results
-are therefore independent of execution order.
+indices it belongs to (a block of repetitions, a displacement draw).
+Results are therefore independent of execution order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Generator for the substream identified by ``(seed, *path)``.
 
     ``path`` elements must be non-negative integers (tag, block of
-    repetitions, combination index, ...).
+    repetitions, displacement draw, ...).
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0 (got {seed})")
