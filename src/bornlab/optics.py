@@ -559,15 +559,15 @@ def pattern_set(
             raise ValueError("displacement must be finite")
         shifts = zip(COMBINATIONS * len(table), table.ravel().tolist())
     else:
-        shifts = dict.fromkeys(COMBINATIONS, mask.displacement)
+        by_label = dict.fromkeys(COMBINATIONS, mask.displacement)
         for label, shift in (displacements or {}).items():
-            if label not in shifts:
+            if label not in by_label:
                 raise ValueError(f"displacements: unknown combination label {label!r}")
             shift = float(shift)
             if not math.isfinite(shift):
                 raise ValueError("displacement must be finite")
-            shifts[label] = shift
-        shifts = shifts.items()
+            by_label[label] = shift
+        shifts = by_label.items()
     pieces = _combination_pieces(plate, mask, shifts)
     stacked = np.empty((len(pieces), u_arr.size))
     distinct = _distinct_magnitudes(u_arr, stacked[:2])

@@ -371,20 +371,6 @@ class TestMisalignmentDraws:
         _, used = misalignment_rho_sweep(plate, mask, sampler, u, seed=seed)
         assert used == dict(zip(COMBINATIONS, want[0].tolist()))
 
-    def test_sampler_gets_one_generator_per_draw(self):
-        plate, mask = leaky_blocking()
-        calls = []
-
-        def sampler(rng):
-            calls.append(rng)
-            return 1e-6 * len(calls)
-
-        _, table = misalignment_rho_draws(plate, mask, sampler, np.array([0.0, 1e4]),
-                                          seed=3, draws=4)
-        assert [len({id(r) for r in calls[8 * s:8 * s + 8]}) for s in range(4)] == [1] * 4
-        assert len({id(r) for r in calls}) == 4
-        assert table.ravel().tolist() == [1e-6 * k for k in range(1, 33)]
-
     def test_one_draw_is_draw_zero_of_a_batch(self):
         plate, mask = leaky_blocking()
         u = np.linspace(-3e4, 3e4, 601)
