@@ -8,13 +8,6 @@ U[0, 10 um] with seed 0) on a grid of ``--points`` points, either
 mirrored, ``linspace(-3e4, 3e4, points + 1)``, or all-positive,
 ``linspace(0, 6e4, points)``.
 
-With ``--draws S`` pattern mode compares S displacement draws (rows of
-U[0, 10 um], seed 0) evaluated in one batched call, ``pattern_set`` on
-an (S, 8) array, with the same draws in S single calls.  It reports the
-best time per draw of each and the peak RSS after the first single
-calls and after the first batched call (the single calls run first, so
-the second peak is the batch's if it is larger).
-
 Sweep mode (``--sweep COMMAND``) copies ``--config`` with ``u_points``
 set to ``--points`` (``repetitions`` for ``--sweep run``; with
 ``write_config`` of ``perfbench/run.py``), then runs ``bornlab COMMAND``
@@ -29,7 +22,6 @@ runs, the peak RSS of the process, and the machine facts.  Run one grid
 or sweep per process, so that the peak belongs to it:
 
     PYTHONPATH=src python benchmarks/bench_pattern_set.py --grid mirrored
-    PYTHONPATH=src python benchmarks/bench_pattern_set.py --points 600 --draws 64
     PYTHONPATH=src python benchmarks/bench_pattern_set.py --sweep sweep-mask \\
         --config configs/leaky_mask_sweep.cfg --points 1000001 --repeats 1
     PYTHONPATH=src python benchmarks/bench_pattern_set.py --sweep run \\
@@ -83,38 +75,6 @@ def bench_pattern_set(args) -> dict:
         best = min(best, time.perf_counter() - t0)
         del curves
     return {"grid": args.grid, "points": u.size, "best_s": round(best, 4)}
-
-
-def _peak_rss_mb() -> float:
-    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
-
-
-def bench_draws(args) -> dict:
-    leak = math.sqrt(0.05)
-    plate = triple_slit_plate(leakage_amplitude=leak)
-    mask = combination_mask_for_plate(plate, BLOCKING, leakage_amplitude=leak)
-    table = np.random.default_rng(0).uniform(0.0, 10e-6, (args.draws, len(COMBINATIONS)))
-    u = GRIDS[args.grid](args.points)
-    best = {"single": math.inf, "batched": math.inf}
-    peaks = {}
-    for _ in range(args.repeats):  # alternate, so that both see the same machine states
-        t0 = time.perf_counter()
-        for row in table:
-            curves = pattern_set(plate, mask, u, displacements=dict(zip(COMBINATIONS, row)))
-        best["single"] = min(best["single"], time.perf_counter() - t0)
-        del curves
-        peaks.setdefault("single", _peak_rss_mb())
-        t0 = time.perf_counter()
-        curves = pattern_set(plate, mask, u, displacements=table)
-        best["batched"] = min(best["batched"], time.perf_counter() - t0)
-        del curves
-        peaks.setdefault("batched", _peak_rss_mb())
-    per_draw = {k: round(v / args.draws * 1e6, 1) for k, v in best.items()}
-    return {"grid": args.grid, "points": u.size, "draws": args.draws,
-            "single_us_per_draw": per_draw["single"],
-            "batched_us_per_draw": per_draw["batched"],
-            "batched_over_single": round(best["batched"] / best["single"], 4),
-            "peak_rss_mb_single": peaks["single"], "peak_rss_mb_batched": peaks["batched"]}
 
 
 def bench_sweep(args) -> dict:
@@ -174,17 +134,12 @@ def main() -> None:
     parser.add_argument("--config", default="configs/leaky_mask_sweep.cfg")
     parser.add_argument("--points", type=int, default=10**6)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--draws", type=int, metavar="S",
-                        help="compare S draws in one batched call with S single calls")
     args = parser.parse_args()
 
-    if args.sweep:
-        result = bench_sweep(args)
-    else:
-        result = bench_draws(args) if args.draws else bench_pattern_set(args)
+    result = bench_sweep(args) if args.sweep else bench_pattern_set(args)
     print(json.dumps({
         **result,
-        "peak_rss_mb": _peak_rss_mb(),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "nproc": os.cpu_count(), "numpy": np.__version__,
         "python": platform.python_version(),
     }))

@@ -60,7 +60,6 @@ from .experiment import RhoSeries, RunCounts, rho_per_repetition, run_experiment
 from .interference import (
     COMBINATIONS,
     ProbabilityVector,
-    SorkinCurves,
     SorkinResult,
     interference_terms,
     sorkin_curves,
@@ -69,8 +68,6 @@ from .optics import pattern_set
 from .systematics import (
     RhoSweep,
     detector_rho_sweep,
-    draw_moments,
-    misalignment_rho_draws,
     misalignment_rho_sweep,
     power_sigma_curves,
     uniform_displacement_sampler,
@@ -452,19 +449,10 @@ def cmd_sweep_mask(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     sampler = uniform_displacement_sampler(
         cfg.displacement_low, cfg.displacement_high
     )
-    args = (plate, mask, sampler, _u_grid(cfg))
-    extras = {}
-    if cfg.displacement_draws == 1:
-        sweep, displacements = misalignment_rho_sweep(*args, seed=cfg.seed, guard=cfg.guard)
-    else:
-        # the table's own columns are draw 0's, as with one draw
-        draws, table = misalignment_rho_draws(
-            *args, seed=cfg.seed, draws=cfg.displacement_draws, guard=cfg.guard)
-        sweep = RhoSweep(draws.u, draws.patterns[0],
-                         SorkinCurves(*(stat[0] for stat in draws.curves)))
-        displacements = dict(zip(COMBINATIONS, table[0].tolist()))
-        extras = dict(zip(("rho_mean", "rho_std"), draw_moments(draws.curves)))
-    summary = _write_sweep(tables.path(f"mask_sweep.{fmt}"), sweep, fmt, extras)
+    sweep, displacements = misalignment_rho_sweep(
+        plate, mask, sampler, _u_grid(cfg), seed=cfg.seed, guard=cfg.guard
+    )
+    summary = _write_sweep(tables.path(f"mask_sweep.{fmt}"), sweep, fmt)
     summary["displacements"] = {k: displacements[k] for k in COMBINATIONS}
     return summary
 

@@ -73,7 +73,6 @@ class RunConfig:
     # mask sweep displacement sampler, uniform on [low, high]
     displacement_low: float = 0.0
     displacement_high: float = 10e-6
-    displacement_draws: int = 1       # > 1 adds rho_mean, rho_std over the draws
     # experiment
     repetitions: int = 100
     poisson: bool = True
@@ -124,7 +123,6 @@ _RANGE_CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "dwell_time": (lambda v: v > 0, "must be > 0"),
     "peak_rate": (lambda v: v > 0, "must be > 0"),
     "dynamic_range": (lambda v: v > 1, "must be > 1"),
-    "displacement_draws": (lambda v: v >= 1, "must be >= 1"),
     "repetitions": (lambda v: v >= 1, "must be >= 1"),
     "seed": (lambda v: v >= 0, "must be >= 0"),
     "guard": (lambda v: v > 0, "must be > 0"),

@@ -326,7 +326,7 @@ def _terms(p0, pa, pb, pc, pab, pbc, pca, pabc):
 
 
 def _statistics(p: np.ndarray, guard: float) -> SorkinCurves:
-    """The statistics kernel: ``p`` is (8, ...); ``rho`` is NaN where
+    """The statistics kernel: ``p`` is (8, n); ``rho`` is NaN where
     ``delta`` is below ``guard``."""
     if not guard > 0.0:
         raise ValueError(f"guard must be > 0 (got {guard})")
@@ -341,10 +341,9 @@ def _statistics(p: np.ndarray, guard: float) -> SorkinCurves:
 def sorkin_curves(patterns: np.ndarray, guard: float = DEFAULT_GUARD) -> SorkinCurves:
     """Order-3 statistics of every point of stacked curves.
 
-    ``patterns`` has shape (8, n) in canonical combination order, or
-    (S, 8, n) for S sets of curves, whose statistics are then (S, n).
+    ``patterns`` has shape (8, n) in canonical combination order.
     """
     p = np.ascontiguousarray(patterns, dtype=np.float64)
-    if p.ndim not in (2, 3) or p.shape[-2] != 8:
-        raise ValueError(f"patterns must have shape (8, n) or (S, 8, n) (got {p.shape})")
-    return _statistics(p if p.ndim == 2 else p.swapaxes(0, 1), guard)
+    if p.ndim != 2 or p.shape[0] != 8:
+        raise ValueError(f"patterns must have shape (8, n) (got {p.shape})")
+    return _statistics(p, guard)

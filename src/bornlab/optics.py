@@ -24,12 +24,10 @@ exact; no FFT gridding enters, which matters for a null test where
 discretization error would masquerade as signal.
 
 The transform is evaluated in one pass over all apertures of a call (the
-8 * S of ``pattern_set`` over S displacement draws, the one of
-``far_field_amplitude``).  The intervals of the apertures share a few
-distinct widths and centers: the plate slits recur in every combination
-and every draw.  So the grid is cut into blocks of ``u`` (fewer points
-per block when a batch of draws brings many intervals), and per block
-each distinct width's sinc row and each distinct
+eight of ``pattern_set``, the one of ``far_field_amplitude``).  The
+intervals of the apertures share a few distinct widths and centers: the
+plate slits recur in every combination.  So the grid is cut into blocks
+of ``u``, and per block each distinct width's sinc row and each distinct
 ``|c|``'s cosine and sine rows are computed once.  Every interval's term
 is then formed from those rows with the same operations as the
 interval-by-interval sum, and added to its aperture's amplitude in
@@ -76,10 +74,9 @@ has the bits that a direct evaluation at ``-u`` gives:
 would differ, so it evaluates every point as given.
 
 ``pattern_set`` cuts the plate into its pieces once and builds the
-intervals of all eight combinations of every draw as plain lists for
-the pass; ``build_combination_aperture`` is the one-combination case of
-the same builder.  The distinct ``|u|`` are found once per call, so a
-batch of draws shares them.
+intervals of all eight combinations as plain lists for the pass;
+``build_combination_aperture`` is the one-combination case of the same
+builder.
 """
 
 from __future__ import annotations
@@ -351,13 +348,6 @@ def build_combination_aperture(
 #: 1 kB per block, so the work arrays stay in cache.
 _BLOCK = 128
 
-#: Intervals a pass may hold with ``_BLOCK`` points per block.  A pass
-#: over more intervals (a batch of displacement draws; the eight
-#: apertures of one three-slit draw have at most 104) takes
-#: proportionally fewer points per block, so that its work arrays keep
-#: about the size of one draw's.
-_BLOCK_INTERVALS = 256
-
 
 def _fourier_pass(pieces, u: np.ndarray, out: np.ndarray) -> None:
     """Transform every aperture on the contiguous float64 grid ``u``.
@@ -409,7 +399,7 @@ def _fourier_pass(pieces, u: np.ndarray, out: np.ndarray) -> None:
     rank = np.array(order, dtype=np.intp)
     intensity = out.dtype.kind == "f"
 
-    cap = min(max(1, _BLOCK * _BLOCK_INTERVALS // max(n_int, _BLOCK_INTERVALS)), u.size)
+    cap = min(_BLOCK, u.size)
     # Rows per point of the work arrays: arguments, trig rows, coefficient
     # times sinc, term planes, accumulator.  They share one allocation,
     # which the allocator hands back on the next call; separate ones of
@@ -527,7 +517,7 @@ def pattern_set(
     mask: CombinationMask,
     u_grid,
     normalize: bool = True,
-    displacements: Mapping[str, float] | np.ndarray | None = None,
+    displacements: Mapping[str, float] | None = None,
 ) -> np.ndarray:
     """Intensity curves of all eight combinations on a common grid, as
     an (8, n) array whose rows follow ``COMBINATIONS``.
@@ -537,39 +527,22 @@ def pattern_set(
     overrides the mask displacement per combination (one rigid shift per
     combination measurement); its keys must be combination labels.
 
-    ``displacements`` may instead be an (S, 8) array: S draws of the
-    eight shifts, columns in ``COMBINATIONS`` order.  The result is then
-    an (S, 8, n) array, and each draw is normalized by its own all-open
-    peak.  The 8 * S apertures go through one Fourier pass, and draw
-    ``s`` has the bits of a call with row ``s`` alone.
-
     Each distinct ``|u|`` of the grid is evaluated once; the curves are
     even, and every point gets the bits of an evaluation at that point
     (see the module docstring).  A strictly increasing grid that does not
     change sign is evaluated as given, without sorting.
     """
     u_arr = _grid(u_grid)
-    draws = displacements is not None and not isinstance(displacements, Mapping)
-    if draws:
-        table = np.asarray(displacements, dtype=np.float64)
-        if table.ndim != 2 or table.shape[1] != len(COMBINATIONS) or not table.size:
-            raise ValueError(f"displacements: need an (S, 8) array with S >= 1 "
-                             f"(got shape {table.shape})")
-        if not np.isfinite(table).all():
+    shifts = dict.fromkeys(COMBINATIONS, mask.displacement)
+    for label, shift in (displacements or {}).items():
+        if label not in shifts:
+            raise ValueError(f"displacements: unknown combination label {label!r}")
+        shift = float(shift)
+        if not math.isfinite(shift):
             raise ValueError("displacement must be finite")
-        shifts = zip(COMBINATIONS * len(table), table.ravel().tolist())
-    else:
-        by_label = dict.fromkeys(COMBINATIONS, mask.displacement)
-        for label, shift in (displacements or {}).items():
-            if label not in by_label:
-                raise ValueError(f"displacements: unknown combination label {label!r}")
-            shift = float(shift)
-            if not math.isfinite(shift):
-                raise ValueError("displacement must be finite")
-            by_label[label] = shift
-        shifts = by_label.items()
-    pieces = _combination_pieces(plate, mask, shifts)
-    stacked = np.empty((len(pieces), u_arr.size))
+        shifts[label] = shift
+    pieces = _combination_pieces(plate, mask, shifts.items())
+    stacked = np.empty((len(COMBINATIONS), u_arr.size))
     distinct = _distinct_magnitudes(u_arr, stacked[:2])
     if distinct is None:
         _fourier_pass(pieces, u_arr, stacked)
@@ -588,11 +561,9 @@ def pattern_set(
             part = copy[: len(rows)]
             part[:] = rows[:, :k]
             np.take(part, inverse, axis=1, out=rows)
-    curves = stacked.reshape(-1, len(COMBINATIONS), u_arr.size)
     if normalize:
-        for draw in curves:
-            peak = float(np.max(draw[COMBINATIONS.index("ABC")]))
-            if peak <= 0.0:
-                raise ValueError("all-open curve vanishes on the grid; cannot normalize")
-            draw /= peak
-    return curves if draws else stacked
+        peak = float(np.max(stacked[COMBINATIONS.index("ABC")]))
+        if peak <= 0.0:
+            raise ValueError("all-open curve vanishes on the grid; cannot normalize")
+        stacked /= peak
+    return stacked

@@ -265,41 +265,12 @@ def uniform_displacement_sampler(low: float = 0.0, high: float = 10e-6) -> Displ
     return sample
 
 
-def _misalignment(plate, mask, u_grid, displacements, guard) -> RhoSweep:
-    """The sweep of one mapping or one (S, 8) array of displacements."""
-    u_arr = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    stacked = pattern_set(plate, mask, u_arr, normalize=True, displacements=displacements)
-    return RhoSweep(u_arr, stacked, sorkin_curves(stacked, guard))
-
-
-def _displacement_draws(sampler: DisplacementSampler, seed: int, draws: int) -> list:
-    """The eight displacements of each draw: draw ``s`` calls ``sampler``
-    eight times, in ``COMBINATIONS`` order, on the one generator
-    ``substream(seed, TAG_DISPLACEMENT, s)``."""
-    return [[sampler(rng) for _ in COMBINATIONS]
-            for rng in (substream(seed, TAG_DISPLACEMENT, s) for s in range(draws))]
-
-
-def misalignment_rho_draws(
-    plate: SlitPlate,
-    mask: CombinationMask,
-    sampler: DisplacementSampler,
-    u_grid,
-    seed: int = 0,
-    draws: int = 1,
-    guard: float = DEFAULT_GUARD,
-) -> tuple[RhoSweep, np.ndarray]:
-    """Apparent ``rho(u)`` from per-combination mask misalignment, for
-    ``draws`` independent draws of the eight displacements.
-
-    Each draw has its own generator (see :func:`_displacement_draws`), so
-    it is reproducible bit for bit and the same whatever the number of
-    draws.  All draws go through one ``pattern_set`` call.  Returns the
-    sweep, with (S, 8, n) patterns and (S, n) statistics, and the (S, 8)
-    displacements used.
-    """
-    table = np.array(_displacement_draws(sampler, seed, draws), dtype=np.float64)
-    return _misalignment(plate, mask, u_grid, table, guard), table
+def _displacement_draw(sampler: DisplacementSampler, seed: int, draw: int) -> dict[str, float]:
+    """Displacements of draw ``draw`` by combination label: ``sampler``
+    called eight times, in ``COMBINATIONS`` order, on the one generator
+    ``substream(seed, TAG_DISPLACEMENT, draw)``."""
+    rng = substream(seed, TAG_DISPLACEMENT, draw)
+    return {combo: sampler(rng) for combo in COMBINATIONS}
 
 
 def misalignment_rho_sweep(
@@ -310,24 +281,14 @@ def misalignment_rho_sweep(
     seed: int = 0,
     guard: float = DEFAULT_GUARD,
 ) -> tuple[RhoSweep, dict[str, float]]:
-    """The one-draw case of :func:`misalignment_rho_draws`: draw 0, with
-    (8, n) patterns and (n,) statistics, and the displacements used by
-    combination label.  Its bits are those of draw 0 of any batch."""
-    [draw] = _displacement_draws(sampler, seed, 1)
-    displacements = dict(zip(COMBINATIONS, draw))
-    return _misalignment(plate, mask, u_grid, displacements, guard), displacements
+    """Apparent ``rho(u)`` from per-combination mask misalignment.
 
-
-def draw_moments(curves: SorkinCurves) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and sample standard deviation (``ddof = 1``) of ``rho`` over
-    the draws of (S, n) statistics, at each point, taken over the draws
-    where ``rho`` is defined.  The mean is NaN where no draw is defined,
-    the deviation where fewer than two are."""
-    defined = curves.rho_defined
-    k = np.count_nonzero(defined, axis=0)
-    mean = np.divide(np.where(defined, curves.rho, 0.0).sum(axis=0), k,
-                     out=np.full(k.shape, np.nan), where=k > 0)
-    dev = np.where(defined, curves.rho - mean, 0.0)
-    var = np.divide((dev * dev).sum(axis=0), k - 1,
-                    out=np.full(k.shape, np.nan), where=k > 1)
-    return mean, np.sqrt(var)
+    One rigid displacement per combination is drawn from ``sampler``:
+    draw 0 of :func:`_displacement_draw`, on one substream of ``seed``,
+    so the curve is reproducible bit for bit for a fixed seed.  Returns
+    the sweep and the displacements actually used.
+    """
+    displacements = _displacement_draw(sampler, seed, 0)
+    u_arr = np.atleast_1d(np.asarray(u_grid, dtype=float))
+    stacked = pattern_set(plate, mask, u_arr, normalize=True, displacements=displacements)
+    return RhoSweep(u_arr, stacked, sorkin_curves(stacked, guard)), displacements

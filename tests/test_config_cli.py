@@ -11,7 +11,6 @@ from bornlab import experiment, optics
 from bornlab.cli import (
     COMMANDS,
     SWEEP_COLUMNS,
-    _sweep_table,
     _u_grid,
     build_parser,
     dispatch,
@@ -27,13 +26,6 @@ from bornlab.config import (
     serialize_config,
 )
 
-from bornlab.interference import SorkinCurves
-from bornlab.systematics import (
-    RhoSweep,
-    draw_moments,
-    misalignment_rho_draws,
-    uniform_displacement_sampler,
-)
 from oracles import run_experiment_scalar
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -514,45 +506,6 @@ class TestCli:
                     1e-3 * float(vals[i_unit]), rel=1e-12
                 )
 
-    def test_sweep_mask_draws_add_moment_columns(self, tmp_path):
-        # the table's own columns stay those of one draw; rho_mean and
-        # rho_std are the library's moments over the draws
-        text = (ROOT / "configs" / "leaky_mask_sweep.cfg").read_text(encoding="utf-8")
-        tables, summaries = {}, {}
-        for draws in (1, 5):
-            cfg = tmp_path / f"draws{draws}.cfg"
-            cfg.write_text(text + f"displacement_draws = {draws}\n", encoding="utf-8")
-            out = tmp_path / f"out{draws}"
-            assert main(["--config", str(cfg), "--out", str(out), "sweep-mask"]) == 0
-            tables[draws] = (out / "mask_sweep.csv").read_text().splitlines()
-            summaries[draws] = json.loads((out / "manifest.json").read_text())["summary"]
-        one, many = tables[1], tables[5]
-        assert many[0] == one[0] + ",rho_mean,rho_std"
-        assert [row.rsplit(",", 2)[0] for row in many[1:]] == one[1:]
-        assert summaries[5] == summaries[1]
-        rc = load_config(cfg)
-        plate, mask, _, _ = build_objects(rc)
-        sampler = uniform_displacement_sampler(rc.displacement_low, rc.displacement_high)
-        batch, _ = misalignment_rho_draws(plate, mask, sampler, _u_grid(rc),
-                                          seed=rc.seed, draws=5, guard=rc.guard)
-        mean, std = draw_moments(batch.curves)
-        got = np.array([[float(x) for x in row.split(",")[-2:]] for row in many[1:]])
-        np.testing.assert_array_equal(got, np.stack([mean, std], axis=1))
-        assert np.any(std > 0.0)
-        # the moments are even in u, so the writer still mirrors the table
-        sweep = RhoSweep(batch.u, batch.patterns[0],
-                         SorkinCurves(*(stat[0] for stat in batch.curves)))
-        table = _sweep_table(sweep, {"rho_mean": mean, "rho_std": std})
-        assert table.mirror == rc.u_points // 2
-
-    @pytest.mark.parametrize("value", ["0", "-1", "1.5"])
-    def test_displacement_draws_must_be_a_positive_integer(self, tmp_path, capsys, value):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"displacement_draws = {value}\n", encoding="utf-8")
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "sweep-mask"]) == 2
-        assert capsys.readouterr().err.startswith("error: displacement_draws: ")
-        assert not (tmp_path / "out").exists()
-
     def test_detector_sweep_summary_band(self, tmp_path):
         # bundled nonlinear-detector configuration lands in the
         # documented band for the pattern-wide maximum
@@ -652,8 +605,7 @@ class TestUGrid:
 
 #: Small configs on which every key is live: the ideal one runs
 #: ``sweep-detector`` (it needs ideal optics), the leaky one makes the
-#: plate extent, the mask scheme, the displacement sampler and the number
-#: of displacement draws matter.
+#: plate extent, the mask scheme and the displacement sampler matter.
 SMALL = dict(u_points=11, repetitions=3, rule="cubic", alpha=0.01, nonlinearity=0.01)
 BASES = {
     "ideal": RunConfig(**SMALL),
@@ -690,7 +642,6 @@ CHANGED = {
     "dynamic_range": 50.0,
     "displacement_low": 2e-6,
     "displacement_high": 5e-6,
-    "displacement_draws": 3,
     "repetitions": 4,
     "poisson": False,
     "seed": 1,

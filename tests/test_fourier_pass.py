@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab import optics
-from bornlab.interference import COMBINATIONS, sorkin_curves
+from bornlab.interference import COMBINATIONS
 from bornlab.optics import (
     BLOCKING,
     OPENING,
@@ -337,67 +337,3 @@ class TestEvenCurves:
     ])
     def test_grid_without_shared_magnitudes_is_used_as_given(self, u):
         assert optics._distinct_magnitudes(u, np.empty((2, u.size))) is None
-
-
-def draw_table(rng, draws, scale=10e-6):
-    return rng.uniform(-scale, scale, (draws, len(COMBINATIONS)))
-
-
-class TestDisplacementDraws:
-    """``pattern_set`` on an (S, 8) array of displacement draws: one
-    Fourier pass over the 8 * S apertures, each draw with the bits of a
-    call on its own displacements."""
-
-    @pytest.mark.parametrize("draws", [1, 7, 64])
-    @pytest.mark.parametrize("grid", ["mirrored", "all positive"])
-    def test_each_draw_matches_its_own_call(self, rng, grid, draws):
-        u = even_grids()[grid]
-        plate, mask = geometry("leaky", BLOCKING)
-        table = draw_table(rng, draws)
-        batch = pattern_set(plate, mask, u, displacements=table)
-        stats = sorkin_curves(batch)
-        assert batch.shape == (draws, 8, u.size)
-        for s, row in enumerate(table):
-            alone = pattern_set(plate, mask, u, displacements=dict(zip(COMBINATIONS, row)))
-            assert_same_bits(batch[s], alone)
-            for got, want in zip(stats, sorkin_curves(alone)):
-                assert_same_bits(got[s], want)
-
-    @pytest.mark.parametrize("normalize", [True, False])
-    @pytest.mark.parametrize("scheme", [OPENING, BLOCKING])
-    @pytest.mark.parametrize("name", list(GEOMETRIES))
-    def test_draws_match_loop(self, rng, name, scheme, normalize):
-        u = np.linspace(-3e4, 3e4, 601)
-        plate, mask = geometry(name, scheme)
-        table = draw_table(rng, 3)
-        batch = pattern_set(plate, mask, u, normalize=normalize, displacements=table)
-        for s, row in enumerate(table):
-            shifts = dict(zip(COMBINATIONS, row))
-            assert_same_curves(batch[s], pattern_set_loop(plate, mask, u, normalize=normalize,
-                                                          displacements=shifts))
-
-    @pytest.mark.parametrize("block", BLOCK_SIZES)
-    @pytest.mark.parametrize("draws", [7, 64])
-    def test_draws_identical_across_block_sizes(self, rng, monkeypatch, draws, block):
-        # 64 draws hold more intervals than optics._BLOCK_INTERVALS, so
-        # their blocks take fewer points
-        u = even_grids()["partly mirrored"][::10]
-        plate, mask = geometry("leaky", OPENING)
-        table = draw_table(rng, draws)
-        want = pattern_set(plate, mask, u, displacements=table)
-        monkeypatch.setattr(optics, "_BLOCK", block)
-        assert_same_bits(pattern_set(plate, mask, u, displacements=table), want)
-
-    @pytest.mark.parametrize("table", [
-        np.zeros(8), np.zeros((0, 8)), np.zeros((2, 7)), np.zeros((1, 9)), np.zeros((2, 8, 1)),
-    ], ids=["one-row", "no-draws", "seven-columns", "nine-columns", "three-axes"])
-    def test_bad_shape_rejected(self, plate, mask, table):
-        with pytest.raises(ValueError, match=r"displacements: need an \(S, 8\) array"):
-            pattern_set(plate, mask, np.array([0.0, 1e3]), displacements=table)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_draw_rejected(self, plate, mask, bad):
-        table = np.zeros((3, 8))
-        table[2, 5] = bad
-        with pytest.raises(ValueError, match="displacement must be finite"):
-            pattern_set(plate, mask, np.array([0.0, 1e3]), displacements=table)

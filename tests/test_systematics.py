@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from bornlab import systematics
 from bornlab._streams import TAG_DISPLACEMENT, substream
 from bornlab.interference import (
     BORN,
     COMBINATIONS,
-    SorkinCurves,
     ProbabilityRule,
     ProbabilityVector,
     SorkinResult,
@@ -26,8 +26,6 @@ from bornlab.systematics import (
     PowerModel,
     detector_response,
     detector_rho_sweep,
-    draw_moments,
-    misalignment_rho_draws,
     misalignment_rho_sweep,
     poisson_sigma,
     power_sigma,
@@ -348,74 +346,28 @@ class TestMisalignmentSweep:
             uniform_displacement_sampler(1e-6, 0.0)
 
 
-def leaky_blocking(leakage=0.05):
-    plate = triple_slit_plate(leakage_amplitude=math.sqrt(leakage))
-    return plate, combination_mask_for_plate(plate, BLOCKING,
-                                             leakage_amplitude=math.sqrt(leakage))
-
-
-class TestMisalignmentDraws:
+class TestDisplacementLayout:
     def test_draw_is_eight_sampler_calls_on_its_own_stream(self):
         # draw s: eight calls, in COMBINATIONS order, on the one generator
-        # substream(seed, TAG_DISPLACEMENT, s), whatever the number of draws
-        plate, mask = leaky_blocking()
-        u = np.linspace(-3e4, 3e4, 41)
+        # substream(seed, TAG_DISPLACEMENT, s); no other draw enters
         sampler = uniform_displacement_sampler(0.0, 10e-6)
         seed = 11
-        want = np.array([[sampler(rng) for _ in COMBINATIONS] for rng in
-                         (substream(seed, TAG_DISPLACEMENT, s) for s in range(6))])
-        for draws in (1, 2, 6):
-            _, table = misalignment_rho_draws(plate, mask, sampler, u, seed=seed, draws=draws)
-            assert table.shape == (draws, 8)
-            assert table.tobytes() == want[:draws].tobytes()
-        _, used = misalignment_rho_sweep(plate, mask, sampler, u, seed=seed)
-        assert used == dict(zip(COMBINATIONS, want[0].tolist()))
+        for s in (0, 1, 5):
+            rng = substream(seed, TAG_DISPLACEMENT, s)
+            want = [sampler(rng) for _ in COMBINATIONS]
+            got = systematics._displacement_draw(sampler, seed, s)
+            assert list(got) == list(COMBINATIONS)
+            assert list(got.values()) == want
 
-    def test_one_draw_is_draw_zero_of_a_batch(self):
-        plate, mask = leaky_blocking()
-        u = np.linspace(-3e4, 3e4, 601)
+    def test_sweep_uses_draw_zero(self):
+        plate = triple_slit_plate(leakage_amplitude=math.sqrt(0.05))
+        mask = combination_mask_for_plate(plate, BLOCKING, leakage_amplitude=math.sqrt(0.05))
+        u = np.linspace(-3e4, 3e4, 41)
         sampler = uniform_displacement_sampler(0.0, 10e-6)
-        one, used = misalignment_rho_sweep(plate, mask, sampler, u, seed=5)
-        batch, table = misalignment_rho_draws(plate, mask, sampler, u, seed=5, draws=7)
-        assert one.patterns.tobytes() == batch.patterns[0].tobytes()
-        for got, want in zip(one.curves, batch.curves):
-            assert got.tobytes() == want[0].tobytes()
-        assert list(used.values()) == table[0].tolist()
-
-    def test_zero_leakage_draws_are_the_null(self, plate):
-        # below the geometry's safety margin every draw gives the ideal
-        # curves, so the spread over draws vanishes and the mean is the
-        # null to rounding
-        mask = combination_mask_for_plate(plate)
-        u = np.linspace(-3e4, 3e4, 601)
-        batch, _ = misalignment_rho_draws(
-            plate, mask, uniform_displacement_sampler(0, 10e-6), u, seed=2, draws=9)
-        assert np.array_equal(batch.patterns, np.broadcast_to(pattern_set(plate, mask, u),
-                                                              batch.patterns.shape))
-        mean, std = draw_moments(batch.curves)
-        defined = batch.curves.rho_defined.any(axis=0)
-        assert np.all(np.abs(mean[defined]) <= 1e-12)
-        assert np.all(std[defined] <= 1e-24)
-
-    def test_draw_moments_over_the_defined_draws(self, rng):
-        draws, points = 6, 40
-        rho = rng.standard_normal((draws, points))
-        defined = rng.random((draws, points)) < 0.6
-        defined[:, 0] = False
-        defined[:, 1] = [True] + [False] * (draws - 1)
-        rho[~defined] = np.nan
-        zeros = np.zeros((draws, points))
-        mean, std = draw_moments(SorkinCurves(zeros, zeros, zeros, zeros, zeros, rho, defined))
-        for j in range(points):
-            vals = rho[defined[:, j], j]
-            if vals.size == 0:
-                assert math.isnan(mean[j]) and math.isnan(std[j])
-                continue
-            assert mean[j] == pytest.approx(np.mean(vals), rel=1e-14, abs=1e-15)
-            if vals.size == 1:
-                assert math.isnan(std[j])
-            else:
-                assert std[j] == pytest.approx(np.std(vals, ddof=1), rel=1e-12)
+        sweep, used = misalignment_rho_sweep(plate, mask, sampler, u, seed=11)
+        assert used == systematics._displacement_draw(sampler, 11, 0)
+        want = pattern_set(plate, mask, u, displacements=used)
+        assert sweep.patterns.tobytes() == want.tobytes()
 
 
 class TestModelValidation:
