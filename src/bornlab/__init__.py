@@ -7,7 +7,7 @@ imperfections masquerade as a violation of the quadratic probability
 rule.
 """
 
-from .config import ConfigError, RunConfig, load_config, parse_config, serialize_config
+from .config import ConfigError, RunConfig, load_config, parse_config
 from .experiment import (
     RhoSeries,
     RunCounts,
@@ -19,16 +19,11 @@ from .interference import (
     BORN,
     COMBINATIONS,
     DEFAULT_GUARD,
-    PATH_LABELS,
-    PathAmplitudes,
     ProbabilityRule,
     ProbabilityVector,
     SorkinCurves,
     SorkinResult,
-    epsilon,
-    interference_term,
     interference_terms,
-    rule_probability,
     sorkin,
     sorkin_curves,
 )
@@ -51,8 +46,7 @@ from .systematics import (
     detector_response,
     detector_rho_sweep,
     misalignment_rho_sweep,
-    poisson_sigma,
-    power_sigma,
+    poisson_sigma_curves,
     power_sigma_curves,
     uniform_displacement_sampler,
 )
@@ -73,8 +67,6 @@ __all__ = [
     "DEFAULT_GUARD",
     "DetectorModel",
     "OPENING",
-    "PATH_LABELS",
-    "PathAmplitudes",
     "PowerModel",
     "ProbabilityRule",
     "ProbabilityVector",
@@ -89,22 +81,17 @@ __all__ = [
     "combination_mask_for_plate",
     "detector_response",
     "detector_rho_sweep",
-    "epsilon",
     "estimate_rho_series",
     "far_field_amplitude",
-    "interference_term",
     "interference_terms",
     "load_config",
     "misalignment_rho_sweep",
     "parse_config",
     "pattern_set",
-    "poisson_sigma",
-    "power_sigma",
+    "poisson_sigma_curves",
     "power_sigma_curves",
     "rho_per_repetition",
-    "rule_probability",
     "run_experiment",
-    "serialize_config",
     "sorkin",
     "sorkin_curves",
     "triple_slit_plate",

@@ -458,6 +458,11 @@ def cmd_sweep_mask(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
 
 
 def cmd_sweep_detector(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
+    nonzero = [key for key in ("plate_leakage", "mask_leakage", "mask_displacement")
+               if getattr(cfg, key) != 0.0]
+    if nonzero:
+        raise ConfigError("detector sweep requires zero leakage and zero mask "
+                          f"displacement (ideal optics); nonzero: {', '.join(nonzero)}")
     plate, mask, _power, detector = build_objects(cfg)
     u = _u_grid(cfg)
     sweep = detector_rho_sweep(
@@ -532,7 +537,10 @@ def _count_table(run: RunCounts, poisson: bool) -> _Columns:
 
 def read_counts_file(path) -> ProbabilityVector:
     """Counts file -> rate vector (one row per combination)."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read counts file {path}: {exc}") from None
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split(",") != list(COUNTS_COLUMNS):
         raise ConfigError(
@@ -729,6 +737,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: cannot read config: {args.config}: {exc}", file=sys.stderr)
         return 2
     return dispatch(
         args.command, cfg, out_dir=args.out, fmt=args.format,

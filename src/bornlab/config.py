@@ -3,8 +3,7 @@
 Unknown keys are rejected, every value is range-checked with a
 diagnostic naming the key (every float must be finite), and cross-field
 physical constraints (slit overlap, plate extent) are validated at parse
-time.  ``serialize`` and
-``parse`` round-trip exactly.
+time.
 
 Leakage values are intensity fractions (as transmission measurements
 report them); the optics layer works with their square roots as
@@ -214,21 +213,6 @@ def parse_config(text: str) -> RunConfig:
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; ``parse_config`` of it reproduces ``cfg``."""
-    lines = []
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, bool):
-            rendered = "true" if v else "false"
-        elif isinstance(v, float):
-            rendered = f"{v:.17g}"
-        else:
-            rendered = str(v)
-        lines.append(f"{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"
 
 
 def build_objects(

@@ -34,12 +34,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
-
-#: Path labels, in order; at most eight paths are supported.
-PATH_LABELS = "ABCDEFGH"
 
 #: Canonical order of the eight three-path combinations.  Every stacked
 #: array and every CSV column in the package follows it.
@@ -51,44 +48,6 @@ DEFAULT_GUARD = 1e-9
 
 #: Bound on the interference order (subset enumeration is O(2^k)).
 MAX_ORDER = 8
-
-
-def _check_finite_complex(z: complex, what: str) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{what} must be finite (got {z!r})")
-    return z
-
-
-@dataclass(frozen=True)
-class PathAmplitudes:
-    """Complex amplitude per path, labeled ``A, B, C, ...`` in order."""
-
-    amplitudes: tuple[complex, ...]
-
-    def __init__(self, amplitudes: Iterable[complex]):
-        amps = tuple(
-            _check_finite_complex(a, "path amplitude") for a in amplitudes
-        )
-        if not 2 <= len(amps) <= len(PATH_LABELS):
-            raise ValueError(
-                f"need between 2 and {len(PATH_LABELS)} path amplitudes "
-                f"(got {len(amps)})"
-            )
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(PATH_LABELS[: len(self.amplitudes)])
-
-    def amplitude(self, label: str) -> complex:
-        try:
-            idx = self.labels.index(label)
-        except ValueError:
-            raise ValueError(
-                f"unknown path label {label!r}; have {''.join(self.labels)}"
-            ) from None
-        return self.amplitudes[idx]
 
 
 @dataclass(frozen=True)
@@ -158,38 +117,9 @@ class ProbabilityVector:
             raise ValueError(f"expected 8 probabilities (got shape {arr.shape})")
         return cls(*map(float, arr))
 
-    @classmethod
-    def from_rule(
-        cls,
-        rule: ProbabilityRule,
-        amps: PathAmplitudes,
-        background: float = 0.0,
-    ) -> "ProbabilityVector":
-        """Probabilities of all eight combinations of a 3-path system,
-        plus a constant additive background on every entry."""
-        if len(amps.amplitudes) != 3:
-            raise ValueError("from_rule needs exactly 3 path amplitudes")
-        if background < 0.0 or not math.isfinite(background):
-            raise ValueError(f"background must be finite and >= 0 (got {background})")
-        values = [
-            rule_probability(rule, amps, combo if combo != "0" else "")
-            + background
-            for combo in COMBINATIONS
-        ]
-        return cls(*values)
-
     @property
     def array(self) -> np.ndarray:
         return np.array([getattr(self, f) for f in _PV_FIELDS], dtype=float)
-
-    def __add__(self, other: "ProbabilityVector") -> "ProbabilityVector":
-        if not isinstance(other, ProbabilityVector):
-            return NotImplemented
-        return ProbabilityVector.from_array(self.array + other.array)
-
-    def shifted(self, background: float) -> "ProbabilityVector":
-        """Add the same constant to all eight entries."""
-        return ProbabilityVector.from_array(self.array + background)
 
 
 @dataclass(frozen=True)
@@ -221,30 +151,6 @@ class SorkinResult:
                    i_ab, i_bc, i_ca, s_ab, s_bc, s_ca)
 
 
-def rule_probability(
-    rule: ProbabilityRule, amps: PathAmplitudes, subset: Iterable[str]
-) -> float:
-    """Probability of detecting with exactly the given paths open.
-
-    The subset's amplitudes are summed coherently and the rule applied to
-    the sum; the empty subset gives ``rule(0) = 0``.
-    """
-    labels = list(subset)
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate path labels in subset {labels!r}")
-    total = 0j
-    for lab in labels:
-        total += amps.amplitude(lab)
-    return float(rule.probability(total))
-
-
-def _check_order(k: int) -> None:
-    if k < 1:
-        raise ValueError("need at least one path")
-    if k > MAX_ORDER:
-        raise ValueError(f"interference order limited to {MAX_ORDER} (got {k})")
-
-
 def interference_terms(rule: ProbabilityRule, amps) -> tuple[np.ndarray, np.ndarray]:
     """Order-k interference terms of n sets of k path amplitudes.
 
@@ -262,7 +168,8 @@ def interference_terms(rule: ProbabilityRule, amps) -> tuple[np.ndarray, np.ndar
     if a.ndim != 2:
         raise ValueError(f"amplitudes must have shape (n, k) (got {a.shape})")
     n, k = a.shape
-    _check_order(k)
+    if not 1 <= k <= MAX_ORDER:
+        raise ValueError(f"interference order must lie in [1, {MAX_ORDER}] (got {k})")
     total = np.zeros(n)
     probs = np.empty((n, 2**k - 1))
     for m in range(1, 2**k):
@@ -273,25 +180,6 @@ def interference_terms(rule: ProbabilityRule, amps) -> tuple[np.ndarray, np.ndar
         total += (-1.0) ** (k - len(members)) * p
         probs[:, m - 1] = p
     return total, probs
-
-
-def interference_term(
-    rule: ProbabilityRule, amps: PathAmplitudes, paths: Sequence[str]
-) -> float:
-    """Order-k interference term of the given paths: the one-set case of
-    :func:`interference_terms`."""
-    _check_order(len(paths))
-    if len(set(paths)) != len(paths):
-        raise ValueError(f"duplicate path labels in {tuple(paths)!r}")
-    row = np.array([[amps.amplitude(lab) for lab in paths]], dtype=np.complex128)
-    return float(interference_terms(rule, row)[0][0])
-
-
-def epsilon(pv: ProbabilityVector) -> float:
-    """Background-subtracted order-3 interference term: the arithmetic of
-    :func:`sorkin_curves` on the vector's eight floats."""
-    fields = (pv.p0, pv.pA, pv.pB, pv.pC, pv.pAB, pv.pBC, pv.pCA, pv.pABC)
-    return _terms(*map(float, fields))[3]
 
 
 def sorkin(pv: ProbabilityVector, guard: float = DEFAULT_GUARD) -> SorkinResult:
@@ -317,20 +205,14 @@ class SorkinCurves(NamedTuple):
     rho_defined: np.ndarray
 
 
-def _terms(p0, pa, pb, pc, pab, pbc, pca, pabc):
-    """``(i_ab, i_bc, i_ca, epsilon)`` of the eight combination values in
-    canonical order: rows of an (8, n) array or eight floats, with the
-    same IEEE operations in the same order either way."""
-    return (pab - pa - pb + p0, pbc - pb - pc + p0, pca - pc - pa + p0,
-            pabc - pab - pbc - pca + pa + pb + pc - p0)
-
-
 def _statistics(p: np.ndarray, guard: float) -> SorkinCurves:
     """The statistics kernel: ``p`` is (8, n); ``rho`` is NaN where
     ``delta`` is below ``guard``."""
     if not guard > 0.0:
         raise ValueError(f"guard must be > 0 (got {guard})")
-    i_ab, i_bc, i_ca, eps = _terms(*p)
+    p0, pa, pb, pc, pab, pbc, pca, pabc = p
+    i_ab, i_bc, i_ca = pab - pa - pb + p0, pbc - pb - pc + p0, pca - pc - pa + p0
+    eps = pabc - pab - pbc - pca + pa + pb + pc - p0
     delta = np.abs(i_ab) + np.abs(i_bc) + np.abs(i_ca)
     defined = delta >= guard
     rho = np.full(delta.shape, np.nan)

@@ -46,9 +46,7 @@ from ._streams import TAG_DISPLACEMENT, substream
 from .interference import (
     DEFAULT_GUARD,
     COMBINATIONS,
-    ProbabilityVector,
     SorkinCurves,
-    SorkinResult,
     sorkin_curves,
 )
 from .optics import CombinationMask, SlitPlate, pattern_set
@@ -131,13 +129,12 @@ _SIGN_TERMS = np.array([[combo in (xy, xy[0], xy[1], "0") for xy in ("AB", "BC",
                         for combo in COMBINATIONS], dtype=float)
 
 
-def _rho_sigma(p: np.ndarray, stats: SorkinCurves | SorkinResult, dp: float,
+def _rho_sigma(p: np.ndarray, stats: SorkinCurves, dp: float,
                squared: bool) -> np.ndarray:
-    """``sqrt(bracket) * dp / delta`` at every point of the values ``p``,
-    shape (8, n) with curves or (8,) with the result of one vector; the
-    bracket sums ``w * p * p`` (``squared``) or ``w * p`` over the eight
-    rows one after another, from row 0.  NaN wherever ``rho`` is
-    undefined or the bracket is negative (|rho| too large for the
+    """``sqrt(bracket) * dp / delta`` at every point of the (8, n) values
+    ``p``; the bracket sums ``w * p * p`` (``squared``) or ``w * p`` over
+    the eight rows one after another, from row 0.  NaN wherever ``rho``
+    is undefined or the bracket is negative (|rho| too large for the
     first-order sign terms to make sense).
     """
     if dp < 0.0:
@@ -156,26 +153,6 @@ def _rho_sigma(p: np.ndarray, stats: SorkinCurves | SorkinResult, dp: float,
     return out
 
 
-def power_sigma(pv: ProbabilityVector, result: SorkinResult, dp: float) -> float:
-    """Fluctuation of ``rho`` from a relative power fluctuation ``dp``:
-    the one-point case of :func:`power_sigma_curves`.
-
-    ``result`` must come from the same vector.  Returns NaN when ``rho``
-    is undefined, or when the variance bracket goes negative.
-    """
-    return float(_rho_sigma(pv.array, result, dp, squared=True))
-
-
-def poisson_sigma(counts: ProbabilityVector, result: SorkinResult) -> float:
-    """Fluctuation of ``rho`` from Poisson counting noise.
-
-    ``counts`` are raw photocounts per dwell (not rates); the power
-    formula applies with each squared power replaced by the count itself,
-    its Poisson variance.
-    """
-    return float(_rho_sigma(counts.array, result, 1.0, squared=False))
-
-
 def power_sigma_curves(
     patterns: np.ndarray, curves: SorkinCurves, dp: float = 1.0
 ) -> np.ndarray:
@@ -187,6 +164,15 @@ def power_sigma_curves(
     fluctuation).
     """
     return _rho_sigma(np.asarray(patterns, dtype=float), curves, dp, squared=True)
+
+
+def poisson_sigma_curves(counts: np.ndarray, curves: SorkinCurves) -> np.ndarray:
+    """Fluctuation of ``rho`` from Poisson counting noise at every point
+    of stacked raw photocounts per dwell (shape (8, n), not rates): the
+    power formula with each squared power replaced by the count itself,
+    its Poisson variance.  NaN wherever ``rho`` is undefined.
+    """
+    return _rho_sigma(np.asarray(counts, dtype=float), curves, 1.0, squared=False)
 
 
 def detector_response(model: DetectorModel, true_rate):

@@ -16,12 +16,10 @@ import pytest
 from bornlab.experiment import estimate_rho_series, run_experiment
 from bornlab.interference import (
     BORN,
-    PathAmplitudes,
     ProbabilityRule,
-    ProbabilityVector,
-    epsilon,
-    interference_term,
-    sorkin,
+    SorkinCurves,
+    interference_terms,
+    sorkin_curves,
 )
 from bornlab.optics import (
     BLOCKING,
@@ -29,17 +27,17 @@ from bornlab.optics import (
     pattern_set,
     triple_slit_plate,
 )
-from bornlab.interference import sorkin_curves
 from bornlab.systematics import (
     DetectorModel,
     PowerModel,
     detector_response,
     detector_rho_sweep,
     misalignment_rho_sweep,
-    poisson_sigma,
-    power_sigma,
+    poisson_sigma_curves,
+    power_sigma_curves,
     uniform_displacement_sampler,
 )
+from conftest import combination_probabilities
 from oracles import (
     brute_force_interference,
     mc_poisson_rho_std,
@@ -64,21 +62,24 @@ def run_cli(args, cwd=None):
     return proc
 
 
+def pair_terms(curves):
+    """The three pairwise terms of one-point curves."""
+    return np.array([curves.i_ab[0], curves.i_bc[0], curves.i_ca[0]])
+
+
 def near_null_vectors(count, rng, alpha=1e-3, background=0.05):
-    """Random near-null vectors with well-separated pairwise terms."""
+    """Random near-null (8, 1) vectors with well-separated pairwise terms,
+    each with its curves."""
     out = []
     while len(out) < count:
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        pv = ProbabilityVector.from_rule(
-            ProbabilityRule(alpha), PathAmplitudes([complex(v) for v in z]),
-            background=background,
-        )
-        res = sorkin(pv)
-        if not res.rho_defined or abs(res.rho) > 5e-3:
+        p = combination_probabilities(ProbabilityRule(alpha), z, background)
+        curves = sorkin_curves(p)
+        if not curves.rho_defined[0] or abs(curves.rho[0]) > 5e-3:
             continue
-        if min(abs(res.i_ab), abs(res.i_bc), abs(res.i_ca)) < 0.05 * res.delta:
+        if np.abs(pair_terms(curves)).min() < 0.05 * curves.delta[0]:
             continue
-        out.append((pv, res))
+        out.append((p, curves))
     return out
 
 
@@ -86,12 +87,8 @@ def test_criterion_01_born_nullity():
     rng = np.random.default_rng(101)
     z = rng.standard_normal((10000, 3)) + 1j * rng.standard_normal((10000, 3))
     t0 = time.perf_counter()
-    worst = 0.0
-    for row in z:
-        pv = ProbabilityVector.from_rule(
-            BORN, PathAmplitudes([complex(v) for v in row])
-        )
-        worst = max(worst, abs(epsilon(pv)) / max(1.0, pv.pABC))
+    p = combination_probabilities(BORN, z)
+    worst = float(np.max(np.abs(sorkin_curves(p).epsilon) / np.maximum(1.0, p[7])))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 1.0
     report(1, "Born nullity over 1e4 random triples", ok,
@@ -103,16 +100,14 @@ def test_criterion_02_hierarchy_orders():
     rng = np.random.default_rng(202)
     worst = {}
     for k in (3, 4, 5):
+        z = rng.standard_normal((300, k)) + 1j * rng.standard_normal((300, k))
         w = 0.0
-        for _ in range(300):
-            z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            amps = PathAmplitudes([complex(v) for v in z])
-            term = interference_term(BORN, amps, "ABCDE"[:k])
-            oracle = brute_force_interference(z)
-            scale = max(1.0, abs(z.sum()) ** 2)
+        for term, row in zip(interference_terms(BORN, z)[0], z):
+            oracle = brute_force_interference(row)
+            scale = max(1.0, abs(row.sum()) ** 2)
             w = max(w, abs(term) / scale, abs(term - oracle) / scale)
         worst[k] = w
-    pair = interference_term(BORN, PathAmplitudes([1, 1]), "AB")
+    pair = float(interference_terms(BORN, [[1, 1]])[0][0])
     ok = all(w <= 1e-12 for w in worst.values()) and pair == 2.0
     report(2, "hierarchy nullity orders 3/4/5 + order-2 activation", ok,
            f"max relative |I_k| and oracle gap = "
@@ -124,22 +119,14 @@ def test_criterion_03_background_cancellation_exact():
     rng = np.random.default_rng(303)
     worst = 0.0
     cases = 0
-    for _ in range(200):
-        ints = rng.integers(-8, 9, size=(3, 2))
-        amps = PathAmplitudes([complex(a, b) for a, b in ints])
-        pv = ProbabilityVector.from_rule(BORN, amps)
-        for b in (0.5, 0.125, 3.25, 10.0, 2.0**-20):
-            shifted = pv.shifted(b)
-            r0, r1 = sorkin(pv), sorkin(shifted)
-            worst = max(
-                worst,
-                abs(epsilon(shifted) - epsilon(pv)),
-                abs(r1.delta - r0.delta),
-                abs(r1.i_ab - r0.i_ab),
-                abs(r1.i_bc - r0.i_bc),
-                abs(r1.i_ca - r0.i_ca),
-            )
-            cases += 1
+    ints = rng.integers(-8, 9, size=(200, 3, 2))
+    p = combination_probabilities(BORN, ints[..., 0] + 1j * ints[..., 1])
+    r0 = sorkin_curves(p)
+    for b in (0.5, 0.125, 3.25, 10.0, 2.0**-20):
+        r1 = sorkin_curves(p + b)
+        for attr in ("epsilon", "delta", "i_ab", "i_bc", "i_ca"):
+            worst = max(worst, float(np.max(np.abs(getattr(r1, attr) - getattr(r0, attr)))))
+        cases += p.shape[1]
     ok = worst == 0.0
     report(3, "background cancellation", ok,
            f"max change of epsilon/delta/I_XY over {cases} shifted vectors "
@@ -150,11 +137,11 @@ def test_criterion_04_power_sigma_monte_carlo():
     rng = np.random.default_rng(404)
     t0 = time.perf_counter()
     vectors = near_null_vectors(20, rng)
-    sign_patterns = {(r.s_ab, r.s_bc, r.s_ca) for _, r in vectors}
+    sign_patterns = {tuple(np.sign(pair_terms(c)).astype(int)) for _, c in vectors}
     worst = 0.0
-    for i, (pv, res) in enumerate(vectors):
-        pred = power_sigma(pv, res, 1e-3)
-        mc = mc_power_rho_std(pv.array, 1e-3, samples=1_000_000, seed=1000 + i)
+    for i, (p, curves) in enumerate(vectors):
+        pred = power_sigma_curves(p, curves, 1e-3)[0]
+        mc = mc_power_rho_std(p[:, 0], 1e-3, samples=1_000_000, seed=1000 + i)
         worst = max(worst, abs(pred - mc) / mc)
     elapsed = time.perf_counter() - t0
     mixed = len(sign_patterns) >= 3 and any(
@@ -174,31 +161,23 @@ def test_criterion_05_poisson_sigma_monte_carlo():
     while checked < 20:
         i += 1
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        pv = ProbabilityVector.from_rule(
-            ProbabilityRule(1e-3), PathAmplitudes([complex(v) for v in z]),
-            background=0.05,
-        )
-        counts = ProbabilityVector.from_array(
-            np.round(pv.array * (1e5 / pv.pABC))
-        )
-        res = sorkin(counts)
-        if not res.rho_defined or abs(res.rho) > 5e-3:
+        p = combination_probabilities(ProbabilityRule(1e-3), z, 0.05)
+        counts = np.round(p * (1e5 / p[7, 0]))
+        curves = sorkin_curves(counts)
+        if not curves.rho_defined[0] or abs(curves.rho[0]) > 5e-3:
             continue
-        noise = math.sqrt(float(np.max(counts.array)))
-        if min(abs(res.i_ab), abs(res.i_bc), abs(res.i_ca)) < 30 * noise:
+        noise = math.sqrt(float(np.max(counts)))
+        if np.abs(pair_terms(curves)).min() < 30 * noise:
             continue
-        pred = poisson_sigma(counts, res)
-        mc = mc_poisson_rho_std(counts.array, samples=100_000, seed=2000 + i)
+        pred = poisson_sigma_curves(counts, curves)[0]
+        mc = mc_poisson_rho_std(counts[:, 0], samples=100_000, seed=2000 + i)
         worst = max(worst, abs(pred - mc) / mc)
         checked += 1
     # all-equal closed form
     n = 1e5
-    from bornlab.interference import SorkinResult
-
-    flat = SorkinResult(epsilon=0.0, delta=n, rho=0.0, rho_defined=True,
-                        i_ab=n / 3, i_bc=n / 3, i_ca=n / 3,
-                        s_ab=1, s_bc=1, s_ca=1)
-    closed = poisson_sigma(ProbabilityVector.from_array([n] * 8), flat)
+    # i_ab, i_bc, i_ca, epsilon, delta, rho, rho_defined
+    flat = SorkinCurves(*(np.array([v]) for v in (n / 3, n / 3, n / 3, 0.0, n, 0.0, True)))
+    closed = poisson_sigma_curves(np.full((8, 1), n), flat)[0]
     closed_ok = closed == pytest.approx(math.sqrt(8 / n), rel=1e-12)
     ok = worst <= 0.03 and closed_ok
     report(5, "Poisson-counting propagation vs resampling MC", ok,

@@ -14,9 +14,9 @@ from bornlab.experiment import (
     rho_per_repetition,
     run_experiment,
 )
-from bornlab.interference import ProbabilityVector, sorkin
+from bornlab.interference import sorkin_curves
 from bornlab.optics import pattern_set
-from bornlab.systematics import DetectorModel, PowerModel, poisson_sigma
+from bornlab.systematics import DetectorModel, PowerModel, poisson_sigma_curves
 
 from oracles import rho_per_repetition_scalar, run_experiment_scalar
 
@@ -247,8 +247,8 @@ class TestEstimate:
         series = estimate_rho_series(run)
         expected = run_experiment(plate, mask, power, det, 0.0, 1, seed=1,
                                   poisson=False)
-        cv = ProbabilityVector.from_array(expected.counts[0])
-        pred = poisson_sigma(cv, sorkin(cv))
+        cv = expected.counts.T  # (8, 1)
+        pred = poisson_sigma_curves(cv, sorkin_curves(cv))[0]
         assert series.sample_std == pytest.approx(pred, rel=0.10)
         assert abs(series.mean) <= 3 * series.sem
 

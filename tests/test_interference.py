@@ -7,18 +7,13 @@ from hypothesis import strategies as st
 
 from bornlab.interference import (
     BORN,
-    COMBINATIONS,
-    PathAmplitudes,
     ProbabilityRule,
     ProbabilityVector,
-    epsilon,
-    interference_term,
     interference_terms,
-    rule_probability,
     sorkin,
     sorkin_curves,
 )
-from conftest import random_triple
+from conftest import combination_probabilities, random_triple
 from oracles import brute_force_interference, union_recursion_interference
 
 finite_complex = st.complex_numbers(
@@ -26,53 +21,36 @@ finite_complex = st.complex_numbers(
 )
 
 
-class TestRuleProbability:
+def vector(rule, amps, background=0.0):
+    """ProbabilityVector of one amplitude triple."""
+    return ProbabilityVector.from_array(
+        combination_probabilities(rule, amps, background)[:, 0])
+
+
+class TestSubsetProbabilities:
+    # column m - 1 of interference_terms' probabilities holds the subset
+    # of bitmask m: 3 = AB, 5 = AC, 7 = ABC
     def test_equal_amplitudes_pair(self):
-        amps = PathAmplitudes([1, 1, 1])
-        assert rule_probability(BORN, amps, "AB") == 4.0
+        assert interference_terms(BORN, [[1, 1, 1]])[1][0, 2] == 4.0
 
     def test_orthogonal_pair(self):
-        amps = PathAmplitudes([1, 1j, 0])
-        assert rule_probability(BORN, amps, "AB") == 2.0
+        assert interference_terms(BORN, [[1, 1j, 0]])[1][0, 2] == 2.0
 
     def test_cubic_all_open(self):
         rule = ProbabilityRule(alpha=0.01)
-        amps = PathAmplitudes([1, 1, 1])
         expected = 3.0**2 + 0.01 * 3.0**3
-        assert rule_probability(rule, amps, "ABC") == pytest.approx(expected, rel=1e-14)
-
-    def test_empty_subset_is_zero(self):
-        assert rule_probability(BORN, PathAmplitudes([1, 2]), "") == 0.0
-
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            rule_probability(BORN, PathAmplitudes([1, 1]), "AA")
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError, match="unknown path label"):
-            rule_probability(BORN, PathAmplitudes([1, 1]), "C")
+        got = interference_terms(rule, [[1, 1, 1]])[1][0, 6]
+        assert got == pytest.approx(expected, rel=1e-14)
 
     def test_cubic_nonnegative_for_positive_alpha(self, rng):
-        rule = ProbabilityRule(alpha=0.3)
-        for _ in range(50):
-            amps = PathAmplitudes(random_triple(rng))
-            for combo in COMBINATIONS:
-                subset = combo if combo != "0" else ""
-                assert rule_probability(rule, amps, subset) >= 0.0
+        z = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+        assert np.all(interference_terms(ProbabilityRule(alpha=0.3), z)[1] >= 0.0)
 
 
 class TestTypes:
     def test_born_is_cubic_with_zero_alpha(self):
         assert BORN == ProbabilityRule(0.0)
         assert BORN.is_quadratic
-
-    def test_amplitudes_need_two_paths(self):
-        with pytest.raises(ValueError, match="between 2 and 8"):
-            PathAmplitudes([1.0])
-
-    def test_amplitudes_must_be_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            PathAmplitudes([1.0, complex("nan")])
 
     def test_probability_vector_rejects_negative(self):
         with pytest.raises(ValueError, match="pAB must be >= 0"):
@@ -87,42 +65,34 @@ class TestTypes:
         assert ProbabilityVector.from_array(pv.array) == pv
 
 
-class TestInterferenceTerm:
+class TestInterferenceTerms:
     def test_pair_in_phase(self):
-        assert interference_term(BORN, PathAmplitudes([1, 1]), "AB") == 2.0
+        assert interference_terms(BORN, [[1, 1]])[0][0] == 2.0
 
     def test_pair_out_of_phase(self):
-        assert interference_term(BORN, PathAmplitudes([1, -1]), "AB") == -2.0
+        assert interference_terms(BORN, [[1, -1]])[0][0] == -2.0
 
     def test_order_one_is_single_path_probability(self):
-        amps = PathAmplitudes([2, 3j])
-        assert interference_term(BORN, amps, "B") == 9.0
+        assert interference_terms(BORN, [[3j]])[0][0] == 9.0
 
     def test_order_three_null(self, rng):
-        for _ in range(200):
-            amps = PathAmplitudes(random_triple(rng))
-            scale = max(1.0, rule_probability(BORN, amps, "ABC"))
-            assert abs(interference_term(BORN, amps, "ABC")) <= 1e-12 * scale
+        z = rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3))
+        terms, probs = interference_terms(BORN, z)
+        assert np.all(np.abs(terms) <= 1e-12 * np.maximum(1.0, probs[:, 6]))
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_matches_brute_force_oracle(self, rng, k):
-        for _ in range(40):
-            z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            amps = PathAmplitudes([complex(v) for v in z])
-            got = interference_term(BORN, amps, "ABCDE"[:k])
-            want = brute_force_interference(z)
+        z = rng.standard_normal((40, k)) + 1j * rng.standard_normal((40, k))
+        for got, row in zip(interference_terms(BORN, z)[0], z):
+            want = brute_force_interference(row)
             assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_matches_union_recursion_oracle(self, rng, k):
         alpha = 0.05  # nonzero so the term itself is nonzero
-        rule = ProbabilityRule(alpha)
-        for _ in range(25):
-            z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            amps = PathAmplitudes([complex(v) for v in z])
-            got = interference_term(rule, amps, "ABCD"[:k])
-            want = union_recursion_interference(z, alpha)
-            assert got == pytest.approx(want, abs=1e-10)
+        z = rng.standard_normal((25, k)) + 1j * rng.standard_normal((25, k))
+        for got, row in zip(interference_terms(ProbabilityRule(alpha), z)[0], z):
+            assert got == pytest.approx(union_recursion_interference(row, alpha), abs=1e-10)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.05])
     def test_rows_match_one_set_at_a_time(self, rng, alpha):
@@ -131,10 +101,11 @@ class TestInterferenceTerm:
         terms, probs = interference_terms(rule, z)
         assert terms.shape == (30,) and probs.shape == (30, 15)
         for row, term, p in zip(z, terms, probs):
-            amps = PathAmplitudes([complex(v) for v in row])
-            assert interference_term(rule, amps, "ABCD") == term
+            alone_terms, alone_probs = interference_terms(rule, row[None])
+            assert alone_terms[0] == term
+            assert np.array_equal(alone_probs[0], p)
             # column m - 1 holds the subset of bitmask m: 5 = A and C
-            assert p[4] == rule_probability(rule, amps, "AC")
+            assert p[4] == rule.probability(row[0] + row[2])
         with pytest.raises(ValueError, match="shape"):
             interference_terms(rule, z[0])
 
@@ -167,33 +138,24 @@ class TestInterferenceTerm:
         total, probs = interference_terms(BORN, z.reshape(1, k))
         assert abs(total[0]) <= 2**k * np.finfo(float).eps * np.max(probs)
 
-    def test_duplicate_paths_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            interference_term(BORN, PathAmplitudes([1, 1, 1]), "ABA")
-
     def test_order_bound(self):
-        amps = PathAmplitudes([1] * 8)
-        with pytest.raises(ValueError, match="limited to 8"):
-            interference_term(BORN, amps, "ABCDEFGHX"[:9])
-        with pytest.raises(ValueError, match="at least one"):
-            interference_term(BORN, amps, "")
+        assert interference_terms(BORN, np.ones((1, 8)))[0][0] == 0.0
+        for k in (0, 9):
+            with pytest.raises(ValueError, match=r"order must lie in \[1, 8\]"):
+                interference_terms(BORN, np.ones((1, k)))
 
 
 class TestEpsilon:
     def test_born_null(self):
-        pv = ProbabilityVector.from_rule(BORN, PathAmplitudes([1, 1, 1]))
-        assert epsilon(pv) == 0.0
+        assert sorkin(vector(BORN, [1, 1, 1])).epsilon == 0.0
 
     def test_background_cancels_exactly(self):
-        pv = ProbabilityVector.from_rule(BORN, PathAmplitudes([1, 1, 1]))
-        assert epsilon(pv.shifted(0.5)) == 0.0
+        assert sorkin(vector(BORN, [1, 1, 1], 0.5)).epsilon == 0.0
 
     def test_cubic_violation(self):
-        pv = ProbabilityVector.from_rule(
-            ProbabilityRule(0.01), PathAmplitudes([1, 1, 1])
-        )
         expected = 9.27 - 3 * 4.08 + 3 * 1.01  # direct arithmetic
-        assert epsilon(pv) == pytest.approx(expected, abs=1e-13)
+        got = sorkin(vector(ProbabilityRule(0.01), [1, 1, 1])).epsilon
+        assert got == pytest.approx(expected, abs=1e-13)
 
     @given(st.lists(finite_complex, min_size=3, max_size=3))
     @example([0j, 976.62 + 0j, -966 + 0j])
@@ -207,8 +169,8 @@ class TestEpsilon:
         # seven additions of epsilon, whose partial sums stay within 3M,
         # add <= 21uM.  Exact epsilon is 0, so |epsilon| <= 7 * 6uM + 21uM
         # < 1e-14 M to first order, over 100x below the bound.
-        pv = ProbabilityVector.from_rule(BORN, PathAmplitudes(triple))
-        assert abs(epsilon(pv)) <= 1e-12 * max(1.0, *pv.array)
+        p = combination_probabilities(BORN, triple)
+        assert abs(sorkin_curves(p).epsilon[0]) <= 1e-12 * max(1.0, *p[:, 0])
 
     @given(
         st.lists(finite_complex, min_size=3, max_size=3),
@@ -227,13 +189,11 @@ class TestEpsilon:
         # i_xy by <= 4 * 2uS + 3 * 4uS + 3 * 2uS, and delta, their three
         # moduli summed twice, by <= 3 * 26uS + 4 * 6uS < 1.2e-14 S to
         # first order: about 90x below the bound.
-        pv = ProbabilityVector.from_rule(BORN, PathAmplitudes(triple))
-        shifted = pv.shifted(b)
-        scale = max(1.0, b, *pv.array)
-        assert abs(epsilon(shifted) - epsilon(pv)) <= 1e-12 * scale
-        r0, r1 = sorkin(pv), sorkin(shifted)
-        for attr in ("i_ab", "i_bc", "i_ca", "delta"):
-            assert abs(getattr(r1, attr) - getattr(r0, attr)) <= 1e-12 * scale
+        p = combination_probabilities(BORN, triple)
+        scale = max(1.0, b, *p[:, 0])
+        r0, r1 = sorkin_curves(p), sorkin_curves(p + b)
+        for attr in ("epsilon", "i_ab", "i_bc", "i_ca", "delta"):
+            assert abs(getattr(r1, attr)[0] - getattr(r0, attr)[0]) <= 1e-12 * scale
 
     @given(
         st.lists(finite_complex, min_size=3, max_size=3),
@@ -248,16 +208,16 @@ class TestEpsilon:
         # M of the largest entry of either vector, which can be far above
         # both pABC when the paths cancel each other; together they err by
         # less than 300 * 2**-53 * M
-        pv1 = ProbabilityVector.from_rule(BORN, PathAmplitudes(t1))
-        pv2 = ProbabilityVector.from_rule(BORN, PathAmplitudes(t2))
-        scale = max(1.0, *pv1.array, *pv2.array)
-        assert abs(epsilon(pv1 + pv2) - (epsilon(pv1) + epsilon(pv2))) <= 1e-12 * scale
+        p1 = combination_probabilities(BORN, t1)
+        p2 = combination_probabilities(BORN, t2)
+        scale = max(1.0, *p1[:, 0], *p2[:, 0])
+        eps1, eps2, eps12 = (sorkin_curves(p).epsilon[0] for p in (p1, p2, p1 + p2))
+        assert abs(eps12 - (eps1 + eps2)) <= 1e-12 * scale
 
 
 class TestSorkin:
     def test_equal_amplitudes(self):
-        pv = ProbabilityVector.from_rule(BORN, PathAmplitudes([1, 1, 1]))
-        res = sorkin(pv)
+        res = sorkin(vector(BORN, [1, 1, 1]))
         assert res.delta == 6.0
         assert res.epsilon == 0.0
         assert res.rho == 0.0
@@ -265,23 +225,18 @@ class TestSorkin:
         assert (res.s_ab, res.s_bc, res.s_ca) == (1, 1, 1)
 
     def test_mixed_phase_amplitudes(self):
-        pv = ProbabilityVector.from_rule(BORN, PathAmplitudes([1, 1j, 1]))
-        res = sorkin(pv)
+        res = sorkin(vector(BORN, [1, 1j, 1]))
         assert (res.i_ab, res.i_bc, res.i_ca) == (0.0, 0.0, 2.0)
         assert res.delta == 2.0
         assert (res.s_ab, res.s_bc, res.s_ca) == (0, 0, 1)
 
     def test_cubic_rho(self):
-        pv = ProbabilityVector.from_rule(
-            ProbabilityRule(0.01), PathAmplitudes([1, 1, 1])
-        )
-        res = sorkin(pv)
+        res = sorkin(vector(ProbabilityRule(0.01), [1, 1, 1]))
         assert res.rho == pytest.approx(0.06 / 6.18, rel=1e-12)
 
     def test_delta_is_abs_sum(self, rng):
         for _ in range(100):
-            pv = ProbabilityVector.from_rule(BORN, PathAmplitudes(random_triple(rng)))
-            res = sorkin(pv)
+            res = sorkin(vector(BORN, random_triple(rng)))
             assert res.delta == abs(res.i_ab) + abs(res.i_bc) + abs(res.i_ca)
             assert res.s_ab == np.sign(res.i_ab)
 
@@ -307,11 +262,9 @@ class TestSorkin:
             sorkin(pv, guard=0.0)
 
     def test_rho_monotone_in_alpha(self):
-        amps = PathAmplitudes([1, 1, 1])
         rhos = []
         for alpha in (1e-4, 1e-3, 1e-2):
-            pv = ProbabilityVector.from_rule(ProbabilityRule(alpha), amps)
-            res = sorkin(pv)
+            res = sorkin(vector(ProbabilityRule(alpha), [1, 1, 1]))
             # direct arithmetic oracle
             p1 = 1 + alpha
             p2 = 4 + 8 * alpha
@@ -344,21 +297,12 @@ class TestSorkinCurves:
             else:
                 assert math.isnan(curves.rho[i])
 
-    def test_scalar_epsilon_matches_kernel_bitwise(self, rng):
-        # magnitudes over 24 decades, so every partial sum rounds
-        stack = 10.0 ** rng.uniform(-12.0, 12.0, size=(8, 20000))
-        stack[:, :100] = np.round(stack[:, :100])  # some exact integers and zeros
-        kernel = sorkin_curves(stack).epsilon
-        scalar = np.array([epsilon(ProbabilityVector(*col)) for col in stack.T.tolist()])
-        assert np.array_equal(scalar.view(np.int64), kernel.view(np.int64))
-
     def test_scalar_epsilon_of_integer_fields(self):
         # ints are summed as floats, as the kernel sums them: exact integer
         # sums would give 2**53 + 2 here
-        pv = ProbabilityVector(0, 2**53, 1, 1, 0, 0, 0, 0)
-        got = epsilon(pv)
+        got = sorkin(ProbabilityVector(0, 2**53, 1, 1, 0, 0, 0, 0)).epsilon
         assert type(got) is float
-        assert got == sorkin(pv).epsilon == 2.0**53
+        assert got == 2.0**53
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):

@@ -6,12 +6,9 @@ import pytest
 from bornlab import systematics
 from bornlab._streams import TAG_DISPLACEMENT, substream
 from bornlab.interference import (
-    BORN,
     COMBINATIONS,
     ProbabilityRule,
-    ProbabilityVector,
-    SorkinResult,
-    sorkin,
+    SorkinCurves,
     sorkin_curves,
 )
 from bornlab.optics import (
@@ -27,98 +24,97 @@ from bornlab.systematics import (
     detector_response,
     detector_rho_sweep,
     misalignment_rho_sweep,
-    poisson_sigma,
-    power_sigma,
+    poisson_sigma_curves,
     power_sigma_curves,
     uniform_displacement_sampler,
 )
-from conftest import random_triple
+from conftest import combination_probabilities, random_triple
 from oracles import mc_poisson_rho_std, mc_power_rho_std
 
 
-def synthetic_result(delta, rho, signs):
-    return SorkinResult(
-        epsilon=rho * delta, delta=delta, rho=rho, rho_defined=True,
-        i_ab=signs[0] * delta / 3, i_bc=signs[1] * delta / 3,
-        i_ca=signs[2] * delta / 3,
-        s_ab=signs[0], s_bc=signs[1], s_ca=signs[2],
-    )
+def synthetic_curves(delta, rho, signs):
+    """One-point curves with the given delta, rho and pair signs."""
+    values = (signs[0] * delta / 3, signs[1] * delta / 3, signs[2] * delta / 3,
+              rho * delta, delta, rho, True)
+    return SorkinCurves(*(np.array([v]) for v in values))
 
 
 def near_null_vector(rng, alpha=1e-3, background=0.05):
-    """Random vector close to the quadratic null, mixed pair signs."""
-    amps = random_triple(rng)
-    from bornlab.interference import PathAmplitudes
-
-    return ProbabilityVector.from_rule(
-        ProbabilityRule(alpha), PathAmplitudes(amps), background=background
+    """Random (8, 1) vector close to the quadratic null, mixed pair signs."""
+    return combination_probabilities(
+        ProbabilityRule(alpha), random_triple(rng), background
     )
+
+
+def well_separated(curves, min_pair):
+    """Whether one-point curves have a defined ``|rho| <= 5e-3`` and every
+    pairwise term at least ``min_pair`` in size."""
+    pairs = np.abs([curves.i_ab[0], curves.i_bc[0], curves.i_ca[0]])
+    return (curves.rho_defined[0] and abs(curves.rho[0]) <= 5e-3
+            and pairs.min() >= min_pair)
 
 
 class TestPowerSigma:
     def test_all_equal_unit_vector(self):
-        pv = ProbabilityVector.from_array([1.0] * 8)
-        res = synthetic_result(delta=1.0, rho=0.0, signs=(1, 1, 1))
+        p = np.ones((8, 1))
+        curves = synthetic_curves(delta=1.0, rho=0.0, signs=(1, 1, 1))
         dp = 1e-3
-        assert power_sigma(pv, res, dp) == pytest.approx(math.sqrt(8) * dp, rel=1e-12)
+        got = power_sigma_curves(p, curves, dp)[0]
+        assert got == pytest.approx(math.sqrt(8) * dp, rel=1e-12)
 
     def test_signs_irrelevant_at_zero_rho(self, rng):
-        pv = ProbabilityVector.from_array(rng.uniform(0.5, 2.0, 8))
+        p = rng.uniform(0.5, 2.0, (8, 1))
         values = {
-            power_sigma(pv, synthetic_result(2.0, 0.0, signs), 1e-2)
+            power_sigma_curves(p, synthetic_curves(2.0, 0.0, signs), 1e-2)[0]
             for signs in [(1, 1, 1), (-1, 1, -1), (0, -1, 1), (-1, -1, -1)]
         }
         assert len(values) == 1
 
     def test_reduces_to_plain_quadrature_at_zero_rho(self, rng):
         for _ in range(20):
-            p = rng.uniform(0.0, 3.0, 8)
-            pv = ProbabilityVector.from_array(p)
+            p = rng.uniform(0.0, 3.0, (8, 1))
             signs = tuple(rng.choice([-1, 0, 1], 3))
-            res = synthetic_result(delta=1.7, rho=0.0, signs=signs)
+            curves = synthetic_curves(delta=1.7, rho=0.0, signs=signs)
             want = math.sqrt(np.sum(p**2)) * 5e-3 / 1.7
-            assert power_sigma(pv, res, 5e-3) == pytest.approx(want, rel=1e-12)
+            got = power_sigma_curves(p, curves, 5e-3)[0]
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_undefined_rho_propagates(self):
-        pv = ProbabilityVector.from_array([1.0] * 8)
-        res = sorkin(pv)  # delta = 0 -> undefined
-        assert math.isnan(power_sigma(pv, res, 1e-3))
+        p = np.ones((8, 1))  # delta = 0 -> undefined
+        assert math.isnan(power_sigma_curves(p, sorkin_curves(p), 1e-3)[0])
 
     def test_matches_monte_carlo(self, rng):
         checked = 0
         seed = 0
         while checked < 4:
             seed += 1
-            pv = near_null_vector(rng)
-            res = sorkin(pv)
-            if not res.rho_defined or abs(res.rho) > 5e-3:
+            p = near_null_vector(rng)
+            curves = sorkin_curves(p)
+            if not well_separated(curves, 0.05 * curves.delta[0]):
                 continue
-            if min(abs(res.i_ab), abs(res.i_bc), abs(res.i_ca)) < 0.05 * res.delta:
-                continue
-            pred = power_sigma(pv, res, 1e-3)
-            mc = mc_power_rho_std(pv.array, 1e-3, samples=300000, seed=seed)
+            pred = power_sigma_curves(p, curves, 1e-3)[0]
+            mc = mc_power_rho_std(p[:, 0], 1e-3, samples=300000, seed=seed)
             assert pred == pytest.approx(mc, rel=0.02)
             checked += 1
 
     def test_negative_dp_rejected(self):
-        pv = ProbabilityVector.from_array([1.0] * 8)
         with pytest.raises(ValueError, match="dp"):
-            power_sigma(pv, synthetic_result(1.0, 0.0, (1, 1, 1)), -0.1)
+            power_sigma_curves(np.ones((8, 1)), synthetic_curves(1.0, 0.0, (1, 1, 1)), -0.1)
 
 
 class TestPoissonSigma:
     def test_all_equal_counts(self):
         n = 1e5
-        counts = ProbabilityVector.from_array([n] * 8)
-        res = synthetic_result(delta=n, rho=0.0, signs=(1, 1, 1))
-        assert poisson_sigma(counts, res) == pytest.approx(math.sqrt(8 / n), rel=1e-12)
+        curves = synthetic_curves(delta=n, rho=0.0, signs=(1, 1, 1))
+        got = poisson_sigma_curves(np.full((8, 1), n), curves)[0]
+        assert got == pytest.approx(math.sqrt(8 / n), rel=1e-12)
 
     def test_quadrupling_counts_halves_sigma(self):
         n = 4e4
-        r1 = synthetic_result(delta=n, rho=0.0, signs=(1, -1, 1))
-        r4 = synthetic_result(delta=4 * n, rho=0.0, signs=(1, -1, 1))
-        s1 = poisson_sigma(ProbabilityVector.from_array([n] * 8), r1)
-        s4 = poisson_sigma(ProbabilityVector.from_array([4 * n] * 8), r4)
+        r1 = synthetic_curves(delta=n, rho=0.0, signs=(1, -1, 1))
+        r4 = synthetic_curves(delta=4 * n, rho=0.0, signs=(1, -1, 1))
+        s1 = poisson_sigma_curves(np.full((8, 1), n), r1)[0]
+        s4 = poisson_sigma_curves(np.full((8, 1), 4 * n), r4)[0]
         assert s4 == pytest.approx(s1 / 2, rel=1e-12)
 
     def test_matches_monte_carlo(self, rng):
@@ -126,44 +122,94 @@ class TestPoissonSigma:
         seed = 100
         while checked < 3:
             seed += 1
-            pv = near_null_vector(rng)
-            scale = 1e5 / pv.pABC
-            counts = ProbabilityVector.from_array(np.round(pv.array * scale))
-            res = sorkin(counts)
-            if not res.rho_defined or abs(res.rho) > 5e-3:
+            p = near_null_vector(rng)
+            counts = np.round(p * (1e5 / p[7, 0]))
+            curves = sorkin_curves(counts)
+            if not well_separated(curves, 30 * math.sqrt(counts.max())):
                 continue
-            noise = math.sqrt(float(np.max(counts.array)))
-            if min(abs(res.i_ab), abs(res.i_bc), abs(res.i_ca)) < 30 * noise:
-                continue
-            pred = poisson_sigma(counts, res)
-            mc = mc_poisson_rho_std(counts.array, samples=60000, seed=seed)
+            pred = poisson_sigma_curves(counts, curves)[0]
+            mc = mc_poisson_rho_std(counts[:, 0], samples=60000, seed=seed)
             assert pred == pytest.approx(mc, rel=0.03)
             checked += 1
 
 
+#: Power and Poisson sigmas of three vectors, frozen from the scalar
+#: ``power_sigma`` and ``poisson_sigma`` that the curve functions
+#: replaced: near-null vectors of the cubic rule (alpha 1e-3 and 2e-2,
+#: amplitudes (1, 0.9+0.1j, 1.1-0.05j) and (1, -0.6+0.5j, 0.3-0.9j),
+#: backgrounds 0.05 and 0.02) with pair signs (+1, +1, +1) and
+#: (-1, -1, +1), and an all-equal vector, whose rho is undefined.  The
+#: counts are each vector times 1e5.  Columns: power sigma at dp = 1e-3
+#: and dp = 1, then the Poisson sigma of the counts.
+FROZEN_SIGMAS = {
+    "same_signs": (
+        [0.05, 1.051, 0.8707425415813274, 1.2638351271299488, 3.676887519727739,
+         4.060507501171753, 4.471768876115966, 9.079511250781215],
+        [5000.0, 105100.0, 87074.25415813274, 126383.51271299488, 367688.75197277387,
+         406050.75011717534, 447176.8876115966, 907951.1250781214],
+        (0.0019472591641397391, 1.947259164139739, 0.0026162516717206812),
+    ),
+    "mixed_signs": (
+        [0.02, 1.04, 0.6395285046046061, 0.9370762993649093, 0.43525056187469496,
+         0.2725, 2.5990569415042093, 0.6804809350727881],
+        [2000.0, 104000.0, 63952.850460460606, 93707.62993649094, 43525.0561874695,
+         27250.000000000004, 259905.69415042092, 68048.09350727881],
+        (0.000993563454589383, 0.9935634545893831, 0.0025823360663216224),
+    ),
+    "undefined": ([2.5] * 8, [250000.0] * 8, (math.nan, math.nan, math.nan)),
+}
+
+
+class TestFrozenSigmas:
+    @staticmethod
+    def sigmas(p, counts):
+        curves, count_curves = sorkin_curves(p), sorkin_curves(counts)
+        return np.array([power_sigma_curves(p, curves, 1e-3),
+                         power_sigma_curves(p, curves, 1.0),
+                         poisson_sigma_curves(counts, count_curves)])
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_SIGMAS))
+    def test_one_point_reproduces_the_scalar_bits(self, name):
+        p, counts, want = FROZEN_SIGMAS[name]
+        got = self.sigmas(np.array(p)[:, None], np.array(counts)[:, None])
+        assert got[:, 0].tobytes() == np.array(want).tobytes()
+
+    def test_stacked_vectors_reproduce_the_scalar_bits(self):
+        names = sorted(FROZEN_SIGMAS)
+        p, counts = (np.array([FROZEN_SIGMAS[n][i] for n in names]).T for i in (0, 1))
+        want = np.array([FROZEN_SIGMAS[n][2] for n in names]).T
+        assert self.sigmas(p, counts).tobytes() == want.tobytes()
+
+    def test_pair_signs_as_stated(self):
+        for name, signs in (("same_signs", (1, 1, 1)), ("mixed_signs", (-1, -1, 1))):
+            curves = sorkin_curves(np.array(FROZEN_SIGMAS[name][0])[:, None])
+            assert np.sign([curves.i_ab, curves.i_bc, curves.i_ca])[:, 0].tolist() == list(signs)
+        assert not sorkin_curves(np.full((8, 1), 2.5)).rho_defined[0]
+
+
 class TestPowerSigmaCurves:
-    def test_matches_scalar(self, rng):
+    @pytest.mark.parametrize("poisson", [False, True])
+    def test_one_column_has_its_bits_in_the_stack(self, rng, poisson):
         # the same bits for a point whatever the width of its stack
+        def sigma(p, curves):
+            if poisson:
+                return poisson_sigma_curves(p, curves)
+            return power_sigma_curves(p, curves, 1.0)
+
         stack = rng.uniform(0.1, 4.0, size=(8, 40))
-        curves = sorkin_curves(stack, guard=1e-9)
-        unit = power_sigma_curves(stack, curves, 1.0)
+        unit = sigma(stack, sorkin_curves(stack, guard=1e-9))
         assert np.count_nonzero(np.isfinite(unit)) >= 10
         for i in range(stack.shape[1]):
             column = stack[:, i:i + 1]
-            alone = power_sigma_curves(column, sorkin_curves(column, guard=1e-9), 1.0)
-            pv = ProbabilityVector.from_array(stack[:, i])
-            scalar = power_sigma(pv, sorkin(pv, guard=1e-9), 1.0)
+            alone = sigma(column, sorkin_curves(column, guard=1e-9))
             assert alone.tobytes() == unit[i:i + 1].tobytes()
-            assert np.float64(scalar).tobytes() == unit[i].tobytes()
 
     def test_negative_bracket_flags_nan(self):
         # |rho| of order 1 with opposing signs drives the bracket negative
-        pv = ProbabilityVector.from_array(
-            [1.493, 3.36, 0.998, 4.711, 1.826, 0.527, 3.146, 4.636]
-        )
-        res = sorkin(pv)
-        assert res.rho_defined and abs(res.rho) > 0.3
-        assert math.isnan(power_sigma(pv, res, 1e-3))
+        p = np.array([[1.493, 3.36, 0.998, 4.711, 1.826, 0.527, 3.146, 4.636]]).T
+        curves = sorkin_curves(p)
+        assert curves.rho_defined[0] and abs(curves.rho[0]) > 0.3
+        assert math.isnan(power_sigma_curves(p, curves, 1e-3)[0])
 
 
 class TestDetectorResponse:
