@@ -4,9 +4,10 @@ whole CLI sweep on a scaled copy of a bundled config.
 Pattern mode (the default) evaluates the eight curves of the leaky
 geometry of ``configs/leaky_mask_sweep.cfg`` (blocking mask, 5% intensity
 leakage on both plates, per-combination displacements drawn from
-U[0, 10 um] with seed 0) on a grid of ``--points`` points, either
-mirrored, ``linspace(-3e4, 3e4, points + 1)``, or all-positive,
-``linspace(0, 6e4, points)``.
+U[0, 10 um] with seed 0) on a grid of ``--points`` points, either the
+exact mirror that the CLI builds for ``u_min = -3e4``, ``u_max = 3e4``
+and ``points + 1`` points, whose upper half ``pattern_set`` evaluates,
+or all-positive, ``linspace(0, 6e4, points)``.
 
 Sweep mode (``--sweep COMMAND``) copies ``--config`` with ``u_points``
 set to ``--points`` (``repetitions`` for ``--sweep run``; with
@@ -47,7 +48,9 @@ from pathlib import Path
 import numpy as np
 
 from bornlab import _streams
+from bornlab.cli import _u_grid
 from bornlab.cli import main as cli_main
+from bornlab.config import RunConfig
 from bornlab.interference import COMBINATIONS
 from bornlab.optics import BLOCKING, combination_mask_for_plate, pattern_set, triple_slit_plate
 
@@ -56,7 +59,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import write_config  # noqa: E402
 
 GRIDS = {
-    "mirrored": lambda n: np.linspace(-3e4, 3e4, n + 1),
+    "mirrored": lambda n: _u_grid(RunConfig(u_min=-3e4, u_max=3e4, u_points=n + 1)),
     "positive": lambda n: np.linspace(0.0, 6e4, n),
 }
 

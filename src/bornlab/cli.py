@@ -345,7 +345,7 @@ def _write_sweep(path: Path, sweep: RhoSweep, fmt: str,
 def _u_grid(cfg: RunConfig) -> np.ndarray:
     """``linspace(u_min, u_max, u_points)``; a grid symmetric about 0 is
     made an exact mirror (its lower half the negated upper half, its
-    middle point 0), so that ``pattern_set`` evaluates each ``|u|`` once."""
+    middle point 0), so that ``pattern_set`` evaluates only its upper half."""
     u = np.linspace(cfg.u_min, cfg.u_max, cfg.u_points)
     if cfg.u_min == -cfg.u_max and u.size > 1:
         half = u.size // 2
@@ -693,39 +693,29 @@ def dispatch(command: str, cfg: RunConfig, out_dir=None, fmt: str = "csv",
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # registered on the main parser and again on every subparser so the
-    # flags work on either side of the command; SUPPRESS keeps a
-    # subparser from clobbering values parsed before the command
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--config", metavar="PATH", default=d,
-                        help="key = value config file")
-    parser.add_argument("--seed", type=int, default=d,
-                        help="override the config seed")
-    parser.add_argument("--out", metavar="DIR", default=d,
-                        help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        default=argparse.SUPPRESS if suppress else "csv",
-                        help="artifact table format (hierarchy always writes JSON)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bornlab",
         description="Triple-slit interference null-test toolkit",
     )
-    _add_common_flags(parser, suppress=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        _add_common_flags(p, suppress=True)
-        if name == "sorkin":
-            p.add_argument("counts", help="counts file (combination,counts,dwell_s)")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("counts", nargs="?",
+                        help="counts file (combination,counts,dwell_s); sorkin only")
+    parser.add_argument("--config", metavar="PATH", help="key = value config file")
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--out", metavar="DIR", help="output directory")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="artifact table format (hierarchy always writes JSON)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    # intermixed, so that flags may also follow the command or its file
+    args = parser.parse_intermixed_args(argv)
+    if (args.command == "sorkin") != (args.counts is not None):
+        parser.error("sorkin requires a counts file" if args.command == "sorkin"
+                     else f"{args.command} takes no counts file")
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.seed is not None:
@@ -741,10 +731,8 @@ def main(argv=None) -> int:
     except UnicodeDecodeError as exc:
         print(f"error: cannot read config: {args.config}: {exc}", file=sys.stderr)
         return 2
-    return dispatch(
-        args.command, cfg, out_dir=args.out, fmt=args.format,
-        counts_path=getattr(args, "counts", None),
-    )
+    return dispatch(args.command, cfg, out_dir=args.out, fmt=args.format,
+                    counts_path=args.counts)
 
 
 def entry() -> None:

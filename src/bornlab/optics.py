@@ -57,10 +57,10 @@ both on every machine that runs them:
   center ``-c`` is exactly ``-y``, so a center ``c < 0`` shares the rows
   of ``-c`` and negates the sine.
 
-``pattern_set`` also evaluates each distinct ``|u|`` only once and
-copies the intensity to both ``+u`` and ``-u``.  Every aperture it
-builds is real, so each intensity curve is even in ``u``, and the copy
-has the bits that a direct evaluation at ``-u`` gives:
+On a mirror grid (its lower half the upper half negated and reversed),
+``pattern_set`` evaluates the upper half only.  Every aperture it builds
+is real, so each intensity curve is even in ``u``, and the copy to the
+lower half has the bits that a direct evaluation at ``-u`` gives:
 
 * ``(pi w) * -u`` is exactly ``-x``, and ``sin`` is odd, so the sinc
   rows at ``-u`` equal those at ``u``;
@@ -459,12 +459,6 @@ def _fourier_pass(pieces, u: np.ndarray, out: np.ndarray) -> None:
             out.imag[rank, a:b] = acc[:, 1]
 
 
-#: Values of the copy through which ``pattern_set`` spreads its curves
-#: from the distinct ``|u|`` over the grid (512 kB): all eight rows at
-#: once on small grids, one at a time on large ones.
-_SPREAD_VALUES = 1 << 16
-
-
 def _grid(u) -> np.ndarray:
     """``u`` as a contiguous float64 grid; raises unless it is non-empty
     and finite."""
@@ -472,29 +466,6 @@ def _grid(u) -> np.ndarray:
     if u_arr.size == 0 or not np.all(np.isfinite(u_arr)):
         raise ValueError("u grid must be non-empty and finite")
     return u_arr
-
-
-def _distinct_magnitudes(u: np.ndarray, scratch: np.ndarray):
-    """The distinct values of ``|u|``, ascending, and the index of each
-    point's value among them; None when no two points share ``|u|``.
-
-    ``scratch`` is a (2, u.size) float64 array that may be overwritten.
-    A strictly increasing grid that does not change sign is recognized
-    without sorting.
-    """
-    if u.size < 2 or (np.all(u[1:] > u[:-1]) and (u[0] >= 0.0 or u[-1] <= 0.0)):
-        return None
-    mags = np.abs(u, out=scratch[0])
-    ordered = scratch[1]
-    ordered[:] = mags
-    ordered.sort(kind="stable")  # timsort: |u| of a sorted grid is two runs
-    new = np.empty(u.size, dtype=bool)
-    new[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    keys = ordered[new]
-    if keys.size == u.size:
-        return None
-    return keys, keys.searchsorted(mags)
 
 
 def far_field_amplitude(aperture: CombinationAperture, u):
@@ -527,10 +498,13 @@ def pattern_set(
     overrides the mask displacement per combination (one rigid shift per
     combination measurement); its keys must be combination labels.
 
-    Each distinct ``|u|`` of the grid is evaluated once; the curves are
-    even, and every point gets the bits of an evaluation at that point
-    (see the module docstring).  A strictly increasing grid that does not
-    change sign is evaluated as given, without sorting.
+    On a mirror grid, whose lower half is its upper half negated and
+    reversed, the upper half is evaluated and the even curves are copied
+    to the lower half, with the bits of an evaluation there (see the
+    module docstring).  Any other grid is evaluated at every point as
+    given, so one that shares ``|u|`` without being an exact mirror (an
+    inexact ``linspace`` step, unsorted or duplicated points) takes up to
+    twice the Fourier work for the same bits.
     """
     u_arr = _grid(u_grid)
     shifts = dict.fromkeys(COMBINATIONS, mask.displacement)
@@ -543,24 +517,16 @@ def pattern_set(
         shifts[label] = shift
     pieces = _combination_pieces(plate, mask, shifts.items())
     stacked = np.empty((len(COMBINATIONS), u_arr.size))
-    distinct = _distinct_magnitudes(u_arr, stacked[:2])
-    if distinct is None:
-        _fourier_pass(pieces, u_arr, stacked)
+    h = u_arr.size // 2
+    if np.array_equal(u_arr[:h], -u_arr[::-1][:h]):
+        # a mirror: evaluate the upper half, then copy each row's upper
+        # half, reversed, into its lower half; row by row, since numpy
+        # would copy one overlapping 2-D assignment through a temporary
+        _fourier_pass(pieces, u_arr[h:], stacked[:, h:])
+        for row in stacked:
+            row[:h] = row[:-h - 1:-1]
     else:
-        # evaluate each |u| once in the leading columns, then spread the
-        # rows over the grid from a copy of those columns, as many rows at
-        # a time as _SPREAD_VALUES allows; the copy takes the keys' place
-        keys, inverse = distinct
-        k = keys.size
-        _fourier_pass(pieces, keys, stacked[:, :k])
-        del distinct, keys
-        group = max(1, _SPREAD_VALUES // k)
-        copy = np.empty((min(group, len(stacked)), k))
-        for first in range(0, len(stacked), group):
-            rows = stacked[first:first + group]
-            part = copy[: len(rows)]
-            part[:] = rows[:, :k]
-            np.take(part, inverse, axis=1, out=rows)
+        _fourier_pass(pieces, u_arr, stacked)
     if normalize:
         peak = float(np.max(stacked[COMBINATIONS.index("ABC")]))
         if peak <= 0.0:

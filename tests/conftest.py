@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from bornlab import optics
 from bornlab.interference import COMBINATIONS, interference_terms
-from bornlab.optics import combination_mask_for_plate, triple_slit_plate
+from bornlab.optics import combination_mask_for_plate, pattern_set, triple_slit_plate
 
 
 @pytest.fixture
@@ -39,3 +40,21 @@ def combination_probabilities(rule, amps, background=0.0):
     each plus ``background``."""
     probs = interference_terms(rule, np.reshape(amps, (-1, 3)))[1]
     return np.vstack([np.zeros(len(probs)), probs[:, _SUBSET_COLUMNS].T]) + background
+
+
+def evaluated_points(monkeypatch, u):
+    """The number of grid points that ``pattern_set`` hands to the
+    Fourier pass when it evaluates the eight curves on ``u``."""
+    points = []
+    fourier_pass = optics._fourier_pass
+
+    def counted(pieces, grid, out):
+        points.append(grid.size)
+        fourier_pass(pieces, grid, out)
+
+    plate = triple_slit_plate()
+    with monkeypatch.context() as patch:
+        patch.setattr(optics, "_fourier_pass", counted)
+        pattern_set(plate, combination_mask_for_plate(plate), u)
+    assert len(points) == 1
+    return points[0]

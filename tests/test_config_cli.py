@@ -25,6 +25,7 @@ from bornlab.config import (
     parse_config,
 )
 
+from conftest import evaluated_points
 from oracles import run_experiment_scalar
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -225,6 +226,33 @@ class TestCli:
         row = (out / "sorkin.csv").read_text().splitlines()[1].split(",")
         assert row[SWEEP_COLUMNS.index("rho")] == "nan"
         assert row[SWEEP_COLUMNS.index("rho_defined")] == "0"
+
+    @pytest.mark.parametrize("argv", [
+        ["--out", "{out}", "--format", "json", "sorkin", "{counts}"],
+        ["sorkin", "--out", "{out}", "--format", "json", "{counts}"],
+        ["sorkin", "{counts}", "--out", "{out}", "--format", "json"],
+        ["--format", "json", "sorkin", "{counts}", "--out", "{out}"],
+    ])
+    def test_flags_parse_on_either_side_of_the_command(self, tmp_path, capsys, argv):
+        counts = tmp_path / "counts.csv"
+        write_counts_csv(counts)
+        out = tmp_path / "out"
+        assert main([a.format(out=out, counts=counts) for a in argv]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "sorkin.json"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sorkin", "--out", "{out}"], "sorkin requires a counts file"),
+        (["run", "{counts}", "--out", "{out}"], "run takes no counts file"),
+    ])
+    def test_counts_file_misuse_exits_2(self, tmp_path, capsys, argv, message):
+        counts = tmp_path / "counts.csv"
+        write_counts_csv(counts)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(out=out, counts=counts) for a in argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_counts_file_fails(self, tmp_path, capsys):
         assert main(["sorkin", str(tmp_path / "nope.csv"),
@@ -603,10 +631,12 @@ class TestUGrid:
         u = _u_grid(RunConfig(u_min=u_min, u_max=u_max, u_points=points))
         assert u.tobytes() == np.linspace(u_min, u_max, points).tobytes()
 
-    def test_mirrored_grid_has_half_its_magnitudes(self):
+    def test_mirrored_grid_has_half_its_magnitudes(self, monkeypatch):
+        # pattern_set evaluates the upper half of the mirror, where a raw
+        # linspace, whose step is inexact, is evaluated at every point
         u = _u_grid(RunConfig(u_min=-3e4, u_max=3e4, u_points=25001))
-        keys, _inverse = optics._distinct_magnitudes(u, np.empty((2, u.size)))
-        assert keys.size == 12501
+        assert evaluated_points(monkeypatch, u) == 12501
+        assert evaluated_points(monkeypatch, np.linspace(-3e4, 3e4, 25001)) == 25001
 
 
 # -- every config key changes some output

@@ -24,6 +24,7 @@ from bornlab.optics import (
     pattern_set,
     triple_slit_plate,
 )
+from conftest import evaluated_points
 from oracles import far_field_amplitude_loop, pattern_set_loop
 
 BLOCK = optics._BLOCK
@@ -264,6 +265,37 @@ def test_pattern_set_matches_loop_property(geometry, u, normalize):
         pattern_set_loop(plate, mask, u, normalize=normalize, displacements=shifts))
 
 
+@st.composite
+def mirror_grids(draw):
+    """At most 41 points: a non-negative upper half, its negated mirror
+    as the lower half, and for an odd size a middle point of either
+    zero."""
+    half = draw(st.lists(st.floats(0.0, 6e4), max_size=20))
+    middle = draw(st.sampled_from([[], [0.0], [-0.0]]) if half else
+                  st.sampled_from([[0.0], [-0.0]]))
+    return np.array([-p for p in reversed(half)] + middle + half)
+
+
+@settings(max_examples=40, deadline=None)
+@given(geometry=lit_geometries(), u=mirror_grids(), data=st.data())
+def test_mirror_rule_matches_loop_property(geometry, u, data):
+    # the grid as drawn, a mirror, and with one lower-half point moved by
+    # one ulp, which is none; every point must have the loop's bits
+    plate, mask, shifts = geometry
+    grids = [u]
+    if u.size > 1:
+        moved = u.copy()
+        i = data.draw(st.integers(0, u.size // 2 - 1))
+        moved[i] = np.nextafter(moved[i], data.draw(st.sampled_from([-np.inf, np.inf])))
+        grids.append(moved)
+    for grid in grids:
+        for normalize in (True, False):
+            assert_same_curves(
+                pattern_set(plate, mask, grid, normalize=normalize, displacements=shifts),
+                pattern_set_loop(plate, mask, grid, normalize=normalize,
+                                 displacements=shifts))
+
+
 class TestDisplacementKeys:
     def test_unknown_label_rejected(self, plate, mask):
         with pytest.raises(ValueError, match="'ab'"):
@@ -276,8 +308,9 @@ class TestDisplacementKeys:
 
 
 def even_grids():
-    """Grids on which ``pattern_set`` evaluates each distinct ``|u|`` once,
-    plus grids where no two points share ``|u|``."""
+    """Grids of even curves: mirrors, whose upper half ``pattern_set``
+    evaluates, and grids that share ``|u|`` without being a mirror, or
+    where no two points share it, which it evaluates as given."""
     rng = np.random.default_rng(7)
     pairs = np.linspace(500.0, 4e4, 150)
     return {
@@ -292,8 +325,8 @@ def even_grids():
 
 
 class TestEvenCurves:
-    """``pattern_set`` evaluates each distinct ``|u|`` once and copies the
-    result to ``+u`` and ``-u``; the bits must stay those of the loop
+    """``pattern_set`` evaluates the upper half of a mirror grid and
+    copies it to the lower half; the bits must stay those of the loop
     evaluated at every point as given."""
 
     @pytest.mark.parametrize("grid", list(even_grids()))
@@ -311,22 +344,9 @@ class TestEvenCurves:
             assert_same_curves(
                 pattern_set(plate, mask, u, normalize=False, displacements=shifts), want_raw)
 
-    @pytest.mark.parametrize("spread", [1, 700, optics._SPREAD_VALUES])
-    def test_rows_spread_in_groups(self, rng, monkeypatch, spread):
-        # one row at a time; two at a time on the mirrored grid (301
-        # distinct |u|); and all eight at once
-        plate, mask = geometry("leaky", BLOCKING)
-        shifts = displacements(rng)
-        monkeypatch.setattr(optics, "_SPREAD_VALUES", spread)
-        for grid in ("mirrored", "partly mirrored", "signed zeros", "unsorted"):
-            u = even_grids()[grid]
-            assert_same_curves(pattern_set(plate, mask, u, displacements=shifts),
-                               pattern_set_loop(plate, mask, u, displacements=shifts))
-
-    def test_mirrored_grid_is_evaluated_at_half_its_points(self):
-        keys, inverse = optics._distinct_magnitudes(np.linspace(-3e4, 3e4, 601), np.empty((2, 601)))
-        assert keys.size == 301 and keys[0] == 0.0 and np.all(np.diff(keys) > 0)
-        assert_same_bits(keys[inverse], np.abs(np.linspace(-3e4, 3e4, 601)))
+    def test_mirrored_grid_is_evaluated_at_half_its_points(self, monkeypatch):
+        # the step of this linspace is exactly 100.0
+        assert evaluated_points(monkeypatch, np.linspace(-3e4, 3e4, 601)) == 301
 
     @pytest.mark.parametrize("u", [
         np.linspace(0.0, 6e4, 1000),
@@ -335,5 +355,5 @@ class TestEvenCurves:
         np.array([3.0, -1.0, 2.0]),
         np.array([5.0]),
     ])
-    def test_grid_without_shared_magnitudes_is_used_as_given(self, u):
-        assert optics._distinct_magnitudes(u, np.empty((2, u.size))) is None
+    def test_grid_without_shared_magnitudes_is_used_as_given(self, monkeypatch, u):
+        assert evaluated_points(monkeypatch, u) == u.size
