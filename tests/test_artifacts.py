@@ -143,6 +143,60 @@ def test_writer_matches_per_cell_encoders(table, fmt, tmp_path):
     assert path.read_bytes() == _oracle_table(header, rows, fmt).encode("utf-8")
 
 
+# -- numpy-column edge tables: typed columns through the CSV encoder (and
+# -- the JSON row template) against the per-cell encoders, at several
+# -- block sizes
+
+EDGE_COLUMN_HEADER = ("value", "count", "big", "label", "x_defined", "n_defined",
+                      "level", "small", "step")
+
+
+def _edge_columns(n=300):
+    """Float, integer, flag and string columns cycling through edge cells
+    (non-finite, signed zeros, subnormal, out of the encoder's domain,
+    ties, -(2**63), uint64 beyond int64, "%", non-ASCII text, U+0000 inside
+    a string) among random cells; ``step`` is constant over its first 150
+    rows, then alternates signed zeros, then is NaN."""
+    rng = np.random.default_rng(n)
+
+    def cycled(edges, random):
+        col = np.resize(np.array(edges, dtype=random.dtype), n)
+        col[::3] = random[::3]
+        return col
+
+    step = np.full(n, 2.5)
+    step[150:225] = [0.0, -0.0] * 37 + [0.0]
+    step[225:] = math.nan
+    columns = (
+        cycled([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e300,
+                1e-280, 2.0**-25, 0.1, -1 / 3, 1e16, 1e17, 999999999999999.875],
+               rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)),
+        cycled([-(2**63), 2**63 - 1, 0, -1, 10**17, 12345], rng.integers(-10**6, 10**6, n)),
+        cycled([12345678901234567890, 2**64 - 1, 0, 10**19],
+               rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)),
+        np.resize(np.array(["plain", "100%d", "%", "Åλ日本", "a\x00b", "",
+                            'quote " back\\slash\n{x}', "%(value)s"]), n),
+        rng.random(n) < 0.5,
+        rng.integers(0, 2, n),
+        rng.standard_normal(n).astype(np.float32),
+        rng.integers(-128, 128, n).astype(np.int8),
+        step,
+    )
+    return EDGE_COLUMN_HEADER, columns
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 3, 128])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_edge_columns_match_per_cell_encoders(fmt, block_rows, monkeypatch, tmp_path):
+    header, columns = _edge_columns()
+    rows = list(zip(*(col.tolist() for col in columns)))
+    if block_rows is not None:
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", block_rows * len(header))
+    path = tmp_path / f"table.{fmt}"
+    _write_table(path, header, _column_table(columns), fmt)
+    assert path.read_bytes() == _oracle_table(header, rows, fmt).encode("utf-8")
+
+
 # -- numpy columns are encoded, or converted to rows, a block at a time
 
 #: Rows in a block of the 4-column table of ``_columns``.
