@@ -170,7 +170,7 @@ def _float_digits(x):
 def _digit_words(n, words, columns, units):
     """Write each four-digit group of ``n``, least significant first, as
     its four ASCII digits into ``words[:, columns]`` (the last column
-    takes what is left); the least significant group."""
+    takes what is left), and return the least significant group."""
     groups = []
     for _ in columns[1:]:
         q = n // 10_000
