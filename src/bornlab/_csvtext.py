@@ -244,16 +244,8 @@ def _int_slots(cols):
 
 def _str_slots(col):
     """Slot rows of string cells: their UTF-8 bytes, padded to the longest,
-    then ``,``.  An ASCII column is its code points; any other has each
-    distinct string encoded once and spread by index.  Cells are cut by
-    their lengths, so a U+0000 inside a string stays."""
-    points = np.ascontiguousarray(col).view(np.uint32).reshape(col.size, -1)
-    if points.max(initial=0) < 128:
-        chars = np.empty((col.size, points.shape[1] + 1), np.uint8)
-        chars[:, :-1], chars[:, -1] = points, ord(",")
-        mask = np.arange(chars.shape[1]) < np.char.str_len(col)[:, None]
-        mask[:, -1] = True
-        return chars, mask
+    then ``,``.  Each distinct string is encoded once and spread by index,
+    and cells are cut by their lengths, so a U+0000 inside a string stays."""
     distinct, index = np.unique(col, return_inverse=True)
     texts = [s.encode() for s in distinct.tolist()]
     width = max(map(len, texts))

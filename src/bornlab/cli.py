@@ -131,10 +131,6 @@ def _json_flag(value) -> str:
 _json_string = functools.lru_cache(maxsize=1024)(json.dumps)
 
 
-class _JSONText(str):
-    """The cell type of a JSON column given as ``json.dumps`` texts."""
-
-
 def _cell_spec(fmt: str, name: str, kind: type):
     """``%`` spec and converter (or None) of one cell, chosen by the
     column name and the cell's type.
@@ -144,8 +140,6 @@ def _cell_spec(fmt: str, name: str, kind: type):
     as ``true``/``false``, integers in decimal, floats as ``json`` writes
     them, except that NaN becomes ``null``.
     """
-    if kind is _JSONText:
-        return "%s", None
     if issubclass(kind, str):
         return "%s", (_json_string if fmt == "json" else None)
     if name.endswith("_defined") and fmt == "json":
@@ -178,6 +172,9 @@ def _column_fill(fmt: str, name: str, cells, kinds: set):
             texts.append(spec % (conv(value) if conv else value))
         return "%s", texts
     (spec, conv), = fields
+    if conv is _json_string:
+        # one conversion for each distinct string of the block
+        conv = {s: json.dumps(s) for s in set(cells)}.__getitem__
     first = cells[0]
     if (len(kinds) == 1 and type(first) in _FOLDABLE and first == cells[-1]
             and (first != 0 or type(first) is not float)
@@ -237,8 +234,7 @@ def _block_text(fmt: str, header, cols) -> bytes:
     whose ``*_defined`` columns are integers or flags is encoded by
     :func:`_csvtext.block_bytes`.  Any other block fills the row template:
     each column's spec comes from its dtype (an object column's from its
-    cell types), and a JSON string column is converted once for each of
-    its distinct strings.  A JSON block goes through the non-finite rewrite
+    cell types).  A JSON block goes through the non-finite rewrite
     only if a float or object column of it holds a value that is not
     finite.
     """
@@ -253,11 +249,6 @@ def _block_text(fmt: str, header, cols) -> bytes:
     cells = [col.tolist() for col in cols]
     types = [{_KIND_TYPES[kind]} if kind in _KIND_TYPES else set(map(type, c))
              for kind, c in zip(kinds, cells)]
-    for i, kind in enumerate(kinds):
-        if fmt == "json" and kind == "U":
-            # json.dumps once for each distinct string, spread by lookup
-            texts = {s: json.dumps(s) for s in set(cells[i])}
-            cells[i], types[i] = list(map(texts.__getitem__, cells[i])), {_JSONText}
     text = _encoded_block(fmt, header, cells, types, len(cells[0]))
     if fmt == "json" and any(
             kind not in _KIND_TYPES or kind == "f" and not np.isfinite(col).all()
