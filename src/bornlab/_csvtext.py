@@ -267,18 +267,17 @@ def _constant_slots(col):
             np.ones((col.size, row.size), bool))
 
 
-def block_bytes(cols) -> bytes:
+def block_bytes(cols, constant) -> bytes:
     """The CSV text of one block of rows, from its numpy columns: float
     (up to 64-bit), integer, flag or string columns, each cell written as
-    ``%`` writes it.  A column whose cells are all the same, bit for bit,
-    is written by ``%`` once; the other float columns are encoded
-    together, and so are the other integer and flag columns."""
+    ``%`` writes it.  A column flagged in ``constant`` (its cells all the
+    same, bit for bit) is written by ``%`` once; the other float columns
+    are encoded together, and so are the other integer and flag columns."""
     n = len(cols[0])
     parts = [None] * len(cols)
     members = {_float_columns: [], _int_slots: []}
     for i, col in enumerate(cols):
-        same = col if col.dtype.kind == "U" else col.view(f"u{col.itemsize}")
-        if (same == same[0]).all():
+        if constant[i]:
             parts[i] = _constant_slots(col)
         elif col.dtype.kind == "U":
             parts[i] = _str_slots(col)

@@ -18,27 +18,36 @@ of them are written.
 
 Every table is handed to the writer as a ``_Columns`` table of numpy
 columns and encoded straight from them, a block of rows at a time, with
-``_BLOCK_CELLS`` cells to a block.  A CSV block of float, integer, flag
-and string columns is built by ``_csvtext`` as one byte matrix: each
-float cell gets the digits of ``'%.17g' %``, correctly rounded on whole
-arrays at once, and a cell that path cannot decide (a tie at the 17th
-digit, ``|x|`` outside ``[1e-280, 1e280]``, zero aside, or not finite)
-is written by ``'%.17g' %`` itself; integers and flags are written in
-decimal, strings as UTF-8, and a column constant within the block by
-``%`` once.  Any other block (JSON, or object columns) fills a row
-template: each column's format comes from its dtype, the block's cells
-are taken with ``tolist()`` and fill the template, repeated once per
-row, with one ``%`` call, and a column constant within a block is
-written once, into the template.  (Any other iterable of rows is taken
-as object columns, each column's format chosen from the types of its
-cells.)  The writer's memory does not grow with the table, and the
-bytes do not depend on the block size or the path.  When a sweep
-table's second half mirrors its first (the same cells, bit for bit,
-with ``position_u`` negated), only the first half is encoded, and each
-mirror row's text is read back from the file with its minus sign
-removed.  On a 2-vCPU VM a 10^6-point ``sweep-mask`` to CSV takes
-about 3.3-4.4 s and ``patterns`` about 3.1-3.9 s, against 6.8-10.8 s
-and 6.3-8.7 s with every float through ``%`` (README "Output").
+``_BLOCK_CELLS`` cells to a block; plain rows, from a wrapper that
+re-yields a table's rows, are converted back to columns a block at a
+time.  A column is bool, integer, float of at most 64 bits or str, and
+its dtype alone sets the text of its cells:
+
+=======  ===============  ==========================================
+dtype    CSV              JSON
+=======  ===============  ==========================================
+bool     ``1``, ``0``     ``true``, ``false``
+integer  decimal          decimal
+float    ``'%.17g' %``    ``repr``; NaN ``null``, inf ``Infinity``
+str      the string       ``json.dumps``
+=======  ===============  ==========================================
+
+Any other column raises ``TypeError`` naming it.  A column whose cells
+in a block are all the same, bit for bit, is written once for the block,
+in either format.  A CSV block is built by ``_csvtext`` as one byte
+matrix: each float cell gets the digits of ``'%.17g' %``, correctly
+rounded on whole arrays at once, and a cell that path cannot decide (a
+tie at the 17th digit, ``|x|`` outside ``[1e-280, 1e280]``, zero aside,
+or not finite) is written by ``'%.17g' %`` itself.  A JSON block fills a
+row template, one object repeated once per row, with one ``%`` call.
+The writer's memory does not grow with the table, and the bytes do not
+depend on the block size.  When a sweep table's second half mirrors its
+first (the same cells, bit for bit, with ``position_u`` negated), only
+the first half is encoded, and each mirror row's text is read back from
+the file with its minus sign removed.  On a 2-vCPU VM a 10^6-point
+``sweep-mask`` to CSV takes about 3.3-4.4 s and ``patterns`` about
+3.1-3.9 s, against 6.8-10.8 s and 6.3-8.7 s with every float through
+``%`` (README "Output").
 """
 
 from __future__ import annotations
@@ -46,7 +55,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -123,90 +131,47 @@ def _json_nonfinite(match) -> str:
     return _JSON_NONFINITE_TEXT[match[0]]
 
 
-def _json_flag(value) -> str:
-    return "true" if value else "false"
+def _json_cells(col: np.ndarray):
+    """The ``%`` spec of a column's JSON cells and the values that fill
+    it, by dtype kind: strings through ``json.dumps`` (once for each
+    distinct string), flags as ``true``/``false``, integers in decimal,
+    floats as ``repr`` writes them."""
+    kind = col.dtype.kind
+    if kind == "U":
+        cells = col.tolist()
+        return "%s", list(map({s: json.dumps(s) for s in set(cells)}.__getitem__, cells))
+    if kind == "b":
+        return "%s", np.where(col, "true", "false").tolist()
+    return ("%d" if kind in "iu" else "%s"), col.tolist()
 
 
-#: ``json.dumps`` of string cells; a table repeats few distinct strings.
-_json_string = functools.lru_cache(maxsize=1024)(json.dumps)
-
-
-def _cell_spec(fmt: str, name: str, kind: type):
-    """``%`` spec and converter (or None) of one cell, chosen by the
-    column name and the cell's type.
-
-    CSV: strings as they are, flags and integers in decimal, floats with
-    17 significant digits.  JSON: strings through ``json.dumps``, flags
-    as ``true``/``false``, integers in decimal, floats as ``json`` writes
-    them, except that NaN becomes ``null``.
-    """
-    if issubclass(kind, str):
-        return "%s", (_json_string if fmt == "json" else None)
-    if name.endswith("_defined") and fmt == "json":
-        return "%s", _json_flag
-    if name.endswith("_defined") or issubclass(kind, int):
-        return "%d", None
-    return ("%.17g" if fmt == "csv" else "%s"), None
-
-
-#: Cell types whose equal values always encode to the same text.
-_FOLDABLE = (bool, int, float, str)
-
-
-def _column_fill(fmt: str, name: str, cells, kinds: set):
-    """The ``%`` spec of one column of a block and the cells that fill it,
-    from the set ``kinds`` of its cell types.  A column whose types need
-    different specs is given as text, each cell by its own spec.
-
-    A column whose cells all encode to the same text is given as that
-    text, ``%``-escaped, and no cells: it is written once, into the row
-    template.  The test is exact: one cell type, the first cell equal to
-    the last and to every other.  Float zeros are never folded (``0.0 ==
-    -0.0``, but their texts differ), and NaN cells never compare equal.
-    """
-    fields = {_cell_spec(fmt, name, kind) for kind in kinds}
-    if len(fields) > 1:
-        texts = []
-        for value in cells:
-            spec, conv = _cell_spec(fmt, name, type(value))
-            texts.append(spec % (conv(value) if conv else value))
-        return "%s", texts
-    (spec, conv), = fields
-    if conv is _json_string:
-        # one conversion for each distinct string of the block
-        conv = {s: json.dumps(s) for s in set(cells)}.__getitem__
-    first = cells[0]
-    if (len(kinds) == 1 and type(first) in _FOLDABLE and first == cells[-1]
-            and (first != 0 or type(first) is not float)
-            and cells.count(first) == len(cells)):
-        return (spec % (conv(first) if conv else first)).replace("%", "%%"), None
-    return spec, (map(conv, cells) if conv else cells)
-
-
-def _encoded_block(fmt: str, header, columns, kinds, n: int) -> str:
-    """The text of a block of ``n`` rows (JSON objects joined by ``,``)
-    from one ``%`` call on the row template repeated once per row.
-    ``columns`` holds the block's cells column by column, in ``header``
-    order, and ``kinds`` the set of each column's cell types.  A column
-    constant within the block is part of the template (see
-    :func:`_column_fill`); only the other columns fill it."""
-    specs, fills = zip(*map(functools.partial(_column_fill, fmt), header, columns, kinds))
-    if fmt == "csv":
-        order, template = range(len(specs)), ",".join(specs) + "\n"
-    else:
-        # one object of json.dumps(rows, indent=2, sort_keys=True), led by
-        # the newline after "[" or ","; a repeated key keeps its last value
-        index = {name: i for i, name in enumerate(header)}
-        order = [index[name] for name in sorted(index)]
-        template = "\n  {\n" + ",\n".join(
-            f"    {json.dumps(header[i]).replace('%', '%%')}: {specs[i]}"
-            for i in order) + "\n  }"
+def _json_block(header, cols, constant) -> bytes:
+    """The JSON text of a block of rows (objects joined by ``,``), UTF-8
+    encoded, from one ``%`` call on the row template repeated once per
+    row.  The template is one object of ``json.dumps(rows, indent=2,
+    sort_keys=True)``, led by the newline after ``[`` or ``,``; a
+    repeated key keeps its last value.  A column flagged in ``constant``
+    is written once, into the template; only the other columns fill it."""
+    index = {name: i for i, name in enumerate(header)}
+    fields, fills = [], []
+    for name in sorted(index):
+        i = index[name]
+        spec, cells = _json_cells(cols[i][:1] if constant[i] else cols[i])
+        if constant[i]:
+            spec = (spec % cells[0]).replace("%", "%%")
+        else:
+            fills.append(cells)
+        fields.append(f"    {json.dumps(name).replace('%', '%%')}: {spec}")
+    template = "\n  {\n" + ",\n".join(fields) + "\n  }"
     # interleave the other columns into row order by strided slice assignment
-    order = [i for i in order if fills[i] is not None]
-    cells = [None] * (n * len(order))
-    for j, i in enumerate(order):
-        cells[j::len(order)] = fills[i]
-    return ("," if fmt == "json" else "").join([template] * n) % tuple(cells)
+    n = len(cols[0])
+    cells = [None] * (n * len(fills))
+    for j, fill in enumerate(fills):
+        cells[j::len(fills)] = fill
+    text = ",".join([template] * n) % tuple(cells)
+    if any(col.dtype.kind == "f" and not np.isfinite(col).all() for col in cols):
+        text = _JSON_NONFINITE.sub(_json_nonfinite, text)
+    return text.encode()
 
 
 #: Cells encoded at a time: a table of ``width`` columns is written in
@@ -223,58 +188,72 @@ def _block_rows(width: int) -> int:
 _ROW_TEXT = {"csv": re.compile(r".*\n"),
              "json": re.compile(r"\n  \{\n(?:    .*\n)*  \}")}
 
-#: The Python type of the cells that ``tolist()`` gives, by dtype kind.
-_KIND_TYPES = {"b": bool, "i": int, "u": int, "f": float, "U": str}
+
+def _column_type_error(name: str) -> TypeError:
+    return TypeError(f"table column {name!r} is not all bool, int, float or str "
+                     "(numbers of at most 64 bits)")
+
+
+def _constant(col: np.ndarray) -> bool:
+    """Whether the cells of a block's column are all the same, bit for bit
+    (so ``0.0`` and ``-0.0`` differ, and NaNs of one bit pattern do not)."""
+    same = col if col.dtype.kind == "U" else col.view(f"u{col.itemsize}")
+    return bool((same == same[0]).all())
 
 
 def _block_text(fmt: str, header, cols) -> bytes:
-    """The text of one block of rows given as numpy columns, UTF-8 encoded.
-
-    A CSV block of float (up to 64-bit), integer, flag and string columns
-    whose ``*_defined`` columns are integers or flags is encoded by
-    :func:`_csvtext.block_bytes`.  Any other block fills the row template:
-    each column's spec comes from its dtype (an object column's from its
-    cell types).  A JSON block goes through the non-finite rewrite
-    only if a float or object column of it holds a value that is not
-    finite.
-    """
-    kinds = [col.dtype.kind for col in cols]
-    if fmt == "csv" and all(
-            kind in "biu" or not name.endswith("_defined")
-            and (kind == "U" or kind == "f" and col.itemsize <= 8)
-            for name, col, kind in zip(header, cols, kinds)):
-        # imported here, so that a command writing no CSV never loads it
-        from . import _csvtext
-        return _csvtext.block_bytes(cols)
-    cells = [col.tolist() for col in cols]
-    types = [{_KIND_TYPES[kind]} if kind in _KIND_TYPES else set(map(type, c))
-             for kind, c in zip(kinds, cells)]
-    text = _encoded_block(fmt, header, cells, types, len(cells[0]))
-    if fmt == "json" and any(
-            kind not in _KIND_TYPES or kind == "f" and not np.isfinite(col).all()
-            for col, kind in zip(cols, kinds)):
-        text = _JSON_NONFINITE.sub(_json_nonfinite, text)
-    return text.encode()
+    """The text of one block of rows given as numpy columns, UTF-8 encoded:
+    CSV by :func:`_csvtext.block_bytes`, JSON by :func:`_json_block`, each
+    column constant within the block written once.  Raises ``TypeError``
+    naming a column that is not bool, integer, float of at most 64 bits
+    or str."""
+    for name, col in zip(header, cols):
+        if not (col.dtype.kind in "biuU" or col.dtype.kind == "f" and col.itemsize <= 8):
+            raise _column_type_error(name)
+    constant = [_constant(col) for col in cols]
+    if fmt == "json":
+        return _json_block(header, cols, constant)
+    # imported here, so that a command writing no CSV never loads it
+    from . import _csvtext
+    return _csvtext.block_bytes(cols, constant)
 
 
-def _object_blocks(rows, size: int):
-    """The blocks of ``size`` rows of an iterable of rows, as object columns."""
+#: The dtype of a plain-row column, by the one Python type of its cells.
+_CELL_DTYPES = {bool: np.bool_, int: np.int64, float: np.float64, str: np.str_}
+
+
+def _row_column(name: str, cells) -> np.ndarray:
+    """The numpy column of one column's cells in a block of plain rows.
+    Raises ``TypeError`` naming the column unless its cells are all of
+    one type of ``_CELL_DTYPES`` (``bool`` is not ``int``) and each int
+    fits in int64; ``np.array`` alone would promote mixed cells."""
+    kinds = set(map(type, cells))
+    if len(kinds) == 1 and (dtype := _CELL_DTYPES.get(kinds.pop())):
+        with contextlib.suppress(OverflowError):
+            return np.array(cells, dtype)
+    raise _column_type_error(name)
+
+
+def _row_blocks(header, rows, size: int):
+    """The blocks of ``size`` rows of an iterable of plain rows, as numpy
+    columns."""
     rows = iter(rows)
     while block := list(islice(rows, size)):
-        yield [np.fromiter(col, object, len(block)) for col in zip(*block)]
+        yield [_row_column(name, cells) for name, cells in zip(header, zip(*block))]
 
 
 def _write_table(path: Path, header, table, fmt: str) -> None:
     """Stream ``table`` to ``path`` as CSV or as a JSON array of objects.
 
-    ``table`` is a :class:`_Columns`, or any iterable of rows (sequences
-    of Python scalars in ``header`` order), which is taken as object
-    columns.  It is encoded a block of :func:`_block_rows` rows at a time
-    by :func:`_block_text`.  The last ``table.mirror`` rows are not
-    encoded: once the others are written, the blocks that hold their
-    mirror rows are read back from the file, last first, and each row's
-    text is written again in reverse order, without the minus sign of its
-    first cell.
+    ``table`` is a :class:`_Columns`, or any iterable of plain rows
+    (sequences of bool, int, float or str cells in ``header`` order),
+    which is converted to numpy columns a block at a time (see
+    :func:`_row_column`).  It is encoded a block of :func:`_block_rows`
+    rows at a time by :func:`_block_text`.  The last ``table.mirror``
+    rows are not encoded: once the others are written, the blocks that
+    hold their mirror rows are read back from the file, last first, and
+    each row's text is written again in reverse order, without the minus
+    sign of its first cell.
     """
     size = _block_rows(len(header))
     if isinstance(table, _Columns):
@@ -282,7 +261,7 @@ def _write_table(path: Path, header, table, fmt: str) -> None:
         blocks = (table.block(start, min(start + size, stop))
                   for start in range(0, stop, size))
     else:
-        mirror, blocks = 0, _object_blocks(table, size)
+        mirror, blocks = 0, _row_blocks(header, table, size)
     sep = "," if fmt == "json" else ""
     with open(path, "w+b") as fh:
         fh.write((",".join(header) + "\n").encode() if fmt == "csv" else b"[")
@@ -305,14 +284,16 @@ def _write_table(path: Path, header, table, fmt: str) -> None:
 
 class _Columns:
     """A table of ``rows`` rows given as numpy columns: ``block(start,
-    stop)`` returns the columns of rows ``start:stop``, in header order.
-    Its last ``mirror`` rows are its first ``mirror`` rows in reverse
-    order, bit for bit, with the (negative) first column negated.
+    stop)`` returns the columns of rows ``start:stop``, in header order,
+    each bool, integer, float of at most 64 bits or str.  Its last
+    ``mirror`` rows are its first ``mirror`` rows in reverse order, bit
+    for bit, with the (negative) first column negated.
 
     It also iterates as its ``rows`` rows of Python scalars, taken from
     the columns a block at a time, only so that a wrapper that re-yields
     the rows of a table (perfbench's ``counted_write_table``) takes it;
-    such rows are then written as plain rows, without the mirror.
+    such rows are then written as plain rows, converted back to columns
+    of the same text, without the mirror.
     """
 
     def __init__(self, rows: int, block, mirror: int = 0):

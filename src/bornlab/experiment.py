@@ -263,7 +263,7 @@ def rho_per_repetition(
     limit, or a non-finite rate) raises ``ValueError`` naming the first
     failing repetition.
     """
-    if dead_time_correction < 0.0:
+    if not dead_time_correction >= 0.0:
         raise ValueError("dead_time_correction must be >= 0")
     n = len(run.counts)
     zero_monitor = np.zeros(n, dtype=bool)

@@ -137,7 +137,7 @@ def _rho_sigma(p: np.ndarray, stats: SorkinCurves, dp: float,
     is undefined or the bracket is negative (|rho| too large for the
     first-order sign terms to make sense).
     """
-    if dp < 0.0:
+    if not dp >= 0.0:
         raise ValueError(f"dp must be >= 0 (got {dp})")
     signs = np.sign([stats.i_ab, stats.i_bc, stats.i_ca])
     rho = np.where(stats.rho_defined, stats.rho, 0.0)

@@ -1,14 +1,17 @@
 """Artifact bytes: pinned hashes of the bundled configs' outputs, the
 table writer against the per-cell encoders it replaced, tables encoded
-from numpy columns against the same rows, columns constant within a
-block (written once into the row template), ``run``'s tables against
-their repetition-by-repetition rows and against a wrapper that re-yields
-them, mirrored sweep tables against every row encoded, and the writer's
-bytes across block sizes."""
+from numpy columns against the same rows, the cell types the writer
+takes, columns constant within a block (written once), ``run``'s tables
+against their repetition-by-repetition rows and against a wrapper that
+re-yields them, mirrored sweep tables against every row encoded, and the
+writer's bytes across block sizes."""
 
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -67,11 +70,11 @@ def test_bundled_config_artifacts_match_pinned_hashes(case, tmp_path):
 
 
 # -- the per-cell encoders the writer had before its row templates,
-# -- kept verbatim as the reference
+# -- kept as the reference; a flag is told by its type
 
 
 def _oracle_cell(name, value):
-    if name.endswith("_defined"):
+    if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -81,7 +84,7 @@ def _oracle_cell(name, value):
 def _oracle_json_value(name, value):
     if name == "combination":
         return value
-    if name.endswith("_defined"):
+    if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
@@ -106,57 +109,22 @@ def _oracle_table(header, rows, fmt):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-# "%" in a key and in string cells: a JSON key is part of the "%" template
-EDGE_HEADER = ("value", "count", "label", "mixed", "x_defined", "{brace}",
-               "50%_level")
-EDGE_ROWS = [
-    (math.nan, 0, "plain", 1, True, 0.5, "100%d"),
-    (math.inf, 10**20, "Åλ日本", 2, False, -0.0, "%"),
-    (-math.inf, -(2**63), 'quote " back\\slash\n{x}', 3.5, 1, 1e300, "%%"),
-    (-0.0, True, "nan", 4.25, 0, 5e-324, "%(value)s"),
-    (5e-324, False, ": nan,", -7, True, math.nan, "%s%d"),
-    (1.7976931348623157e308, 12345678901234567890, "", 2**53 + 1, False, 0.1, ""),
-]
-
-TABLES = {
-    "edge-values": (EDGE_HEADER, EDGE_ROWS),
-    "zero-rows": (EDGE_HEADER, []),
-    "int-and-float-column": (
-        ("rho", "rho_defined"), [(0.25, True), (3, False), (math.nan, False)]),
-    "string-and-number-column": (
-        ("50%_level", "x_defined"),
-        [("100%d", 1), (7, 0), (0.5, True), (math.nan, False), ("%", 0)]),
-    # ints, then floats from row 128: in blocks of 128 rows the column is
-    # all ints in one block and all floats in the next, in blocks of 3
-    # rows 126-128 hold both
-    "late-float-column": (
-        ("repetition", "late"), [(i, i if i < 128 else i + 0.25) for i in range(300)]),
-}
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("table", sorted(TABLES))
-def test_writer_matches_per_cell_encoders(table, fmt, tmp_path):
-    header, rows = TABLES[table]
-    path = tmp_path / f"table.{fmt}"
-    _write_table(path, header, iter(rows), fmt)
-    assert path.read_bytes() == _oracle_table(header, rows, fmt).encode("utf-8")
-
-
-# -- numpy-column edge tables: typed columns through the CSV encoder (and
-# -- the JSON row template) against the per-cell encoders, at several
-# -- block sizes
+# -- edge tables: typed columns, and the same table as plain rows, through
+# -- the CSV encoder and the JSON row template against the per-cell
+# -- encoders, at several block sizes; "%" and "{" in keys (a JSON key is
+# -- part of the "%" template) and "%" in string cells
 
 EDGE_COLUMN_HEADER = ("value", "count", "big", "label", "x_defined", "n_defined",
-                      "level", "small", "step")
+                      "50%_level", "{brace}", "step")
 
 
 def _edge_columns(n=300):
     """Float, integer, flag and string columns cycling through edge cells
     (non-finite, signed zeros, subnormal, out of the encoder's domain,
     ties, -(2**63), uint64 beyond int64, "%", non-ASCII text, U+0000 inside
-    a string) among random cells; ``step`` is constant over its first 150
-    rows, then alternates signed zeros, then is NaN."""
+    a string) among random cells; ``50%_level`` is float32 and ``{brace}``
+    int8; ``step`` is constant over its first 150 rows, then alternates
+    signed zeros, then is NaN."""
     rng = np.random.default_rng(n)
 
     def cycled(edges, random):
@@ -174,8 +142,8 @@ def _edge_columns(n=300):
         cycled([-(2**63), 2**63 - 1, 0, -1, 10**17, 12345], rng.integers(-10**6, 10**6, n)),
         cycled([12345678901234567890, 2**64 - 1, 0, 10**19],
                rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)),
-        np.resize(np.array(["plain", "100%d", "%", "Åλ日本", "a\x00b", "",
-                            'quote " back\\slash\n{x}', "%(value)s"]), n),
+        np.resize(np.array(["plain", "100%d", "%", "Åλ日本", "a\x00b", "", "%%", "%s%d",
+                            'quote " back\\slash\n{x}', "%(value)s", ": nan,"]), n),
         rng.random(n) < 0.5,
         rng.integers(0, 2, n),
         rng.standard_normal(n).astype(np.float32),
@@ -185,32 +153,102 @@ def _edge_columns(n=300):
     return EDGE_COLUMN_HEADER, columns
 
 
+def _edge_table(source, n=300):
+    """The edge table's header, its rows, and the table in the form
+    ``source`` names: numpy columns, or plain rows.  Plain rows hold no
+    ``big`` column, since a plain int cell must fit in int64."""
+    header, columns = _edge_columns(n)
+    if source == "rows":
+        keep = [i for i, name in enumerate(header) if name != "big"]
+        header, columns = tuple(header[i] for i in keep), [columns[i] for i in keep]
+    rows = list(zip(*(col.tolist() for col in columns)))
+    return header, rows, _column_table(columns) if source == "columns" else iter(rows)
+
+
 @pytest.mark.parametrize("block_rows", [None, 1, 3, 128])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_edge_columns_match_per_cell_encoders(fmt, block_rows, monkeypatch, tmp_path):
-    header, columns = _edge_columns()
-    rows = list(zip(*(col.tolist() for col in columns)))
+@pytest.mark.parametrize("source", ["columns", "rows"])
+def test_edge_table_matches_per_cell_encoders(source, fmt, block_rows, monkeypatch,
+                                              tmp_path):
+    header, rows, table = _edge_table(source)
     if block_rows is not None:
         monkeypatch.setattr(cli, "_BLOCK_CELLS", block_rows * len(header))
     path = tmp_path / f"table.{fmt}"
-    _write_table(path, header, _column_table(columns), fmt)
+    _write_table(path, header, table, fmt)
     assert path.read_bytes() == _oracle_table(header, rows, fmt).encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("source", ["columns", "rows"])
+def test_zero_row_table_matches_per_cell_encoders(source, fmt, tmp_path):
+    header, columns = _edge_columns()
+    table = _column_table([col[:0] for col in columns]) if source == "columns" else iter([])
+    path = tmp_path / f"table.{fmt}"
+    _write_table(path, header, table, fmt)
+    assert path.read_bytes() == _oracle_table(header, [], fmt).encode("utf-8")
+
+
+# -- the writer takes bool, int, float and str cells: plain rows are
+# -- converted to columns without promotion, and a column of any other
+# -- type raises, naming it
+
+BAD_CELLS = {
+    "int-and-float": [1, 2.5],
+    "bool-and-int": [True, 2],
+    "int-beyond-int64": [10**20],
+    "none": [None],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(BAD_CELLS))
+def test_plain_rows_of_mixed_or_unsupported_cells_raise(case, fmt, tmp_path):
+    rows = [(0.5, cell) for cell in BAD_CELLS[case]]
+    with pytest.raises(TypeError, match="table column 'bad'"):
+        _write_table(tmp_path / f"table.{fmt}", ("ok", "bad"), iter(rows), fmt)
+
+
+#: Column dtypes the writer refuses; long double only where it is wider
+#: than float64 (not on every platform).
+BAD_DTYPES = [object, np.complex128] + [np.longdouble] * (np.dtype(np.longdouble).itemsize > 8)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("dtype", BAD_DTYPES)
+def test_columns_of_unsupported_dtype_raise(dtype, fmt, tmp_path):
+    columns = (np.arange(3.0), np.arange(3).astype(dtype))
+    with pytest.raises(TypeError, match="table column 'bad'"):
+        _write_table(tmp_path / f"table.{fmt}", ("ok", "bad"), _column_table(columns), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_only_csv_commands_load_the_csv_encoder(fmt, tmp_path):
+    # in a fresh process, since any CSV write in this one has loaded it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("repetitions = 4\n", encoding="utf-8")
+    code = ("import sys; from bornlab.cli import main; "
+            f"assert main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}, "
+            f"'--format', {fmt!r}, 'run']) == 0; "
+            "print('bornlab._csvtext' in sys.modules)")
+    src = str(Path(bornlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.splitlines()[-1] == str(fmt == "csv")
 
 
 # -- numpy columns are encoded, or converted to rows, a block at a time
 
-#: Rows in a block of the 4-column table of ``_columns``.
-_BLOCK = _block_rows(4)
+#: Rows in a block of the 3-column table of ``_columns``.
+_BLOCK = _block_rows(3)
 
 
 def _columns(n):
-    """Columns of int, float (NaN included), mixed int/float and flag cells."""
+    """Columns of int, float (NaN included) and flag cells."""
     rng = np.random.default_rng(n)
     rho = rng.standard_normal(n)
     rho[::3] = math.nan
-    mixed = np.array([i if i % 2 else i + 0.5 for i in range(n)], dtype=object)
-    header = ("repetition", "rho", "mixed", "rho_defined")
-    return header, (np.arange(n), rho, mixed, ~np.isnan(rho))
+    header = ("repetition", "rho", "rho_defined")
+    return header, (np.arange(n), rho, ~np.isnan(rho))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -226,24 +264,24 @@ def test_blocked_rows_match_unblocked_rows(n, fmt, tmp_path):
     assert blocked.read_bytes() == whole.read_bytes() == wrapped.read_bytes()
 
 
-# -- a column whose cells in a block all encode to the same text is
-# -- written once, into the block's row template
+# -- a column whose cells in a block are all the same, bit for bit, is
+# -- written once, in CSV and in JSON
 
-#: Rows in a block of the 12-column table of ``_constant_table``.
-_CONSTANT_BLOCK = _block_rows(12)
+#: Rows in a block of the 11-column table of ``_constant_table``.
+_CONSTANT_BLOCK = _block_rows(11)
 
 
 def _constant_table(n):
-    """``n`` rows: columns constant over every row, then three that must
-    not collapse to one text: zeros of both signs (+0.0 first and last),
-    NaN, and a column constant in the first ``_CONSTANT_BLOCK`` rows whose
-    next block differs from its first and last cell in one inner row."""
+    """``n`` rows: columns constant over every row (NaN included), then
+    two that must not collapse to one text: zeros of both signs (+0.0
+    first and last), and a column constant in the first
+    ``_CONSTANT_BLOCK`` rows whose next block differs from its first and
+    last cell in one inner row."""
     zeros = np.zeros(n)
     zeros[1:-1:5] = -0.0
     step = np.full(n, 2.5)
     step[_CONSTANT_BLOCK + 64] = 3.5
     columns = {
-        "big": np.full(n, 10**20, dtype=object),
         "low": np.full(n, -(2**63)),
         "x_defined": np.ones(n, dtype=bool),
         "y_defined": np.zeros(n, dtype=bool),
@@ -259,18 +297,12 @@ def _constant_table(n):
     return tuple(columns), tuple(columns.values())
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_only_constant_texts_fold_into_the_template(fmt):
+def test_only_bit_identical_columns_fold():
     header, columns = _constant_table(2 * _CONSTANT_BLOCK)
-    for start, kept in ((0, {"zero", "nan"}), (_CONSTANT_BLOCK, {"zero", "nan", "step"})):
-        folded = set()
-        for name, col in zip(header, columns):
-            cells = col[start:start + _CONSTANT_BLOCK].tolist()
-            if cli._column_fill(fmt, name, cells, {type(cells[0])})[1] is None:
-                folded.add(name)
+    for start, kept in ((0, {"zero"}), (_CONSTANT_BLOCK, {"zero", "step"})):
+        folded = {name for name, col in zip(header, columns)
+                  if cli._constant(col[start:start + _CONSTANT_BLOCK])}
         assert folded == set(header) - kept
-    # one NaN object in every row: list.count matches it by identity
-    assert cli._column_fill(fmt, "nan", [math.nan] * 3, {float})[1] is not None
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -529,13 +561,7 @@ def test_one_point_nan_grid_takes_plain_writer(fmt, monkeypatch, tmp_path):
     assert _assert_matches_plain_writer(monkeypatch, tmp_path, sweep, fmt, {}) == 0
 
 
-# -- each block of rows is encoded with one "%" call: the bytes must not
-# -- depend on the block size
-
-
-def _write_rows(table):
-    header, rows = TABLES[table]
-    return len(header), lambda path, fmt: _write_table(path, header, iter(rows), fmt)
+# -- the bytes of a mirrored sweep must not depend on the block size
 
 
 def _write_mirrored_sweep(n):
@@ -545,8 +571,6 @@ def _write_mirrored_sweep(n):
 
 #: Each case: its header width, and a function writing it to a path.
 BLOCK_INPUTS = {
-    "edge-values": _write_rows("edge-values"),
-    "late-float-column": _write_rows("late-float-column"),
     # 151 encoded rows, then 150 mirror rows: with 3 or 128 rows a block,
     # the last encoded block holds mirrored rows and the middle row
     "mirrored-sweep": _write_mirrored_sweep(301),

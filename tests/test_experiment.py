@@ -482,6 +482,12 @@ class TestRhoPerRepetition:
         rho, defined = rho_per_repetition(run("ok", "zero"), use_monitor=False)
         assert defined.all()
 
+    @pytest.mark.parametrize("correction", [-1e-9, math.nan])
+    def test_bad_dead_time_correction_rejected(self, correction):
+        # a NaN correction passes a `< 0` check and would apply no correction
+        with pytest.raises(ValueError, match="dead_time_correction must be >= 0"):
+            rho_per_repetition(counts_with_rho([0.0]), dead_time_correction=correction)
+
     def test_overflowing_rates_rejected(self):
         counts = np.vstack([counts_with_rho([0.0]).counts, np.full(8, 1e300)])
         with pytest.raises(ValueError, match="repetition 1: rates must be finite"):

@@ -101,6 +101,12 @@ class TestPowerSigma:
         with pytest.raises(ValueError, match="dp"):
             power_sigma_curves(np.ones((8, 1)), synthetic_curves(1.0, 0.0, (1, 1, 1)), -0.1)
 
+    def test_nan_dp_rejected(self):
+        # a NaN dp passes a `dp < 0` check and would give NaN everywhere
+        with pytest.raises(ValueError, match="dp"):
+            power_sigma_curves(np.ones((8, 1)), synthetic_curves(1.0, 0.0, (1, 1, 1)),
+                               math.nan)
+
 
 class TestPoissonSigma:
     def test_all_equal_counts(self):
