@@ -20,11 +20,8 @@ from .interference import (
     COMBINATIONS,
     DEFAULT_GUARD,
     ProbabilityRule,
-    ProbabilityVector,
     SorkinCurves,
-    SorkinResult,
     interference_terms,
-    sorkin,
     sorkin_curves,
 )
 from .optics import (
@@ -69,14 +66,12 @@ __all__ = [
     "OPENING",
     "PowerModel",
     "ProbabilityRule",
-    "ProbabilityVector",
     "RhoSeries",
     "RhoSweep",
     "RunConfig",
     "RunCounts",
     "SlitPlate",
     "SorkinCurves",
-    "SorkinResult",
     "build_combination_aperture",
     "combination_mask_for_plate",
     "detector_response",
@@ -92,7 +87,6 @@ __all__ = [
     "power_sigma_curves",
     "rho_per_repetition",
     "run_experiment",
-    "sorkin",
     "sorkin_curves",
     "triple_slit_plate",
     "uniform_displacement_sampler",

@@ -75,13 +75,7 @@ from .config import (
     probability_rule,
 )
 from .experiment import RhoSeries, RunCounts, rho_per_repetition, run_experiment
-from .interference import (
-    COMBINATIONS,
-    ProbabilityVector,
-    SorkinResult,
-    interference_terms,
-    sorkin_curves,
-)
+from .interference import COMBINATIONS, interference_terms, sorkin_curves
 from .optics import pattern_set
 from .systematics import (
     RhoSweep,
@@ -225,12 +219,14 @@ _CELL_DTYPES = {bool: np.bool_, int: np.int64, float: np.float64, str: np.str_}
 def _row_column(name: str, cells) -> np.ndarray:
     """The numpy column of one column's cells in a block of plain rows.
     Raises ``TypeError`` naming the column unless its cells are all of
-    one type of ``_CELL_DTYPES`` (``bool`` is not ``int``) and each int
-    fits in int64; ``np.array`` alone would promote mixed cells."""
+    one type of ``_CELL_DTYPES`` (``bool`` is not ``int``), each int
+    fits in int64 and no str ends in U+0000, which numpy's str dtype
+    drops; ``np.array`` alone would promote mixed cells."""
     kinds = set(map(type, cells))
     if len(kinds) == 1 and (dtype := _CELL_DTYPES.get(kinds.pop())):
-        with contextlib.suppress(OverflowError):
-            return np.array(cells, dtype)
+        if dtype is not np.str_ or not any(c.endswith("\x00") for c in cells):
+            with contextlib.suppress(OverflowError):
+                return np.array(cells, dtype)
     raise _column_type_error(name)
 
 
@@ -541,8 +537,9 @@ def _count_table(run: RunCounts, poisson: bool) -> _Columns:
     return _Columns(counts.size, block)
 
 
-def read_counts_file(path) -> ProbabilityVector:
-    """Counts file -> rate vector (one row per combination)."""
+def read_counts_file(path) -> np.ndarray:
+    """Counts file -> (8, 1) rates ``counts / dwell_s``, one row per
+    combination in ``COMBINATIONS`` order."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -574,36 +571,36 @@ def read_counts_file(path) -> ProbabilityVector:
             raise ConfigError(f"{combo}: counts must be >= 0 (got {counts})")
         if not dwell > 0:
             raise ConfigError(f"{combo}: dwell_s must be > 0 (got {dwell})")
-        for name, value in (("counts", counts), ("dwell_s", dwell)):
+        rate = counts / dwell
+        for name, value in (("counts", counts), ("dwell_s", dwell),
+                            ("counts / dwell_s", rate)):
             if not math.isfinite(value):
                 raise ConfigError(f"{combo}: {name} must be finite (got {value})")
-        rates[combo] = counts / dwell
+        rates[combo] = rate
     missing = [c for c in COMBINATIONS if c not in rates]
     if missing:
         raise ConfigError(f"counts file missing combinations: {', '.join(missing)}")
-    return ProbabilityVector.from_array([rates[c] for c in COMBINATIONS])
+    return np.array([[rates[c]] for c in COMBINATIONS])
 
 
 def cmd_sorkin(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> dict:
-    stacked = read_counts_file(counts_path).array.reshape(8, 1)
-    curves = sorkin_curves(stacked, cfg.guard)
-    res = SorkinResult.from_curves(curves)
-    sweep = RhoSweep(np.array([math.nan]), stacked, curves)
-    _write_sweep(tables.path(f"sorkin.{fmt}"), sweep, fmt)
-    if not res.rho_defined:
+    rates = read_counts_file(counts_path)
+    curves = sorkin_curves(rates, cfg.guard)
+    _write_sweep(tables.path(f"sorkin.{fmt}"),
+                 RhoSweep(np.array([math.nan]), rates, curves), fmt)
+    epsilon, delta, rho = (float(c[0]) for c in curves[3:6])
+    defined = bool(curves.rho_defined[0])
+    if not defined:
         print("warning: rho undefined (delta below guard)", file=sys.stderr)
-    print(
-        f"epsilon = {_fmt(res.epsilon)}  delta = {_fmt(res.delta)}  rho = "
-        + (_fmt(res.rho) if res.rho_defined else "undefined")
-    )
-    summary = {
-        "epsilon": res.epsilon,
-        "delta": res.delta,
-        "rho": res.rho if res.rho_defined else None,
-        "rho_defined": res.rho_defined,
-        "signs": {"AB": res.s_ab, "BC": res.s_bc, "CA": res.s_ca},
+    print(f"epsilon = {_fmt(epsilon)}  delta = {_fmt(delta)}  rho = "
+          + (_fmt(rho) if defined else "undefined"))
+    return {
+        "epsilon": epsilon,
+        "delta": delta,
+        "rho": rho if defined else None,
+        "rho_defined": defined,
+        "signs": {xy: int(np.sign(c[0])) for xy, c in zip(("AB", "BC", "CA"), curves)},
     }
-    return summary
 
 
 def _order_k_max(rule, rng, k: int, samples: int) -> tuple[float, float]:

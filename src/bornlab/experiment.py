@@ -256,7 +256,7 @@ def rho_per_repetition(
     non-paralyzable dead time of that length on the measured rates
     (off by default, so simulated dead-time bias stays visible).
     All repetitions go through one :func:`sorkin_curves` call, which
-    agrees bitwise with :func:`sorkin` on each of them.  A repetition
+    gives each the bits of a call on it alone.  A repetition
     with a zero monitor count cannot be normalized: its ``rho`` is
     undefined, and a ``RuntimeWarning`` gives the number of such
     repetitions.  A check that fails (a rate at or above the dead-time

@@ -66,10 +66,6 @@ class ProbabilityRule:
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite (got {self.alpha})")
 
-    @property
-    def is_quadratic(self) -> bool:
-        return self.alpha == 0.0
-
     def probability(self, psi):
         """Probability of the summed amplitude ``psi``, a complex number
         or an array of them (then elementwise)."""
@@ -81,75 +77,6 @@ class ProbabilityRule:
 
 #: The quadratic (squared-magnitude) rule.
 BORN = ProbabilityRule(0.0)
-
-_PV_FIELDS = ("p0", "pA", "pB", "pC", "pAB", "pBC", "pCA", "pABC")
-
-
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """The eight detection probabilities of a three-path experiment.
-
-    Fields follow the canonical combination order; ``p0`` is the
-    all-closed (background) measurement.
-    """
-
-    p0: float
-    pA: float
-    pB: float
-    pC: float
-    pAB: float
-    pBC: float
-    pCA: float
-    pABC: float
-
-    def __post_init__(self):
-        for name in _PV_FIELDS:
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite (got {v})")
-            if v < 0.0:
-                raise ValueError(f"{name} must be >= 0 (got {v})")
-
-    @classmethod
-    def from_array(cls, values) -> "ProbabilityVector":
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != (8,):
-            raise ValueError(f"expected 8 probabilities (got shape {arr.shape})")
-        return cls(*map(float, arr))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array([getattr(self, f) for f in _PV_FIELDS], dtype=float)
-
-
-@dataclass(frozen=True)
-class SorkinResult:
-    """Order-3 statistics of one probability vector.
-
-    ``rho`` is NaN and ``rho_defined`` False exactly when
-    ``delta < guard``.  ``s_xy`` is the sign of the corresponding pairwise
-    term (one of -1, 0, +1).
-    """
-
-    epsilon: float
-    delta: float
-    rho: float
-    rho_defined: bool
-    i_ab: float
-    i_bc: float
-    i_ca: float
-    s_ab: int
-    s_bc: int
-    s_ca: int
-
-    @classmethod
-    def from_curves(cls, curves: "SorkinCurves") -> "SorkinResult":
-        """Statistics of one-point curves, as Python scalars."""
-        i_ab, i_bc, i_ca, eps, delta, rho = (float(c[0]) for c in curves[:6])
-        s_ab, s_bc, s_ca = np.sign([i_ab, i_bc, i_ca]).astype(int).tolist()
-        return cls(eps, delta, rho, bool(curves.rho_defined[0]),
-                   i_ab, i_bc, i_ca, s_ab, s_bc, s_ca)
-
 
 def interference_terms(rule: ProbabilityRule, amps) -> tuple[np.ndarray, np.ndarray]:
     """Order-k interference terms of n sets of k path amplitudes.
@@ -182,17 +109,6 @@ def interference_terms(rule: ProbabilityRule, amps) -> tuple[np.ndarray, np.ndar
     return total, probs
 
 
-def sorkin(pv: ProbabilityVector, guard: float = DEFAULT_GUARD) -> SorkinResult:
-    """Full order-3 statistics of one probability vector: the one-point
-    case of :func:`sorkin_curves`.
-
-    ``guard`` must be positive; ``rho`` is flagged undefined (NaN) exactly
-    when ``delta < guard``, never producing a huge ratio from a vanishing
-    pairwise contrast.
-    """
-    return SorkinResult.from_curves(_statistics(pv.array.reshape(8, 1), guard))
-
-
 class SorkinCurves(NamedTuple):
     """Pointwise order-3 statistics of eight stacked curves."""
 
@@ -205,9 +121,17 @@ class SorkinCurves(NamedTuple):
     rho_defined: np.ndarray
 
 
-def _statistics(p: np.ndarray, guard: float) -> SorkinCurves:
-    """The statistics kernel: ``p`` is (8, n); ``rho`` is NaN where
-    ``delta`` is below ``guard``."""
+def sorkin_curves(patterns: np.ndarray, guard: float = DEFAULT_GUARD) -> SorkinCurves:
+    """Order-3 statistics of every point of stacked curves.
+
+    ``patterns`` has shape (8, n) in canonical combination order.
+    ``guard`` must be positive; ``rho`` is flagged undefined (NaN) exactly
+    where ``delta < guard``, never producing a huge ratio from a vanishing
+    pairwise contrast.
+    """
+    p = np.ascontiguousarray(patterns, dtype=np.float64)
+    if p.ndim != 2 or p.shape[0] != 8:
+        raise ValueError(f"patterns must have shape (8, n) (got {p.shape})")
     if not guard > 0.0:
         raise ValueError(f"guard must be > 0 (got {guard})")
     p0, pa, pb, pc, pab, pbc, pca, pabc = p
@@ -220,12 +144,8 @@ def _statistics(p: np.ndarray, guard: float) -> SorkinCurves:
     return SorkinCurves(i_ab, i_bc, i_ca, eps, delta, rho, defined)
 
 
-def sorkin_curves(patterns: np.ndarray, guard: float = DEFAULT_GUARD) -> SorkinCurves:
-    """Order-3 statistics of every point of stacked curves.
-
-    ``patterns`` has shape (8, n) in canonical combination order.
-    """
-    p = np.ascontiguousarray(patterns, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] != 8:
-        raise ValueError(f"patterns must have shape (8, n) (got {p.shape})")
-    return _statistics(p, guard)
+def sorkin(p, guard: float = DEFAULT_GUARD) -> SorkinCurves:
+    """The statistics of the eight probabilities ``p`` alone: the
+    one-point case of :func:`sorkin_curves`.  It stays only because
+    ``perfbench/child.py`` wraps this name."""
+    return sorkin_curves(np.reshape(p, (8, 1)), guard)

@@ -1,10 +1,11 @@
-"""Artifact bytes: pinned hashes of the bundled configs' outputs, the
-table writer against the per-cell encoders it replaced, tables encoded
-from numpy columns against the same rows, the cell types the writer
-takes, columns constant within a block (written once), ``run``'s tables
-against their repetition-by-repetition rows and against a wrapper that
-re-yields them, mirrored sweep tables against every row encoded, and the
-writer's bytes across block sizes."""
+"""Artifact bytes: pinned hashes of the bundled configs' outputs, also
+with numpy's CPU dispatch held at its baseline, the table writer against
+the per-cell encoders it replaced, tables encoded from numpy columns
+against the same rows, the cell types the writer takes, columns constant
+within a block (written once), ``run``'s tables against their
+repetition-by-repetition rows and against a wrapper that re-yields them,
+mirrored sweep tables against every row encoded, and the writer's bytes
+across block sizes."""
 
 import hashlib
 import json
@@ -17,6 +18,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as _umath
 
 import bornlab
 from bornlab import cli
@@ -51,22 +57,60 @@ def _config_path(name: str) -> Path:
     return bundled if bundled.exists() else ROOT / "tests" / "data" / f"{name}.cfg"
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: c.replace(" ", "-"))
-def test_bundled_config_artifacts_match_pinned_hashes(case, tmp_path):
+def _case_argv(case: str, out: Path) -> list:
+    """The command line of a pinned case, writing to ``out``."""
     config, command, fmt = case.split()
-    out = tmp_path / "out"
     argv = ["--config", str(_config_path(config)),
             "--out", str(out), "--format", fmt, command]
     if command == "sorkin":
         argv.append(str(ROOT / "tests" / "data" / "sorkin_counts.csv"))
-    assert main(argv) == 0
+    return argv
+
+
+def _hashes(out: Path) -> dict:
+    """The hash of each file in ``out``, as ``artifact_sha256.json`` pins it."""
     got = {}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()
         if path.name == "manifest.json":
             data = _manifest_bytes(data)
         got[path.name] = hashlib.sha256(data).hexdigest()
-    assert got == GOLDEN[case]
+    return got
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: c.replace(" ", "-"))
+def test_bundled_config_artifacts_match_pinned_hashes(case, tmp_path):
+    assert main(_case_argv(case, tmp_path / "out")) == 0
+    assert _hashes(tmp_path / "out") == GOLDEN[case]
+
+
+# -- the pinned hashes with numpy's CPU dispatch held at its baseline: the
+# -- bytes must not depend on which SIMD kernels numpy picks on a machine
+
+#: The dispatch targets above numpy's baseline that this CPU has, so that
+#: numpy runs their kernels unless ``NPY_DISABLE_CPU_FEATURES`` names them.
+DISPATCHED = [f for f in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(f)]
+
+
+def test_pinned_hashes_hold_with_cpu_dispatch_disabled(tmp_path):
+    if not DISPATCHED:
+        pytest.skip("numpy finds no CPU dispatch target above its baseline here")
+    # every pinned case, in one process: about 1 s in all
+    cases = sorted(GOLDEN)
+    outs = [tmp_path / case.replace(" ", "-") for case in cases]
+    code = ("import importlib, json, sys\n"
+            "from bornlab.cli import main\n"
+            "found = importlib.import_module(sys.argv[1]).__cpu_features__\n"
+            "assert not any(found[f] for f in sys.argv[2].split()), 'not disabled'\n"
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[3])))\n")
+    argvs = json.dumps([_case_argv(case, out) for case, out in zip(cases, outs)])
+    src = str(Path(bornlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(DISPATCHED)}
+    proc = subprocess.run([sys.executable, "-c", code, _umath.__name__, " ".join(DISPATCHED),
+                           argvs], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for case, out in zip(cases, outs):
+        assert _hashes(out) == GOLDEN[case], case
 
 
 # -- the per-cell encoders the writer had before its row templates,
@@ -197,6 +241,7 @@ BAD_CELLS = {
     "bool-and-int": [True, 2],
     "int-beyond-int64": [10**20],
     "none": [None],
+    "str-ending-in-nul": ["a", "a\x00"],
 }
 
 

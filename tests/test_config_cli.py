@@ -126,9 +126,10 @@ class TestCountsFile:
     def test_roundtrip(self, tmp_path):
         p = tmp_path / "counts.csv"
         write_counts_csv(p)
-        pv = read_counts_file(p)
-        assert pv.pABC == 9e5
-        assert pv.p0 == 0.0
+        rates = read_counts_file(p)
+        assert rates.shape == (8, 1)
+        assert rates[7, 0] == 9e5
+        assert rates[0, 0] == 0.0
 
     def test_missing_combination(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -170,6 +171,15 @@ class TestCountsFile:
         err = capsys.readouterr().err
         assert f"error: C: {column} must be " in err
         assert f"(got {float(value)})" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_overflowing_rate_exits_2_naming_the_row(self, tmp_path, capsys):
+        p = tmp_path / "c.csv"
+        write_counts_csv(p)
+        p.write_text(p.read_text().replace("\nA,100000.0,1.0\n", "\nA,1e300,1e-10\n"))
+        out = tmp_path / "out"
+        assert main(["sorkin", str(p), "--out", str(out)]) == 2
+        assert "error: A: counts / dwell_s must be finite (got inf)" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("column", ["counts", "dwell_s"])

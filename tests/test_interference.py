@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bornlab.interference import (
     BORN,
     ProbabilityRule,
-    ProbabilityVector,
     interference_terms,
     sorkin,
     sorkin_curves,
@@ -22,9 +21,8 @@ finite_complex = st.complex_numbers(
 
 
 def vector(rule, amps, background=0.0):
-    """ProbabilityVector of one amplitude triple."""
-    return ProbabilityVector.from_array(
-        combination_probabilities(rule, amps, background)[:, 0])
+    """(8, 1) probabilities of one amplitude triple."""
+    return combination_probabilities(rule, amps, background)
 
 
 class TestSubsetProbabilities:
@@ -50,19 +48,6 @@ class TestSubsetProbabilities:
 class TestTypes:
     def test_born_is_cubic_with_zero_alpha(self):
         assert BORN == ProbabilityRule(0.0)
-        assert BORN.is_quadratic
-
-    def test_probability_vector_rejects_negative(self):
-        with pytest.raises(ValueError, match="pAB must be >= 0"):
-            ProbabilityVector(0, 1, 1, 1, -0.5, 4, 4, 9)
-
-    def test_probability_vector_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="pABC must be finite"):
-            ProbabilityVector(0, 1, 1, 1, 4, 4, 4, math.inf)
-
-    def test_from_array_roundtrip(self):
-        pv = ProbabilityVector(0, 1, 2, 3, 4, 5, 6, 7)
-        assert ProbabilityVector.from_array(pv.array) == pv
 
 
 class TestInterferenceTerms:
@@ -147,14 +132,14 @@ class TestInterferenceTerms:
 
 class TestEpsilon:
     def test_born_null(self):
-        assert sorkin(vector(BORN, [1, 1, 1])).epsilon == 0.0
+        assert sorkin_curves(vector(BORN, [1, 1, 1])).epsilon[0] == 0.0
 
     def test_background_cancels_exactly(self):
-        assert sorkin(vector(BORN, [1, 1, 1], 0.5)).epsilon == 0.0
+        assert sorkin_curves(vector(BORN, [1, 1, 1], 0.5)).epsilon[0] == 0.0
 
     def test_cubic_violation(self):
         expected = 9.27 - 3 * 4.08 + 3 * 1.01  # direct arithmetic
-        got = sorkin(vector(ProbabilityRule(0.01), [1, 1, 1])).epsilon
+        got = sorkin_curves(vector(ProbabilityRule(0.01), [1, 1, 1])).epsilon[0]
         assert got == pytest.approx(expected, abs=1e-13)
 
     @given(st.lists(finite_complex, min_size=3, max_size=3))
@@ -217,92 +202,79 @@ class TestEpsilon:
 
 class TestSorkin:
     def test_equal_amplitudes(self):
-        res = sorkin(vector(BORN, [1, 1, 1]))
-        assert res.delta == 6.0
-        assert res.epsilon == 0.0
-        assert res.rho == 0.0
-        assert res.rho_defined
-        assert (res.s_ab, res.s_bc, res.s_ca) == (1, 1, 1)
+        res = sorkin_curves(vector(BORN, [1, 1, 1]))
+        assert res.delta[0] == 6.0
+        assert res.epsilon[0] == 0.0
+        assert res.rho[0] == 0.0
+        assert res.rho_defined[0]
+        assert np.sign(res[:3]).tolist() == [[1.0], [1.0], [1.0]]
 
     def test_mixed_phase_amplitudes(self):
-        res = sorkin(vector(BORN, [1, 1j, 1]))
-        assert (res.i_ab, res.i_bc, res.i_ca) == (0.0, 0.0, 2.0)
-        assert res.delta == 2.0
-        assert (res.s_ab, res.s_bc, res.s_ca) == (0, 0, 1)
+        res = sorkin_curves(vector(BORN, [1, 1j, 1]))
+        assert np.array(res[:3]).tolist() == [[0.0], [0.0], [2.0]]
+        assert res.delta[0] == 2.0
 
     def test_cubic_rho(self):
-        res = sorkin(vector(ProbabilityRule(0.01), [1, 1, 1]))
-        assert res.rho == pytest.approx(0.06 / 6.18, rel=1e-12)
+        res = sorkin_curves(vector(ProbabilityRule(0.01), [1, 1, 1]))
+        assert res.rho[0] == pytest.approx(0.06 / 6.18, rel=1e-12)
 
     def test_delta_is_abs_sum(self, rng):
-        for _ in range(100):
-            res = sorkin(vector(BORN, random_triple(rng)))
-            assert res.delta == abs(res.i_ab) + abs(res.i_bc) + abs(res.i_ca)
-            assert res.s_ab == np.sign(res.i_ab)
+        triples = [random_triple(rng) for _ in range(100)]
+        res = sorkin_curves(combination_probabilities(BORN, triples))
+        assert np.array_equal(res.delta, np.abs(res.i_ab) + np.abs(res.i_bc) + np.abs(res.i_ca))
 
     def test_guard_flags_exactly_small_delta(self):
         # delta = 0: all entries equal
-        res = sorkin(ProbabilityVector.from_array([1.0] * 8))
-        assert not res.rho_defined
-        assert math.isnan(res.rho)
+        res = sorkin_curves(np.ones((8, 1)))
+        assert not res.rho_defined[0]
+        assert math.isnan(res.rho[0])
         # at the guard boundary rho is defined
-        pv = ProbabilityVector(0, 1, 1, 1, 2 + 0.5e-9, 2 + 0.5e-9, 2, 9)
-        res2 = sorkin(pv, guard=1e-9)
-        assert res2.rho_defined == (res2.delta >= 1e-9)
-        assert res2.rho_defined
+        res2 = sorkin_curves(np.array([[0, 1, 1, 1, 2 + 0.5e-9, 2 + 0.5e-9, 2, 9]]).T,
+                             guard=1e-9)
+        assert res2.rho_defined[0] == (res2.delta[0] >= 1e-9)
+        assert res2.rho_defined[0]
         # 0 < delta < guard with epsilon far from 0: no huge ratio
-        res3 = sorkin(ProbabilityVector(0, 1, 1, 1, 2 + 0.25e-9, 2, 2, 9), guard=1e-9)
-        assert 0.0 < res3.delta < 1e-9 and res3.epsilon > 5.0
-        assert not res3.rho_defined
-        assert math.isnan(res3.rho)
+        res3 = sorkin_curves(np.array([[0, 1, 1, 1, 2 + 0.25e-9, 2, 2, 9]]).T, guard=1e-9)
+        assert 0.0 < res3.delta[0] < 1e-9 and res3.epsilon[0] > 5.0
+        assert not res3.rho_defined[0]
+        assert math.isnan(res3.rho[0])
 
     def test_guard_must_be_positive(self):
-        pv = ProbabilityVector.from_array([1.0] * 8)
         with pytest.raises(ValueError, match="guard"):
-            sorkin(pv, guard=0.0)
+            sorkin_curves(np.ones((8, 1)), guard=0.0)
 
     def test_rho_monotone_in_alpha(self):
         rhos = []
         for alpha in (1e-4, 1e-3, 1e-2):
-            res = sorkin(vector(ProbabilityRule(alpha), [1, 1, 1]))
+            res = sorkin_curves(vector(ProbabilityRule(alpha), [1, 1, 1]))
             # direct arithmetic oracle
             p1 = 1 + alpha
             p2 = 4 + 8 * alpha
             p3 = 9 + 27 * alpha
             eps = p3 - 3 * p2 + 3 * p1
             delta = 3 * (p2 - 2 * p1)
-            assert res.rho == pytest.approx(eps / delta, rel=1e-12)
-            assert res.epsilon != 0.0
-            rhos.append(res.rho)
+            assert res.rho[0] == pytest.approx(eps / delta, rel=1e-12)
+            assert res.epsilon[0] != 0.0
+            rhos.append(res.rho[0])
         assert rhos[0] < rhos[1] < rhos[2]
 
 
 class TestSorkinCurves:
     def test_matches_scalar_exactly(self, rng):
+        # sorkin is the name perfbench wraps: each column alone, bit for bit
         stack = rng.uniform(0.0, 5.0, size=(8, 64))
         curves = sorkin_curves(stack, guard=1e-9)
         for i in range(stack.shape[1]):
-            res = sorkin(ProbabilityVector.from_array(stack[:, i]), guard=1e-9)
-            # Python scalars, which the manifest's JSON writer encodes as numbers
-            types = [type(getattr(res, f)) for f in ("epsilon", "rho_defined", "s_ab")]
-            assert types == [float, bool, int]
-            assert curves.epsilon[i] == res.epsilon
-            assert curves.delta[i] == res.delta
-            assert curves.i_ab[i] == res.i_ab
-            assert curves.i_bc[i] == res.i_bc
-            assert curves.i_ca[i] == res.i_ca
-            assert curves.rho_defined[i] == res.rho_defined
-            if res.rho_defined:
-                assert curves.rho[i] == res.rho
-            else:
-                assert math.isnan(curves.rho[i])
+            res = sorkin(stack[:, i], guard=1e-9)
+            for got, want in zip(res, curves):
+                assert got.tobytes() == want[i:i + 1].tobytes()
 
     def test_scalar_epsilon_of_integer_fields(self):
         # ints are summed as floats, as the kernel sums them: exact integer
         # sums would give 2**53 + 2 here
-        got = sorkin(ProbabilityVector(0, 2**53, 1, 1, 0, 0, 0, 0)).epsilon
-        assert type(got) is float
-        assert got == 2.0**53
+        got = sorkin([0, 2**53, 1, 1, 0, 0, 0, 0]).epsilon
+        assert got.dtype == np.float64
+        assert got[0] == 2.0**53
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
