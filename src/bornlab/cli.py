@@ -44,10 +44,8 @@ The writer's memory does not grow with the table, and the bytes do not
 depend on the block size.  When a sweep table's second half mirrors its
 first (the same cells, bit for bit, with ``position_u`` negated), only
 the first half is encoded, and each mirror row's text is read back from
-the file with its minus sign removed.  On a 2-vCPU VM a 10^6-point
-``sweep-mask`` to CSV takes about 3.3-4.4 s and ``patterns`` about
-3.1-3.9 s, against 6.8-10.8 s and 6.3-8.7 s with every float through
-``%`` (README "Output").
+the file with its minus sign removed.  README "Output" gives the
+writer's timings.
 """
 
 from __future__ import annotations
@@ -67,15 +65,9 @@ import numpy as np
 
 from . import __version__
 from ._streams import TAG_HIERARCHY, substream
-from .config import (
-    ConfigError,
-    RunConfig,
-    build_objects,
-    load_config,
-    probability_rule,
-)
+from .config import ConfigError, RunConfig, build_objects, load_config
 from .experiment import RhoSeries, RunCounts, rho_per_repetition, run_experiment
-from .interference import COMBINATIONS, interference_terms, sorkin_curves
+from .interference import COMBINATIONS, ProbabilityRule, interference_terms, sorkin_curves
 from .optics import pattern_set
 from .systematics import (
     RhoSweep,
@@ -83,16 +75,6 @@ from .systematics import (
     misalignment_rho_sweep,
     power_sigma_curves,
     uniform_displacement_sampler,
-)
-
-COMMANDS = (
-    "patterns",
-    "sorkin",
-    "run",
-    "sweep-power",
-    "sweep-mask",
-    "sweep-detector",
-    "hierarchy",
 )
 
 #: Fixed column order of every sweep table; extra per-command columns
@@ -419,7 +401,7 @@ def _clean(obj):
     return obj
 
 
-def cmd_patterns(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
+def cmd_patterns(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> dict:
     plate, mask, _power, _detector = build_objects(cfg)
     u = _u_grid(cfg)
     stacked = pattern_set(plate, mask, u, normalize=True)
@@ -427,7 +409,7 @@ def cmd_patterns(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     return _write_sweep(tables.path(f"patterns.{fmt}"), sweep, fmt)
 
 
-def cmd_sweep_power(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
+def cmd_sweep_power(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> dict:
     plate, mask, power, _detector = build_objects(cfg)
     u = _u_grid(cfg)
     stacked = pattern_set(plate, mask, u, normalize=True)
@@ -446,7 +428,7 @@ def cmd_sweep_power(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     return summary
 
 
-def cmd_sweep_mask(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
+def cmd_sweep_mask(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> dict:
     plate, mask, _power, _detector = build_objects(cfg)
     sampler = uniform_displacement_sampler(
         cfg.displacement_low, cfg.displacement_high
@@ -459,7 +441,7 @@ def cmd_sweep_mask(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     return summary
 
 
-def cmd_sweep_detector(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
+def cmd_sweep_detector(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> dict:
     nonzero = [key for key in ("plate_leakage", "mask_leakage", "mask_displacement")
                if getattr(cfg, key) != 0.0]
     if nonzero:
@@ -480,7 +462,7 @@ def cmd_sweep_detector(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     return summary
 
 
-def cmd_run(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
+def cmd_run(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> dict:
     plate, mask, power, detector = build_objects(cfg)
     run = run_experiment(
         plate, mask, power, detector,
@@ -542,7 +524,7 @@ def read_counts_file(path) -> np.ndarray:
     combination in ``COMBINATIONS`` order."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read counts file {path}: {exc}") from None
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split(",") != list(COUNTS_COLUMNS):
@@ -567,6 +549,7 @@ def read_counts_file(path) -> np.ndarray:
                 raise ConfigError(
                     f"{combo}: {name} must be a number (got {raw!r})") from None
         counts, dwell = values
+        counts += 0.0    # a count of -0 is stored as +0
         if counts < 0:
             raise ConfigError(f"{combo}: counts must be >= 0 (got {counts})")
         if not dwell > 0:
@@ -584,6 +567,8 @@ def read_counts_file(path) -> np.ndarray:
 
 
 def cmd_sorkin(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> dict:
+    if counts_path is None:
+        raise ConfigError("sorkin requires a counts file")
     rates = read_counts_file(counts_path)
     curves = sorkin_curves(rates, cfg.guard)
     _write_sweep(tables.path(f"sorkin.{fmt}"),
@@ -613,8 +598,8 @@ def _order_k_max(rule, rng, k: int, samples: int) -> tuple[float, float]:
     return float(np.max(np.abs(total))), float(np.max(rel))
 
 
-def cmd_hierarchy(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
-    rule = probability_rule(cfg)
+def cmd_hierarchy(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> dict:
+    rule = ProbabilityRule(cfg.alpha)
     rng = substream(cfg.seed, TAG_HIERARCHY)
     tol = 1e-12
     orders = {}
@@ -648,6 +633,21 @@ def cmd_hierarchy(cfg: RunConfig, tables: _OutputSet, fmt: str) -> dict:
     return payload
 
 
+#: Every command by name.  A command takes the config, the output set it
+#: writes its tables into, the table format and the counts file (None
+#: unless given; only ``sorkin`` reads one), and returns the manifest's
+#: summary.
+COMMANDS = {
+    "patterns": cmd_patterns,
+    "sorkin": cmd_sorkin,
+    "run": cmd_run,
+    "sweep-power": cmd_sweep_power,
+    "sweep-mask": cmd_sweep_mask,
+    "sweep-detector": cmd_sweep_detector,
+    "hierarchy": cmd_hierarchy,
+}
+
+
 def dispatch(command: str, cfg: RunConfig, out_dir=None, fmt: str = "csv",
              counts_path=None) -> int:
     """Run one command; writes artifacts + manifest, returns exit status.
@@ -656,29 +656,14 @@ def dispatch(command: str, cfg: RunConfig, out_dir=None, fmt: str = "csv",
     once all of them are written; on failure the output directory keeps
     its previous contents.
     """
+    if command not in COMMANDS:
+        print(f"error: unknown command {command!r}", file=sys.stderr)
+        return 2
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     tables = _OutputSet(out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        if command == "patterns":
-            summary = cmd_patterns(cfg, tables, fmt)
-        elif command == "sorkin":
-            if counts_path is None:
-                raise ConfigError("sorkin requires a counts file")
-            summary = cmd_sorkin(cfg, tables, fmt, counts_path)
-        elif command == "run":
-            summary = cmd_run(cfg, tables, fmt)
-        elif command == "sweep-power":
-            summary = cmd_sweep_power(cfg, tables, fmt)
-        elif command == "sweep-mask":
-            summary = cmd_sweep_mask(cfg, tables, fmt)
-        elif command == "sweep-detector":
-            summary = cmd_sweep_detector(cfg, tables, fmt)
-        elif command == "hierarchy":
-            summary = cmd_hierarchy(cfg, tables, fmt)
-        else:
-            print(f"error: unknown command {command!r}", file=sys.stderr)
-            return 2
+        summary = COMMANDS[command](cfg, tables, fmt, counts_path)
         outputs = list(tables.names)
         _manifest(tables.path("manifest.json"), command, cfg, _clean(summary),
                   outputs)
@@ -722,17 +707,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"seed: must be >= 0 (got {args.seed})")
             cfg = dataclasses.replace(cfg, seed=args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"error: cannot read config: {args.config}: {exc}", file=sys.stderr)
         return 2
     return dispatch(args.command, cfg, out_dir=args.out, fmt=args.format,
                     counts_path=args.counts)

@@ -1,9 +1,10 @@
 """Plain-text run configuration: ``key = value`` lines, strict schema.
 
-Unknown keys are rejected, every value is range-checked with a
-diagnostic naming the key (every float must be finite), and cross-field
-physical constraints (slit overlap, plate extent) are validated at parse
-time.
+Unknown keys are rejected when a file is parsed.  Every ``RunConfig``,
+whether parsed, built directly or made by ``dataclasses.replace``, is
+checked where it is built: every value is range-checked with a
+diagnostic naming the key (every float must be finite), then the
+cross-field physical constraints (slit overlap, plate extent).
 
 Leakage values are intensity fractions (as transmission measurements
 report them); the optics layer works with their square roots as
@@ -14,9 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Callable
+from typing import Any, Callable, get_type_hints
 
-from .interference import BORN, ProbabilityRule
 from .optics import (
     BLOCKING,
     OPENING,
@@ -80,6 +80,11 @@ class RunConfig:
     guard: float = 1e-9
     out_dir: str = "."
 
+    def __post_init__(self):
+        for f in fields(self):
+            _validate_value(f.name, getattr(self, f.name))
+        _cross_validate(self)
+
 
 def _parse_bool(raw: str) -> bool:
     low = raw.lower()
@@ -127,13 +132,7 @@ _RANGE_CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "guard": (lambda v: v > 0, "must be > 0"),
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_TYPE_OBJECTS = {"float": float, "int": int, "bool": bool, "str": str}
-
-
-def _field_type(name: str) -> type:
-    t = _FIELD_TYPES[name]
-    return _TYPE_OBJECTS[t] if isinstance(t, str) else t
+_FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def _validate_value(key: str, value: Any) -> None:
@@ -178,7 +177,7 @@ def _cross_validate(cfg: RunConfig) -> None:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse ``key = value`` text into a validated RunConfig.
+    """Parse ``key = value`` text into a RunConfig, which checks its values.
 
     ``#`` starts a comment; blank lines are ignored; every key is
     optional and unknown keys are rejected.
@@ -200,19 +199,23 @@ def parse_config(text: str) -> RunConfig:
         if not raw:
             raise ConfigError(f"line {lineno}: missing value for key {key!r}")
         try:
-            value = _PARSERS[_field_type(key)](raw)
+            values[key] = _PARSERS[_FIELD_TYPES[key]](raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from None
-        _validate_value(key, value)
-        values[key] = value
-    cfg = RunConfig(**values)
-    _cross_validate(cfg)
-    return cfg
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """The RunConfig of a config file; a file that cannot be read or
+    decoded raises ``ConfigError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config: {path}: {exc}") from None
+    return parse_config(text)
 
 
 def build_objects(
@@ -247,9 +250,3 @@ def build_objects(
         dwell_time=cfg.dwell_time,
     )
     return plate, mask, power, detector
-
-
-def probability_rule(cfg: RunConfig) -> ProbabilityRule:
-    if cfg.rule == "born":
-        return BORN
-    return ProbabilityRule(alpha=cfg.alpha)

@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bornlab
 from bornlab.experiment import estimate_rho_series, run_experiment
 from bornlab.interference import (
     BORN,
@@ -54,9 +56,11 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def run_cli(args, cwd=None):
+    # the package's own source, whichever directory the command runs in
+    src = str(Path(bornlab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "bornlab", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
     return proc

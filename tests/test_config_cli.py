@@ -112,6 +112,33 @@ class TestParseConfig:
         assert mask.leakage_amplitude == pytest.approx(math.sqrt(0.05))
 
 
+class TestRunConfigChecks:
+    """A config is checked where it is built, however it is built."""
+
+    @pytest.mark.parametrize("build, key", [
+        (lambda: dataclasses.replace(RunConfig(), seed=-1), "seed"),
+        (lambda: RunConfig(u_points=0), "u_points"),
+        (lambda: RunConfig(rule="born", alpha=0.01), "alpha"),
+    ], ids=["replace_seed", "u_points", "alpha_without_cubic"])
+    def test_invalid_config_raises_naming_the_key(self, build, key):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            build()
+
+    def test_negative_seed_override_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--seed", "-1", "--out", str(out), "hierarchy"]) == 2
+        assert capsys.readouterr().err == "error: seed: must be >= 0 (got -1)\n"
+        assert not out.exists()
+
+    def test_missing_config_exits_2_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "nope.cfg"
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "patterns"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config: [Errno 2] ")
+        assert str(cfg) in err and "Traceback" not in err
+
+
 def write_counts_csv(path, scale=1e5, dwell=1.0):
     rows = {
         "0": 0.0, "A": scale, "B": scale, "C": scale,
@@ -265,9 +292,21 @@ class TestCli:
         assert not out.exists()
 
     def test_missing_counts_file_fails(self, tmp_path, capsys):
-        assert main(["sorkin", str(tmp_path / "nope.csv"),
-                     "--out", str(tmp_path)]) == 2
-        assert "error" in capsys.readouterr().err
+        counts = tmp_path / "nope.csv"
+        assert main(["sorkin", str(counts), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read counts file {counts}: [Errno 2] ")
+        assert "i/o failure" not in err
+
+    def test_sorkin_negative_zero_count_is_written_as_zero(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        write_counts_csv(counts)
+        counts.write_text(counts.read_text().replace("\n0,0.0,1.0\n", "\n0,-0,1\n"))
+        out = tmp_path / "out"
+        assert main(["sorkin", str(counts), "--out", str(out)]) == 0
+        assert (out / "sorkin.csv").read_text().splitlines()[1].startswith("nan,0,")
+        assert main(["sorkin", str(counts), "--out", str(out), "--format", "json"]) == 0
+        assert '"p0": 0.0,' in (out / "sorkin.json").read_text()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.txt"
@@ -660,6 +699,10 @@ BASES = {
     "leaky": RunConfig(**SMALL, plate_leakage=0.05, mask_leakage=0.05),
 }
 
+#: What a base must change first for a key to change alone: a config
+#: with ``alpha != 0`` must keep ``rule = cubic``.
+PREPARED = {"rule": {"alpha": 0.0}}
+
 #: A value for each key that differs from its value in both bases.
 CHANGED = {
     "slit_width": 25e-6,
@@ -725,6 +768,7 @@ def test_changed_values_cover_every_key():
 @pytest.mark.parametrize("key", sorted(CHANGED))
 def test_every_config_key_changes_some_table(key, command_tables):
     for base in BASES.values():
+        base = dataclasses.replace(base, **PREPARED.get(key, {}))
         assert getattr(base, key) != CHANGED[key]
         changed = dataclasses.replace(base, **{key: CHANGED[key]})
         for command in COMMANDS:
