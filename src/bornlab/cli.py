@@ -98,32 +98,33 @@ def _fmt(x) -> str:
 #: writes them.  A value ends at ``,`` plus newline or at a newline, and a
 #: newline never occurs inside an encoded key or string, so the pattern
 #: matches values only, in one row or in a block of rows joined.
-_JSON_NONFINITE = re.compile(r": (?:nan|-?inf)(?=,?\n)")
-_JSON_NONFINITE_TEXT = {": nan": ": null", ": inf": ": Infinity",
-                        ": -inf": ": -Infinity"}
+_JSON_NONFINITE = re.compile(rb": (?:nan|-?inf)(?=,?\n)")
+_JSON_NONFINITE_TEXT = {b": nan": b": null", b": inf": b": Infinity",
+                        b": -inf": b": -Infinity"}
 
 
-def _json_nonfinite(match) -> str:
+def _json_nonfinite(match) -> bytes:
     return _JSON_NONFINITE_TEXT[match[0]]
 
 
 def _json_cells(col: np.ndarray):
-    """The ``%`` spec of a column's JSON cells and the values that fill
-    it, by dtype kind: strings through ``json.dumps`` (once for each
-    distinct string), flags as ``true``/``false``, integers in decimal,
-    floats as ``repr`` writes them."""
+    """The bytes ``%`` spec of a column's JSON cells and the values that
+    fill it, by dtype kind: strings as their ``json.dumps`` text, which
+    is ASCII (once for each distinct string), flags as ``true``/``false``,
+    integers in decimal, floats as ``repr`` writes them (``%r``)."""
     kind = col.dtype.kind
     if kind == "U":
         cells = col.tolist()
-        return "%s", list(map({s: json.dumps(s) for s in set(cells)}.__getitem__, cells))
+        texts = {s: json.dumps(s).encode() for s in set(cells)}
+        return b"%s", list(map(texts.__getitem__, cells))
     if kind == "b":
-        return "%s", np.where(col, "true", "false").tolist()
-    return ("%d" if kind in "iu" else "%s"), col.tolist()
+        return b"%s", np.where(col, b"true", b"false").tolist()
+    return (b"%d" if kind in "iu" else b"%r"), col.tolist()
 
 
 def _json_block(header, cols, constant) -> bytes:
-    """The JSON text of a block of rows (objects joined by ``,``), UTF-8
-    encoded, from one ``%`` call on the row template repeated once per
+    """The JSON text of a block of rows (objects joined by ``,``), as
+    bytes, from one ``%`` call on the row template repeated once per
     row.  The template is one object of ``json.dumps(rows, indent=2,
     sort_keys=True)``, led by the newline after ``[`` or ``,``; a
     repeated key keeps its last value.  A column flagged in ``constant``
@@ -134,20 +135,20 @@ def _json_block(header, cols, constant) -> bytes:
         i = index[name]
         spec, cells = _json_cells(cols[i][:1] if constant[i] else cols[i])
         if constant[i]:
-            spec = (spec % cells[0]).replace("%", "%%")
+            spec = (spec % cells[0]).replace(b"%", b"%%")
         else:
             fills.append(cells)
-        fields.append(f"    {json.dumps(name).replace('%', '%%')}: {spec}")
-    template = "\n  {\n" + ",\n".join(fields) + "\n  }"
+        fields.append(b"    %s: %s" % (json.dumps(name).encode().replace(b"%", b"%%"), spec))
+    template = b"\n  {\n" + b",\n".join(fields) + b"\n  }"
     # interleave the other columns into row order by strided slice assignment
     n = len(cols[0])
     cells = [None] * (n * len(fills))
     for j, fill in enumerate(fills):
         cells[j::len(fills)] = fill
-    text = ",".join([template] * n) % tuple(cells)
+    text = b",".join([template] * n) % tuple(cells)
     if any(col.dtype.kind == "f" and not np.isfinite(col).all() for col in cols):
         text = _JSON_NONFINITE.sub(_json_nonfinite, text)
-    return text.encode()
+    return text
 
 
 #: Cells encoded at a time: a table of ``width`` columns is written in
@@ -622,7 +623,7 @@ def cmd_hierarchy(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> 
     pair = 4.0 - 1.0 - 1.0
     print(f"order-2 term for equal unit amplitudes = {_fmt(pair)} (nonzero)")
     payload = {
-        "rule": cfg.rule,
+        "rule": "cubic" if cfg.alpha else "born",
         "alpha": cfg.alpha,
         "order_2_equal_amplitudes": pair,
         "orders": orders,
@@ -648,7 +649,7 @@ COMMANDS = {
 }
 
 
-def dispatch(command: str, cfg: RunConfig, out_dir=None, fmt: str = "csv",
+def dispatch(command: str, cfg: RunConfig, out_dir=".", fmt: str = "csv",
              counts_path=None) -> int:
     """Run one command; writes artifacts + manifest, returns exit status.
 
@@ -659,7 +660,7 @@ def dispatch(command: str, cfg: RunConfig, out_dir=None, fmt: str = "csv",
     if command not in COMMANDS:
         print(f"error: unknown command {command!r}", file=sys.stderr)
         return 2
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(out_dir)
     tables = _OutputSet(out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -691,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="counts file (combination,counts,dwell_s); sorkin only")
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
+    parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="artifact table format (hierarchy always writes JSON)")
     return parser

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bornlab import experiment, optics
 from bornlab.cli import (
@@ -61,8 +63,8 @@ class TestParseConfig:
             parse_config("slit_width = -1")
 
     def test_choice_error_names_key(self):
-        with pytest.raises(ConfigError, match="rule: must be one of born, cubic"):
-            parse_config("rule = cube")
+        with pytest.raises(ConfigError, match="mask_scheme: must be one of opening, blocking"):
+            parse_config("mask_scheme = slots")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate key"):
@@ -93,17 +95,19 @@ class TestParseConfig:
             parse_config("slit_separation = 20e-6")
 
     def test_cross_field_plate_extent(self):
-        with pytest.raises(ConfigError, match="beyond the plate"):
+        with pytest.raises(ConfigError, match="^plate_half_width: "):
             parse_config("plate_half_width = 90e-6")
 
-    @pytest.mark.parametrize("rule_line", ["rule = born\n", ""])
-    def test_alpha_needs_cubic_rule(self, tmp_path, capsys, rule_line):
+    # alpha alone sets the rule, and --out alone the output directory
+    @pytest.mark.parametrize("line", ["rule = born", "out_dir = x"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, line):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(rule_line + "alpha = 0.01\n", encoding="utf-8")
+        cfg.write_text("seed = 1\n" + line + "\n", encoding="utf-8")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "hierarchy"]) == 2
-        assert "error: alpha: only rule = cubic uses it" in capsys.readouterr().err
-        assert parse_config(rule_line + "alpha = 0").rule == "born"
+        key = line.split()[0]
+        assert capsys.readouterr().err == f"error: line 2: unknown key '{key}'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_leakage_converted_to_amplitude(self):
         cfg = parse_config("mask_leakage = 0.05\nplate_leakage = 0.01")
@@ -112,17 +116,85 @@ class TestParseConfig:
         assert mask.leakage_amplitude == pytest.approx(math.sqrt(0.05))
 
 
+def _ulps(x: float, k: int) -> float:
+    """``x`` moved ``k`` floats up, or down for ``k < 0``."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def geometries(draw):
+    """``(slit_width, slit_separation, plate_half_width, opening_width)``:
+    each a multiple of the boundary of its check, or within 3 floats of
+    that boundary."""
+    def around(x, low, high):
+        return (st.floats(low, high).map(lambda f: x * f)
+                | st.integers(-3, 3).map(lambda k: _ulps(x, k)))
+    separation = draw(st.floats(1e-6, 1e-3))
+    width = draw(around(separation, 0.01, 1.2))
+    half_width = draw(around(separation + width / 2, 0.8, 3.0))
+    opening = draw(around(separation, 0.1, 1.5))
+    return width, separation, half_width, opening
+
+
 class TestRunConfigChecks:
     """A config is checked where it is built, however it is built."""
 
     @pytest.mark.parametrize("build, key", [
         (lambda: dataclasses.replace(RunConfig(), seed=-1), "seed"),
         (lambda: RunConfig(u_points=0), "u_points"),
-        (lambda: RunConfig(rule="born", alpha=0.01), "alpha"),
-    ], ids=["replace_seed", "u_points", "alpha_without_cubic"])
+    ], ids=["replace_seed", "u_points"])
     def test_invalid_config_raises_naming_the_key(self, build, key):
         with pytest.raises(ConfigError, match=f"^{key}: "):
             build()
+
+    # what the slit plate and the mask reject, named by the key to change
+    @pytest.mark.parametrize("scheme", [optics.OPENING, optics.BLOCKING])
+    @pytest.mark.parametrize("line, err", [
+        ("opening_width = 3e-4", "opening_width: must be <= slit_separation, or mask "
+         "features overlap (got 0.0003 > 0.0001)"),
+        ("slit_separation = 1.99e-3", "plate_half_width: must be >= slit_separation "
+         "+ slit_width / 2 (got 0.002)"),
+    ], ids=["opening_width", "plate_half_width"])
+    def test_geometry_error_exits_2_naming_the_key(self, tmp_path, capsys, scheme,
+                                                   line, err):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"mask_scheme = {scheme}\n{line}\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "patterns"]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(geometry=geometries(), scheme=st.sampled_from([optics.OPENING,
+                                                          optics.BLOCKING]))
+    # touching mask features, and an odd subnormal opening width, whose
+    # half rounds up: there ``opening_width > slit_separation`` would
+    # pass a mask that overlaps
+    @example(geometry=(30e-6, 100e-6, 2e-3, 100e-6), scheme=optics.OPENING)
+    @example(geometry=(5e-324, 3 * 5e-324, 2e-3, 3 * 5e-324), scheme=optics.BLOCKING)
+    def test_geometry_is_checked_as_the_models_check_it(self, geometry, scheme):
+        """A config is rejected, naming one of its geometry keys, exactly
+        when the models reject it or its slits touch, so the models build
+        from every config that passes."""
+        width, separation, half_width, opening = geometry
+        try:
+            plate = optics.triple_slit_plate(width, separation, half_width)
+            optics.combination_mask_for_plate(plate, scheme, opening)
+            models_fail = False
+        except ValueError:
+            models_fail = True
+        keys = dict(slit_width=width, slit_separation=separation,
+                    plate_half_width=half_width, opening_width=opening,
+                    mask_scheme=scheme)
+        try:
+            cfg = RunConfig(**keys)
+        except ConfigError as exc:
+            assert str(exc).split(":")[0] in keys
+            assert models_fail or separation <= width
+        else:
+            assert not models_fail
+            build_objects(cfg)
 
     def test_negative_seed_override_exits_2_naming_it(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -556,10 +628,11 @@ class TestCli:
 
     def test_hierarchy_cubic_rule_violates(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("rule = cubic\nalpha = 0.01\n", encoding="utf-8")
+        cfg.write_text("alpha = 0.01\n", encoding="utf-8")
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), "hierarchy"]) == 0
         report = json.loads((out / "hierarchy.json").read_text())
+        assert report["rule"] == "cubic" and report["alpha"] == 0.01
         assert report["orders"]["3"]["null_satisfied"] is False
 
     @pytest.mark.parametrize("key", ["plate_leakage", "mask_leakage", "mask_displacement"])
@@ -693,15 +766,11 @@ class TestUGrid:
 #: Small configs on which every key is live: the ideal one runs
 #: ``sweep-detector`` (it needs ideal optics), the leaky one makes the
 #: plate extent, the mask scheme and the displacement sampler matter.
-SMALL = dict(u_points=11, repetitions=3, rule="cubic", alpha=0.01, nonlinearity=0.01)
+SMALL = dict(u_points=11, repetitions=3, alpha=0.01, nonlinearity=0.01)
 BASES = {
     "ideal": RunConfig(**SMALL),
     "leaky": RunConfig(**SMALL, plate_leakage=0.05, mask_leakage=0.05),
 }
-
-#: What a base must change first for a key to change alone: a config
-#: with ``alpha != 0`` must keep ``rule = cubic``.
-PREPARED = {"rule": {"alpha": 0.0}}
 
 #: A value for each key that differs from its value in both bases.
 CHANGED = {
@@ -717,7 +786,6 @@ CHANGED = {
     "u_max": 30000.0,
     "u_points": 12,
     "detector_u": 500.0,
-    "rule": "born",
     "alpha": 0.02,
     "mean_power": 50000.0,
     "power_fluctuation": 0.01,
@@ -761,14 +829,13 @@ def command_tables(tmp_path_factory):
 
 
 def test_changed_values_cover_every_key():
-    keys = {f.name for f in dataclasses.fields(RunConfig)} - {"out_dir"}
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
     assert set(CHANGED) == keys
 
 
 @pytest.mark.parametrize("key", sorted(CHANGED))
 def test_every_config_key_changes_some_table(key, command_tables):
     for base in BASES.values():
-        base = dataclasses.replace(base, **PREPARED.get(key, {}))
         assert getattr(base, key) != CHANGED[key]
         changed = dataclasses.replace(base, **{key: CHANGED[key]})
         for command in COMMANDS:
