@@ -385,8 +385,7 @@ def _manifest(path: Path, command: str, cfg: RunConfig, summary: dict,
         "outputs": outputs,
     }
     path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
-                   default=str) + "\n",
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8",
     )
 
@@ -405,7 +404,7 @@ def _clean(obj):
 def cmd_patterns(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> dict:
     plate, mask, _power, _detector = build_objects(cfg)
     u = _u_grid(cfg)
-    stacked = pattern_set(plate, mask, u, normalize=True)
+    stacked = pattern_set(plate, mask, u)
     sweep = RhoSweep(u, stacked, sorkin_curves(stacked, cfg.guard))
     return _write_sweep(tables.path(f"patterns.{fmt}"), sweep, fmt)
 
@@ -413,9 +412,9 @@ def cmd_patterns(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> d
 def cmd_sweep_power(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> dict:
     plate, mask, power, _detector = build_objects(cfg)
     u = _u_grid(cfg)
-    stacked = pattern_set(plate, mask, u, normalize=True)
+    stacked = pattern_set(plate, mask, u)
     curves = sorkin_curves(stacked, cfg.guard)
-    unit = power_sigma_curves(stacked, curves, 1.0)
+    unit = power_sigma_curves(stacked, curves)
     sweep = RhoSweep(u, stacked, curves)
     extras = {
         "delta_rho_unit": unit,
@@ -520,6 +519,11 @@ def _count_table(run: RunCounts, poisson: bool) -> _Columns:
     return _Columns(counts.size, block)
 
 
+def _fields(line: str) -> list[str]:
+    """The comma-separated fields of a counts-file line, each stripped."""
+    return [p.strip() for p in line.split(",")]
+
+
 def read_counts_file(path) -> np.ndarray:
     """Counts file -> (8, 1) rates ``counts / dwell_s``, one row per
     combination in ``COMBINATIONS`` order."""
@@ -528,13 +532,13 @@ def read_counts_file(path) -> np.ndarray:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read counts file {path}: {exc}") from None
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split(",") != list(COUNTS_COLUMNS):
+    if not lines or _fields(lines[0]) != list(COUNTS_COLUMNS):
         raise ConfigError(
             f"counts file must start with header {','.join(COUNTS_COLUMNS)}"
         )
     rates: dict[str, float] = {}
     for ln in lines[1:]:
-        parts = [p.strip() for p in ln.split(",")]
+        parts = _fields(ln)
         if len(parts) != 3:
             raise ConfigError(f"counts row must have 3 fields (got {ln!r})")
         combo, counts_raw, dwell_raw = parts

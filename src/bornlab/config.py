@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Any, Callable, get_type_hints
 
+from .interference import DEFAULT_GUARD
 from .optics import (
     BLOCKING,
     OPENING,
@@ -27,7 +28,7 @@ from .optics import (
     combination_mask_for_plate,
     triple_slit_plate,
 )
-from .systematics import DetectorModel, PowerModel
+from .systematics import SEQUENCE_ORDERS, DetectorModel, PowerModel
 
 
 class ConfigError(ValueError):
@@ -78,7 +79,7 @@ class RunConfig:
     poisson: bool = True
     # shared
     seed: int = 0
-    guard: float = 1e-9
+    guard: float = DEFAULT_GUARD
 
     def __post_init__(self):
         for f in fields(self):
@@ -104,7 +105,7 @@ _PARSERS: dict[type, Callable[[str], Any]] = {
 
 _CHOICES = {
     "mask_scheme": (OPENING, BLOCKING),
-    "sequence_order": ("fixed", "randomized"),
+    "sequence_order": SEQUENCE_ORDERS,
 }
 
 _RANGE_CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {

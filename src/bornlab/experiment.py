@@ -166,7 +166,7 @@ def run_experiment(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1 (got {repetitions})")
-    curves = pattern_set(plate, mask, np.array([detector_u]), normalize=True)
+    curves = pattern_set(plate, mask, np.array([detector_u]))
     base_rates = power.mean_power * curves[:, 0]
 
     shape = (repetitions, 8)
@@ -246,11 +246,10 @@ def rho_per_repetition(
     run: RunCounts,
     guard: float = DEFAULT_GUARD,
     dead_time_correction: float = 0.0,
-    use_monitor: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``rho`` and its defined flag for every repetition.
 
-    Counts convert to rates by plain division; when present and enabled,
+    Counts convert to rates by plain division; when the run has them,
     reference-arm monitor counts normalize away per-dwell power
     variation.  ``dead_time_correction`` optionally inverts a
     non-paralyzable dead time of that length on the measured rates
@@ -271,7 +270,7 @@ def rho_per_repetition(
     # failing repetitions are reported below, before any of their values is used
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rates = run.counts / run.dwell_time
-        if use_monitor and (mon := run.monitor) is not None:
+        if (mon := run.monitor) is not None:
             zero_monitor = np.any(mon <= 0.0, axis=1)
             rates *= np.mean(mon, axis=1, keepdims=True) / mon
             # all-zero rates have delta = 0 below the guard: rho is undefined
@@ -300,13 +299,10 @@ def estimate_rho_series(
     run: RunCounts,
     guard: float = DEFAULT_GUARD,
     dead_time_correction: float = 0.0,
-    use_monitor: bool = True,
 ) -> RhoSeries:
     """Aggregate per-repetition ``rho`` into mean / spread / SEM.
 
     Undefined repetitions are excluded from the aggregates and counted
     separately; raises if no repetition has a defined ``rho``.
     """
-    return RhoSeries.aggregate(*rho_per_repetition(
-        run, guard, dead_time_correction, use_monitor
-    ))
+    return RhoSeries.aggregate(*rho_per_repetition(run, guard, dead_time_correction))

@@ -193,9 +193,8 @@ class CombinationAperture:
 
     ``values[i]`` holds on ``[edges[i], edges[i+1])``; the transmission is
     zero outside ``[edges[0], edges[-1]]``.  Transmissions are real: a
-    layer that shifts the phase by pi has a negative value.  Complex
-    values are accepted when every imaginary part is zero, and are stored
-    as their real parts.
+    layer that shifts the phase by pi has a negative value, and a complex
+    ``values`` array raises, whatever its imaginary parts.
     """
 
     edges: np.ndarray
@@ -205,16 +204,13 @@ class CombinationAperture:
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.float64)
         values = np.asarray(self.values)
-        if values.dtype.kind != "c":
-            values = values.astype(np.float64)
+        if values.dtype.kind == "c":
+            raise ValueError("transmissions must be real (got a complex array)")
+        values = values.astype(np.float64)
         if edges.ndim != 1 or values.ndim != 1 or edges.size != values.size + 1:
             raise ValueError("need n+1 edges for n interval values")
         if not (np.isfinite(edges).all() and np.isfinite(values).all()):
             raise ValueError("edges and values must be finite")
-        if values.dtype.kind == "c":
-            if np.any(values.imag != 0.0):
-                raise ValueError("transmissions must be real (got a nonzero imaginary part)")
-            values = np.ascontiguousarray(values.real)
         if not (edges[1:] > edges[:-1]).all():
             raise ValueError("edges must be strictly increasing")
         if values.size and np.abs(values).max() > 1.0 + 1e-12:
@@ -487,16 +483,16 @@ def pattern_set(
     plate: SlitPlate,
     mask: CombinationMask,
     u_grid,
-    normalize: bool = True,
-    displacements: Mapping[str, float] | None = None,
+    *, displacements: Mapping[str, float] | None = None,
 ) -> np.ndarray:
     """Intensity curves of all eight combinations on a common grid, as
     an (8, n) array whose rows follow ``COMBINATIONS``.
 
-    All curves share one normalization; with ``normalize`` the grid peak
-    of the all-open curve is scaled to 1.  ``displacements`` optionally
-    overrides the mask displacement per combination (one rigid shift per
-    combination measurement); its keys must be combination labels.
+    All curves share one normalization, which scales the grid peak of
+    the all-open curve to 1; raises if that curve vanishes on the grid.
+    ``displacements`` optionally overrides the mask displacement per
+    combination (one rigid shift per combination measurement); its keys
+    must be combination labels.
 
     On a mirror grid, whose lower half is its upper half negated and
     reversed, the upper half is evaluated and the even curves are copied
@@ -527,9 +523,8 @@ def pattern_set(
             row[:h] = row[:-h - 1:-1]
     else:
         _fourier_pass(pieces, u_arr, stacked)
-    if normalize:
-        peak = float(np.max(stacked[COMBINATIONS.index("ABC")]))
-        if peak <= 0.0:
-            raise ValueError("all-open curve vanishes on the grid; cannot normalize")
-        stacked /= peak
+    peak = float(np.max(stacked[COMBINATIONS.index("ABC")]))
+    if peak <= 0.0:
+        raise ValueError("all-open curve vanishes on the grid; cannot normalize")
+    stacked /= peak
     return stacked

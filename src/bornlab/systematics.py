@@ -20,6 +20,8 @@ Three mechanisms make an ideally-zero ``rho`` read nonzero:
    null, where ``|rho|`` is small.  For photocounting the same structure
    applies with every ``P_x^2`` replaced by the raw count ``P_x`` and
    ``(dp)^2`` by 1 (Poisson variance equals the mean).
+   ``power_sigma_curves`` gives ``d_rho`` per unit ``dp``, and
+   ``poisson_sigma_curves`` the photocounting ``d_rho``.
 
 2. **Mask leakage combined with misalignment.**  A common leakage level
    with identical alignment leaves the eight amplitudes affine in the
@@ -51,7 +53,7 @@ from .interference import (
 )
 from .optics import CombinationMask, SlitPlate, pattern_set
 
-_SEQUENCE_ORDERS = ("fixed", "randomized")
+SEQUENCE_ORDERS = ("fixed", "randomized")
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,9 @@ class PowerModel:
             raise ValueError("relative_fluctuation must be finite and >= 0")
         if not math.isfinite(self.linear_drift_rate):
             raise ValueError("linear_drift_rate must be finite")
-        if self.sequence_order not in _SEQUENCE_ORDERS:
+        if self.sequence_order not in SEQUENCE_ORDERS:
             raise ValueError(
-                f"sequence_order must be one of {_SEQUENCE_ORDERS} "
+                f"sequence_order must be one of {SEQUENCE_ORDERS} "
                 f"(got {self.sequence_order!r})"
             )
         if not 0.0 <= self.monitor_counts < math.inf:
@@ -129,16 +131,13 @@ _SIGN_TERMS = np.array([[combo in (xy, xy[0], xy[1], "0") for xy in ("AB", "BC",
                         for combo in COMBINATIONS], dtype=float)
 
 
-def _rho_sigma(p: np.ndarray, stats: SorkinCurves, dp: float,
-               squared: bool) -> np.ndarray:
-    """``sqrt(bracket) * dp / delta`` at every point of the (8, n) values
+def _rho_sigma(p: np.ndarray, stats: SorkinCurves, squared: bool) -> np.ndarray:
+    """``sqrt(bracket) / delta`` at every point of the (8, n) values
     ``p``; the bracket sums ``w * p * p`` (``squared``) or ``w * p`` over
     the eight rows one after another, from row 0.  NaN wherever ``rho``
     is undefined or the bracket is negative (|rho| too large for the
     first-order sign terms to make sense).
     """
-    if not dp >= 0.0:
-        raise ValueError(f"dp must be >= 0 (got {dp})")
     signs = np.sign([stats.i_ab, stats.i_bc, stats.i_ca])
     rho = np.where(stats.rho_defined, stats.rho, 0.0)
     terms = (1.0 + (_SIGN_TERMS @ signs) * rho) * p
@@ -148,22 +147,17 @@ def _rho_sigma(p: np.ndarray, stats: SorkinCurves, dp: float,
     bracket = functools.reduce(np.add, terms)
     out = np.full(rho.shape, np.nan)
     ok = stats.rho_defined & (bracket >= 0.0)
-    np.divide(np.sqrt(bracket, where=ok, out=np.zeros_like(bracket)) * dp,
-              stats.delta, out=out, where=ok)
+    np.divide(np.sqrt(bracket, where=ok, out=np.zeros_like(bracket)), stats.delta,
+              out=out, where=ok)
     return out
 
 
-def power_sigma_curves(
-    patterns: np.ndarray, curves: SorkinCurves, dp: float = 1.0
-) -> np.ndarray:
-    """Fluctuation of ``rho`` from a relative power fluctuation ``dp`` at
-    every point of stacked curves (shape (8, n)).
-
-    Returns NaN wherever ``rho`` is undefined.  ``dp = 1`` gives the pure
-    propagation factor (fluctuation of ``rho`` per unit relative power
-    fluctuation).
+def power_sigma_curves(patterns: np.ndarray, curves: SorkinCurves) -> np.ndarray:
+    """Fluctuation of ``rho`` per unit relative power fluctuation at every
+    point of stacked curves (shape (8, n)); a fluctuation ``dp`` gives
+    ``dp`` times it.  NaN wherever ``rho`` is undefined.
     """
-    return _rho_sigma(np.asarray(patterns, dtype=float), curves, dp, squared=True)
+    return _rho_sigma(np.asarray(patterns, dtype=float), curves, squared=True)
 
 
 def poisson_sigma_curves(counts: np.ndarray, curves: SorkinCurves) -> np.ndarray:
@@ -172,7 +166,7 @@ def poisson_sigma_curves(counts: np.ndarray, curves: SorkinCurves) -> np.ndarray
     power formula with each squared power replaced by the count itself,
     its Poisson variance.  NaN wherever ``rho`` is undefined.
     """
-    return _rho_sigma(np.asarray(counts, dtype=float), curves, 1.0, squared=False)
+    return _rho_sigma(np.asarray(counts, dtype=float), curves, squared=False)
 
 
 def detector_response(model: DetectorModel, true_rate):
@@ -180,7 +174,8 @@ def detector_response(model: DetectorModel, true_rate):
 
     Dark counts add first, then the non-paralyzable dead time, then the
     quadratic soft saturation; each stage disables individually
-    (``tau = 0``, ``beta = 0``).  Accepts scalars or arrays.
+    (``tau = 0``, ``beta = 0``).  Accepts scalars or arrays; numpy
+    returns an ``np.float64``, a ``float``, for a scalar rate.
     """
     r = np.asarray(true_rate, dtype=float)
     if np.any(r < 0.0):
@@ -190,8 +185,6 @@ def detector_response(model: DetectorModel, true_rate):
         out = out / (1.0 + out * model.dead_time)
     if model.nonlinearity > 0.0:
         out = out * (1.0 - model.nonlinearity * out / model.full_scale_rate)
-    if np.ndim(true_rate) == 0:
-        return float(out)
     return out
 
 
@@ -230,7 +223,7 @@ def detector_rho_sweep(
     if not dynamic_range > 1.0:
         raise ValueError(f"dynamic_range must be > 1 (got {dynamic_range})")
     u_arr = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    ideal = pattern_set(plate, mask, u_arr, normalize=True)
+    ideal = pattern_set(plate, mask, u_arr)
     floor = peak_rate / dynamic_range
     rates = (peak_rate - floor) * ideal + floor
     measured = detector_response(model, rates)
@@ -276,5 +269,5 @@ def misalignment_rho_sweep(
     """
     displacements = _displacement_draw(sampler, seed, 0)
     u_arr = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    stacked = pattern_set(plate, mask, u_arr, normalize=True, displacements=displacements)
+    stacked = pattern_set(plate, mask, u_arr, displacements=displacements)
     return RhoSweep(u_arr, stacked, sorkin_curves(stacked, guard)), displacements

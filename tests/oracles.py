@@ -141,11 +141,11 @@ def build_combination_aperture_scan(plate, mask, combination, displacement=None)
             edges.append(hi)
             values.append(v)
     return CombinationAperture(
-        np.array(edges), np.array(values, dtype=np.complex128), combination
+        np.array(edges), np.array(values), combination
     )
 
 
-def pattern_set_loop(plate, mask, u, normalize=True, displacements=None):
+def pattern_set_loop(plate, mask, u, displacements=None):
     """``pattern_set`` as it was: one displaced mask per combination
     (``dataclasses.replace``), the scanning aperture builder, and one
     reference-loop transform each, at every grid point as given."""
@@ -159,10 +159,9 @@ def pattern_set_loop(plate, mask, u, normalize=True, displacements=None):
             m = replace(mask, displacement=float(displacements[combo]))
         amp = far_field_amplitude_loop(build_combination_aperture_scan(plate, m, combo), u)
         curves[combo] = amp.real * amp.real + amp.imag * amp.imag
-    if normalize:
-        peak = float(np.max(curves["ABC"]))
-        for combo in COMBINATIONS:
-            curves[combo] = curves[combo] / peak
+    peak = float(np.max(curves["ABC"]))
+    for combo in COMBINATIONS:
+        curves[combo] = curves[combo] / peak
     return curves
 
 
@@ -303,13 +302,12 @@ def count_rows(run, poisson: bool):
                        repeat(run.dwell_time), run.timestamps[i].tolist(), monitor)
 
 
-def rho_per_repetition_scalar(run, guard: float, dead_time_correction: float = 0.0,
-                              use_monitor: bool = True):
+def rho_per_repetition_scalar(run, guard: float, dead_time_correction: float = 0.0):
     """Repetition-by-repetition ``rho`` and defined flag, on Python floats."""
     rho, defined = [], []
     for i, counts in enumerate(run.counts):
         rates = counts / run.dwell_time
-        if use_monitor and run.monitor is not None:
+        if run.monitor is not None:
             rates = rates * (np.mean(run.monitor[i]) / run.monitor[i])
         if dead_time_correction > 0.0:
             rates = rates / (1.0 - dead_time_correction * rates)

@@ -144,7 +144,7 @@ def test_criterion_04_power_sigma_monte_carlo():
     sign_patterns = {tuple(np.sign(pair_terms(c)).astype(int)) for _, c in vectors}
     worst = 0.0
     for i, (p, curves) in enumerate(vectors):
-        pred = power_sigma_curves(p, curves, 1e-3)[0]
+        pred = 1e-3 * power_sigma_curves(p, curves)[0]
         mc = mc_power_rho_std(p[:, 0], 1e-3, samples=1_000_000, seed=1000 + i)
         worst = max(worst, abs(pred - mc) / mc)
     elapsed = time.perf_counter() - t0

@@ -13,6 +13,7 @@ from bornlab import experiment, optics
 from bornlab.cli import (
     COMMANDS,
     SWEEP_COLUMNS,
+    _manifest,
     _u_grid,
     build_parser,
     dispatch,
@@ -229,6 +230,17 @@ class TestCountsFile:
         assert rates.shape == (8, 1)
         assert rates[7, 0] == 9e5
         assert rates[0, 0] == 0.0
+
+    def test_spaced_header_gives_the_bytes_of_the_unspaced_one(self, tmp_path):
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        write_counts_csv(plain)
+        spaced.write_text(plain.read_text().replace(
+            "combination,counts,dwell_s", " combination, counts ,\tdwell_s"))
+        for path in (plain, spaced):
+            assert main(["sorkin", str(path), "--out", str(tmp_path / path.stem)]) == 0
+        for name in ("sorkin.csv", "manifest.json"):
+            assert ((tmp_path / "spaced" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
 
     def test_missing_combination(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -486,7 +498,7 @@ class TestCli:
         config = load_config(cfg)
         plate, mask, power, det = build_objects(config)
         base = power.mean_power * optics.pattern_set(
-            plate, mask, np.array([config.detector_u]), normalize=True)[:, 0]
+            plate, mask, np.array([config.detector_u]))[:, 0]
         _, _, monitor, clamped = run_experiment_scalar(
             base, power, det, config.repetitions, config.seed,
             block=experiment._BLOCK_REPETITIONS)
@@ -716,6 +728,11 @@ class TestCli:
         cells = [line.split(",")[-1] for line in lines[1:]]
         assert all(re.fullmatch(r"[1-9]\d*", cell) for cell in cells), cells
         assert all(abs(int(cell) - 10**18) < 10**12 for cell in cells)
+
+    def test_manifest_rejects_a_numpy_integer(self, tmp_path):
+        # a summary holds Python scalars only; a numpy one is not written as a string
+        with pytest.raises(TypeError, match="int64"):
+            _manifest(tmp_path / "manifest.json", "run", RunConfig(), {"n": np.int64(1)}, [])
 
     def test_dispatch_unknown_command(self, capsys):
         assert dispatch("explode", RunConfig(), out_dir=".") == 2

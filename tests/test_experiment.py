@@ -155,7 +155,7 @@ class TestRunExperiment:
         )
         run = run_experiment(plate, mask, monitored, det, 0.0, n, seed=11)
         s_mon = estimate_rho_series(run)
-        s_ignored = estimate_rho_series(run, use_monitor=False)
+        s_ignored = estimate_rho_series(RunCounts(run.counts, run.dwell_time, run.timestamps))
         assert s_mon.sample_std < s_plain.sample_std / 3
         assert s_ignored.sample_std == pytest.approx(s_plain.sample_std, rel=0.3)
 
@@ -267,7 +267,7 @@ def count_substreams(monkeypatch):
 
 
 def scalar_run(plate, mask, power, det, u, repetitions, seed, poisson=True):
-    base = power.mean_power * pattern_set(plate, mask, np.array([u]), normalize=True)[:, 0]
+    base = power.mean_power * pattern_set(plate, mask, np.array([u]))[:, 0]
     return run_experiment_scalar(base, power, det, repetitions, seed, poisson,
                                  block=experiment._BLOCK_REPETITIONS)
 
@@ -428,10 +428,10 @@ class TestAgainstScalarLoop:
 
 class TestRhoPerRepetition:
     @pytest.mark.parametrize("dead_time_correction", [0.0, 50e-9])
-    @pytest.mark.parametrize("use_monitor", [True, False])
+    @pytest.mark.parametrize("monitor", [True, False])
     @pytest.mark.parametrize("poisson", [True, False])
     def test_bitwise_equal_to_record_loop(self, plate, mask, dead_time_correction,
-                                          use_monitor, poisson):
+                                          monitor, poisson):
         # expected-value monitor counts are not integers, so their means
         # depend on the summation order
         power = PowerModel(mean_power=9e5, relative_fluctuation=1e-3,
@@ -441,10 +441,10 @@ class TestRhoPerRepetition:
         # flat counts leave the last row undefined; for its constant monitor
         # row mean(c) / c is exactly 1.0
         run = RunCounts(np.vstack([run.counts, np.full(8, 100.0)]), run.dwell_time,
-                        dwell_indices(61), np.vstack([run.monitor, np.full(8, 1e6)]))
-        rho, defined = rho_per_repetition(run, 1e-9, dead_time_correction, use_monitor)
-        ref_rho, ref_defined = rho_per_repetition_scalar(
-            run, 1e-9, dead_time_correction, use_monitor)
+                        dwell_indices(61),
+                        np.vstack([run.monitor, np.full(8, 1e6)]) if monitor else None)
+        rho, defined = rho_per_repetition(run, 1e-9, dead_time_correction)
+        ref_rho, ref_defined = rho_per_repetition_scalar(run, 1e-9, dead_time_correction)
         assert np.array_equal(defined, ref_defined)
         assert not defined[-1]
         assert np.array_equal(rho, ref_rho, equal_nan=True)
@@ -478,9 +478,6 @@ class TestRhoPerRepetition:
         assert defined.tolist() == [True, False]
         with pytest.raises(ValueError, match="repetition 2: measured rate"):
             rho_per_repetition(run("ok", "both", "hot"), dead_time_correction=1e-6)
-        # a disabled monitor is not checked
-        rho, defined = rho_per_repetition(run("ok", "zero"), use_monitor=False)
-        assert defined.all()
 
     @pytest.mark.parametrize("correction", [-1e-9, math.nan])
     def test_bad_dead_time_correction_rejected(self, correction):

@@ -59,13 +59,13 @@ class TestPowerSigma:
         p = np.ones((8, 1))
         curves = synthetic_curves(delta=1.0, rho=0.0, signs=(1, 1, 1))
         dp = 1e-3
-        got = power_sigma_curves(p, curves, dp)[0]
+        got = dp * power_sigma_curves(p, curves)[0]
         assert got == pytest.approx(math.sqrt(8) * dp, rel=1e-12)
 
     def test_signs_irrelevant_at_zero_rho(self, rng):
         p = rng.uniform(0.5, 2.0, (8, 1))
         values = {
-            power_sigma_curves(p, synthetic_curves(2.0, 0.0, signs), 1e-2)[0]
+            power_sigma_curves(p, synthetic_curves(2.0, 0.0, signs))[0]
             for signs in [(1, 1, 1), (-1, 1, -1), (0, -1, 1), (-1, -1, -1)]
         }
         assert len(values) == 1
@@ -76,12 +76,12 @@ class TestPowerSigma:
             signs = tuple(rng.choice([-1, 0, 1], 3))
             curves = synthetic_curves(delta=1.7, rho=0.0, signs=signs)
             want = math.sqrt(np.sum(p**2)) * 5e-3 / 1.7
-            got = power_sigma_curves(p, curves, 5e-3)[0]
+            got = 5e-3 * power_sigma_curves(p, curves)[0]
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_undefined_rho_propagates(self):
         p = np.ones((8, 1))  # delta = 0 -> undefined
-        assert math.isnan(power_sigma_curves(p, sorkin_curves(p), 1e-3)[0])
+        assert math.isnan(power_sigma_curves(p, sorkin_curves(p))[0])
 
     def test_matches_monte_carlo(self, rng):
         checked = 0
@@ -92,20 +92,10 @@ class TestPowerSigma:
             curves = sorkin_curves(p)
             if not well_separated(curves, 0.05 * curves.delta[0]):
                 continue
-            pred = power_sigma_curves(p, curves, 1e-3)[0]
+            pred = 1e-3 * power_sigma_curves(p, curves)[0]
             mc = mc_power_rho_std(p[:, 0], 1e-3, samples=300000, seed=seed)
             assert pred == pytest.approx(mc, rel=0.02)
             checked += 1
-
-    def test_negative_dp_rejected(self):
-        with pytest.raises(ValueError, match="dp"):
-            power_sigma_curves(np.ones((8, 1)), synthetic_curves(1.0, 0.0, (1, 1, 1)), -0.1)
-
-    def test_nan_dp_rejected(self):
-        # a NaN dp passes a `dp < 0` check and would give NaN everywhere
-        with pytest.raises(ValueError, match="dp"):
-            power_sigma_curves(np.ones((8, 1)), synthetic_curves(1.0, 0.0, (1, 1, 1)),
-                               math.nan)
 
 
 class TestPoissonSigma:
@@ -146,7 +136,9 @@ class TestPoissonSigma:
 #: backgrounds 0.05 and 0.02) with pair signs (+1, +1, +1) and
 #: (-1, -1, +1), and an all-equal vector, whose rho is undefined.  The
 #: counts are each vector times 1e5.  Columns: power sigma at dp = 1e-3
-#: and dp = 1, then the Poisson sigma of the counts.
+#: and dp = 1, then the Poisson sigma of the counts.  ``power_sigma_curves``
+#: gives the sigma per unit dp, whose bits are the dp = 1 column; times
+#: 1e-3 it rounds once more than the scalar's ``sqrt(bracket) * dp / delta``.
 FROZEN_SIGMAS = {
     "same_signs": (
         [0.05, 1.051, 0.8707425415813274, 1.2638351271299488, 3.676887519727739,
@@ -170,20 +162,20 @@ class TestFrozenSigmas:
     @staticmethod
     def sigmas(p, counts):
         curves, count_curves = sorkin_curves(p), sorkin_curves(counts)
-        return np.array([power_sigma_curves(p, curves, 1e-3),
-                         power_sigma_curves(p, curves, 1.0),
+        return np.array([power_sigma_curves(p, curves),
                          poisson_sigma_curves(counts, count_curves)])
 
     @pytest.mark.parametrize("name", sorted(FROZEN_SIGMAS))
     def test_one_point_reproduces_the_scalar_bits(self, name):
         p, counts, want = FROZEN_SIGMAS[name]
         got = self.sigmas(np.array(p)[:, None], np.array(counts)[:, None])
-        assert got[:, 0].tobytes() == np.array(want).tobytes()
+        assert got[:, 0].tobytes() == np.array(want[1:]).tobytes()
+        np.testing.assert_allclose(1e-3 * got[0, 0], want[0], rtol=2**-52)
 
     def test_stacked_vectors_reproduce_the_scalar_bits(self):
         names = sorted(FROZEN_SIGMAS)
         p, counts = (np.array([FROZEN_SIGMAS[n][i] for n in names]).T for i in (0, 1))
-        want = np.array([FROZEN_SIGMAS[n][2] for n in names]).T
+        want = np.array([FROZEN_SIGMAS[n][2][1:] for n in names]).T
         assert self.sigmas(p, counts).tobytes() == want.tobytes()
 
     def test_pair_signs_as_stated(self):
@@ -200,7 +192,7 @@ class TestPowerSigmaCurves:
         def sigma(p, curves):
             if poisson:
                 return poisson_sigma_curves(p, curves)
-            return power_sigma_curves(p, curves, 1.0)
+            return power_sigma_curves(p, curves)
 
         stack = rng.uniform(0.1, 4.0, size=(8, 40))
         unit = sigma(stack, sorkin_curves(stack, guard=1e-9))
@@ -215,7 +207,7 @@ class TestPowerSigmaCurves:
         p = np.array([[1.493, 3.36, 0.998, 4.711, 1.826, 0.527, 3.146, 4.636]]).T
         curves = sorkin_curves(p)
         assert curves.rho_defined[0] and abs(curves.rho[0]) > 0.3
-        assert math.isnan(power_sigma_curves(p, curves, 1e-3)[0])
+        assert math.isnan(power_sigma_curves(p, curves)[0])
 
 
 class TestDetectorResponse:
@@ -255,6 +247,13 @@ class TestDetectorResponse:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             detector_response(DetectorModel(), -1.0)
+
+    def test_scalar_rate_has_the_bits_of_a_one_element_array(self):
+        m = DetectorModel(dead_time=50e-9, nonlinearity=0.01, dark_rate=123.4)
+        for rate in (0.0, 80000.0, 7.3e5):
+            got = detector_response(m, rate)
+            assert isinstance(got, float)
+            assert np.array(got).tobytes() == detector_response(m, np.array([rate])).tobytes()
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="nonlinearity"):
