@@ -174,10 +174,12 @@ class TestPatternSet:
                 ap = build_combination_aperture(plate, mask, combo, shifts[combo])
                 assert_same_bits(far_field_amplitude(ap, u), far_field_amplitude_loop(ap, u))
 
+    @pytest.mark.parametrize("displacement", [0.0, 2e-6])
     @pytest.mark.parametrize("scheme", [OPENING, BLOCKING])
     @pytest.mark.parametrize("name", list(GEOMETRIES))
-    def test_undisplaced_and_partly_displaced(self, name, scheme):
-        plate, mask = geometry(name, scheme, displacement=2e-6)
+    def test_undisplaced_and_partly_displaced(self, name, scheme, displacement):
+        # the mask centred on the plate, and shifted by a fraction of a slit
+        plate, mask = geometry(name, scheme, displacement=displacement)
         u = np.linspace(-3e4, 3e4, 601)
         for shifts in (None, {}, {"AB": -3e-6, "0": 0.0}):
             assert_same_curves(pattern_set(plate, mask, u, displacements=shifts),

@@ -60,6 +60,7 @@ class TestGeometryValidation:
         ([0.0, math.inf], [1.0]),
         ([-math.inf, 0.0], [0.5]),
         ([0.0, math.nan, 2e-4], [1.0, 1.0]),
+        ([0.0, 1e-4, 2e-4], [math.inf, 0.5]),
     ])
     def test_aperture_non_finite_rejected(self, edges, values):
         with pytest.raises(ValueError, match="edges and values must be finite"):
