@@ -41,10 +41,10 @@ from .systematics import (
     PowerModel,
     RhoSweep,
     detector_response,
-    detector_rho_sweep,
     misalignment_rho_sweep,
     poisson_sigma_curves,
     power_sigma_curves,
+    rho_sweep,
     uniform_displacement_sampler,
 )
 
@@ -75,7 +75,6 @@ __all__ = [
     "build_combination_aperture",
     "combination_mask_for_plate",
     "detector_response",
-    "detector_rho_sweep",
     "estimate_rho_series",
     "far_field_amplitude",
     "interference_terms",
@@ -86,6 +85,7 @@ __all__ = [
     "poisson_sigma_curves",
     "power_sigma_curves",
     "rho_per_repetition",
+    "rho_sweep",
     "run_experiment",
     "sorkin_curves",
     "triple_slit_plate",

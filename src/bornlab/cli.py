@@ -68,12 +68,11 @@ from ._streams import TAG_HIERARCHY, substream
 from .config import ConfigError, RunConfig, build_objects, load_config
 from .experiment import RhoSeries, RunCounts, rho_per_repetition, run_experiment
 from .interference import COMBINATIONS, ProbabilityRule, interference_terms, sorkin_curves
-from .optics import pattern_set
 from .systematics import (
     RhoSweep,
-    detector_rho_sweep,
     misalignment_rho_sweep,
     power_sigma_curves,
+    rho_sweep,
     uniform_displacement_sampler,
 )
 
@@ -403,25 +402,20 @@ def _clean(obj):
 
 def cmd_patterns(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> dict:
     plate, mask, _power, _detector = build_objects(cfg)
-    u = _u_grid(cfg)
-    stacked = pattern_set(plate, mask, u)
-    sweep = RhoSweep(u, stacked, sorkin_curves(stacked, cfg.guard))
+    sweep = rho_sweep(plate, mask, _u_grid(cfg), guard=cfg.guard)
     return _write_sweep(tables.path(f"patterns.{fmt}"), sweep, fmt)
 
 
 def cmd_sweep_power(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path) -> dict:
     plate, mask, power, _detector = build_objects(cfg)
-    u = _u_grid(cfg)
-    stacked = pattern_set(plate, mask, u)
-    curves = sorkin_curves(stacked, cfg.guard)
-    unit = power_sigma_curves(stacked, curves)
-    sweep = RhoSweep(u, stacked, curves)
+    sweep = rho_sweep(plate, mask, _u_grid(cfg), guard=cfg.guard)
+    unit = power_sigma_curves(sweep.patterns, sweep.curves)
     extras = {
         "delta_rho_unit": unit,
         "delta_rho": unit * power.relative_fluctuation,
     }
     summary = _write_sweep(tables.path(f"power_sweep.{fmt}"), sweep, fmt, extras)
-    defined = curves.rho_defined
+    defined = sweep.curves.rho_defined
     summary["max_delta_rho_unit"] = (
         float(np.max(unit[defined])) if np.any(defined) else None
     )
@@ -448,13 +442,12 @@ def cmd_sweep_detector(cfg: RunConfig, tables: _OutputSet, fmt: str, counts_path
         raise ConfigError("detector sweep requires zero leakage and zero mask "
                           f"displacement (ideal optics); nonzero: {', '.join(nonzero)}")
     plate, mask, _power, detector = build_objects(cfg)
-    u = _u_grid(cfg)
-    sweep = detector_rho_sweep(
-        plate, mask, detector, u,
+    sweep = rho_sweep(
+        plate, mask, _u_grid(cfg), detector=detector,
         peak_rate=cfg.peak_rate, dynamic_range=cfg.dynamic_range, guard=cfg.guard,
     )
     summary = _write_sweep(tables.path(f"detector_sweep.{fmt}"), sweep, fmt)
-    center = int(np.argmin(np.abs(u)))
+    center = int(np.argmin(np.abs(sweep.u)))
     if sweep.curves.rho_defined[center]:
         summary["rho_at_center"] = float(sweep.curves.rho[center])
     else:
@@ -526,9 +519,10 @@ def _fields(line: str) -> list[str]:
 
 def read_counts_file(path) -> np.ndarray:
     """Counts file -> (8, 1) rates ``counts / dwell_s``, one row per
-    combination in ``COMBINATIONS`` order."""
+    combination in ``COMBINATIONS`` order.  The file is read as UTF-8
+    after an optional byte-order mark."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read counts file {path}: {exc}") from None
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]

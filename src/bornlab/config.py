@@ -203,10 +203,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """The RunConfig of a config file; a file that cannot be read or
-    decoded raises ``ConfigError`` naming it."""
+    """The RunConfig of a config file, read as UTF-8 after an optional
+    byte-order mark; a file that cannot be read or decoded raises
+    ``ConfigError`` naming it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None

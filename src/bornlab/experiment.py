@@ -31,6 +31,7 @@ from ._streams import TAG_COUNTS, TAG_MONITOR, TAG_ORDER, TAG_POWER, substream
 from .interference import (
     COMBINATIONS,
     DEFAULT_GUARD,
+    _numeric,
     sorkin_curves,
 )
 from .optics import CombinationMask, SlitPlate, pattern_set
@@ -44,7 +45,8 @@ class RunCounts:
 
     ``counts`` are integer-valued in Poisson mode and expected values in
     expected-value mode.  ``timestamps`` holds the global dwell index at
-    which each combination was measured (order may be randomized).
+    which each combination was measured (order may be randomized), as
+    integers.
     ``monitor`` carries reference-arm counts per dwell when the power
     monitor is enabled, else None.  Every dwell lasts ``dwell_time``.
     """
@@ -55,25 +57,27 @@ class RunCounts:
     monitor: np.ndarray | None = None
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=float)
-        stamps = np.asarray(self.timestamps, dtype=int)
+        counts = np.asarray(_numeric(self.counts, "counts"), dtype=float)
+        stamps = np.asarray(self.timestamps)
         if counts.ndim != 2 or counts.shape[1:] != (8,) or stamps.shape != counts.shape:
             raise ValueError("counts and timestamps must have shape (repetitions, 8) "
                              f"(got {counts.shape} and {stamps.shape})")
         if not len(counts):
             raise ValueError("need at least one repetition")
+        if stamps.dtype.kind not in "iu":
+            raise ValueError(f"timestamps must have an integer dtype (got {stamps.dtype})")
         if not self.dwell_time > 0.0:
             raise ValueError(f"dwell_time must be > 0 (got {self.dwell_time})")
         _check_counts("counts", counts)
         if self.monitor is not None:
-            monitor = np.asarray(self.monitor, dtype=float)
+            monitor = np.asarray(_numeric(self.monitor, "monitor counts"), dtype=float)
             if monitor.shape != counts.shape:
                 raise ValueError(f"monitor counts must have shape {counts.shape} "
                                  f"(got {monitor.shape})")
             _check_counts("monitor counts", monitor)
             object.__setattr__(self, "monitor", monitor)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "timestamps", stamps)
+        object.__setattr__(self, "timestamps", stamps.astype(int, copy=False))
 
 
 def _check_counts(name: str, counts: np.ndarray) -> None:

@@ -109,6 +109,17 @@ def interference_terms(rule: ProbabilityRule, amps) -> tuple[np.ndarray, np.ndar
     return total, probs
 
 
+def _numeric(values, name: str) -> np.ndarray:
+    """``values`` as a numpy array; raises ``ValueError`` naming the input
+    ``name`` unless its dtype is bool, integer or float, so that strings
+    are never parsed as numbers and objects never cast."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be a bool, integer or float array "
+                         f"(got dtype {arr.dtype})")
+    return arr
+
+
 class SorkinCurves(NamedTuple):
     """Pointwise order-3 statistics of eight stacked curves."""
 
@@ -129,7 +140,7 @@ def sorkin_curves(patterns: np.ndarray, guard: float = DEFAULT_GUARD) -> SorkinC
     where ``delta < guard``, never producing a huge ratio from a vanishing
     pairwise contrast.
     """
-    p = np.ascontiguousarray(patterns, dtype=np.float64)
+    p = np.ascontiguousarray(_numeric(patterns, "patterns"), dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != 8:
         raise ValueError(f"patterns must have shape (8, n) (got {p.shape})")
     if not guard > 0.0:

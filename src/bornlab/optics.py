@@ -89,7 +89,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .interference import COMBINATIONS
+from .interference import COMBINATIONS, _numeric
 
 #: Mask feature schemes.
 OPENING = "opening"
@@ -202,11 +202,11 @@ class CombinationAperture:
     combination: str
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.float64)
+        edges = np.asarray(_numeric(self.edges, "edges"), dtype=np.float64)
         values = np.asarray(self.values)
         if values.dtype.kind == "c":
             raise ValueError("transmissions must be real (got a complex array)")
-        values = values.astype(np.float64)
+        values = _numeric(values, "values").astype(np.float64)
         if edges.ndim != 1 or values.ndim != 1 or edges.size != values.size + 1:
             raise ValueError("need n+1 edges for n interval values")
         if not (np.isfinite(edges).all() and np.isfinite(values).all()):
@@ -456,9 +456,9 @@ def _fourier_pass(pieces, u: np.ndarray, out: np.ndarray) -> None:
 
 
 def _grid(u) -> np.ndarray:
-    """``u`` as a contiguous float64 grid; raises unless it is non-empty
-    and finite."""
-    u_arr = np.ascontiguousarray(np.atleast_1d(u), dtype=np.float64)
+    """``u`` as a contiguous float64 grid; raises unless it is a non-empty
+    and finite bool, integer or float array."""
+    u_arr = np.ascontiguousarray(np.atleast_1d(_numeric(u, "u grid")), dtype=np.float64)
     if u_arr.size == 0 or not np.all(np.isfinite(u_arr)):
         raise ValueError("u grid must be non-empty and finite")
     return u_arr

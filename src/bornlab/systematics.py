@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,9 +49,10 @@ from .interference import (
     DEFAULT_GUARD,
     COMBINATIONS,
     SorkinCurves,
+    _numeric,
     sorkin_curves,
 )
-from .optics import CombinationMask, SlitPlate, pattern_set
+from .optics import CombinationMask, SlitPlate, _grid, pattern_set
 
 SEQUENCE_ORDERS = ("fixed", "randomized")
 
@@ -157,7 +158,8 @@ def power_sigma_curves(patterns: np.ndarray, curves: SorkinCurves) -> np.ndarray
     point of stacked curves (shape (8, n)); a fluctuation ``dp`` gives
     ``dp`` times it.  NaN wherever ``rho`` is undefined.
     """
-    return _rho_sigma(np.asarray(patterns, dtype=float), curves, squared=True)
+    return _rho_sigma(_numeric(patterns, "patterns").astype(float, copy=False), curves,
+                      squared=True)
 
 
 def poisson_sigma_curves(counts: np.ndarray, curves: SorkinCurves) -> np.ndarray:
@@ -166,7 +168,8 @@ def poisson_sigma_curves(counts: np.ndarray, curves: SorkinCurves) -> np.ndarray
     power formula with each squared power replaced by the count itself,
     its Poisson variance.  NaN wherever ``rho`` is undefined.
     """
-    return _rho_sigma(np.asarray(counts, dtype=float), curves, squared=False)
+    return _rho_sigma(_numeric(counts, "counts").astype(float, copy=False), curves,
+                      squared=False)
 
 
 def detector_response(model: DetectorModel, true_rate):
@@ -177,7 +180,7 @@ def detector_response(model: DetectorModel, true_rate):
     (``tau = 0``, ``beta = 0``).  Accepts scalars or arrays; numpy
     returns an ``np.float64``, a ``float``, for a scalar rate.
     """
-    r = np.asarray(true_rate, dtype=float)
+    r = _numeric(true_rate, "true_rate").astype(float, copy=False)
     if np.any(r < 0.0):
         raise ValueError("true_rate must be >= 0")
     out = r + model.dark_rate
@@ -196,38 +199,41 @@ class RhoSweep(NamedTuple):
     curves: SorkinCurves
 
 
-def detector_rho_sweep(
+def rho_sweep(
     plate: SlitPlate,
     mask: CombinationMask,
-    model: DetectorModel,
     u_grid,
+    *, displacements: Mapping[str, float] | None = None,
+    detector: DetectorModel | None = None,
     peak_rate: float = 80000.0,
     dynamic_range: float = 100.0,
     guard: float = DEFAULT_GUARD,
 ) -> RhoSweep:
-    """Apparent ``rho(u)`` caused by the detector alone.
+    """Apparent ``rho(u)`` of the mechanisms that are on, stage by stage:
 
-    The optics must be ideal (zero leakage, zero displacement) so that
-    the detector is the only systematic.  The ideal curves are scaled so
-    the all-open peak maps to ``peak_rate`` and a uniform background
-    floor pins the detected max/min ratio to ``dynamic_range``; the
-    detector response is then applied pointwise and the statistics are
-    recomputed from the measured rates.
+    1. ``pattern_set``, with per-combination ``displacements`` if given;
+    2. with a ``detector`` only, which needs ideal optics (zero leakage,
+       zero displacement): the curves scaled so the all-open peak maps to
+       ``peak_rate`` over a uniform floor that pins the detected max/min
+       ratio to ``dynamic_range``, then the detector response;
+    3. the statistics of the resulting curves.
     """
-    if plate.leakage_amplitude != 0.0 or mask.leakage_amplitude != 0.0:
-        raise ValueError("detector sweep requires zero leakage (ideal optics)")
-    if mask.displacement != 0.0:
-        raise ValueError("detector sweep requires zero mask displacement")
-    if not peak_rate > 0.0:
-        raise ValueError(f"peak_rate must be > 0 (got {peak_rate})")
-    if not dynamic_range > 1.0:
-        raise ValueError(f"dynamic_range must be > 1 (got {dynamic_range})")
-    u_arr = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    ideal = pattern_set(plate, mask, u_arr)
-    floor = peak_rate / dynamic_range
-    rates = (peak_rate - floor) * ideal + floor
-    measured = detector_response(model, rates)
-    return RhoSweep(u_arr, measured, sorkin_curves(measured, guard))
+    if detector is not None:
+        if plate.leakage_amplitude != 0.0 or mask.leakage_amplitude != 0.0:
+            raise ValueError("detector sweep requires zero leakage (ideal optics)")
+        shifts = (mask.displacement, *(displacements or {}).values())
+        if any(shift != 0.0 for shift in shifts):
+            raise ValueError("detector sweep requires zero mask displacement")
+        if not peak_rate > 0.0:
+            raise ValueError(f"peak_rate must be > 0 (got {peak_rate})")
+        if not dynamic_range > 1.0:
+            raise ValueError(f"dynamic_range must be > 1 (got {dynamic_range})")
+    u = _grid(u_grid)
+    patterns = pattern_set(plate, mask, u, displacements=displacements)
+    if detector is not None:
+        floor = peak_rate / dynamic_range
+        patterns = detector_response(detector, (peak_rate - floor) * patterns + floor)
+    return RhoSweep(u, patterns, sorkin_curves(patterns, guard))
 
 
 DisplacementSampler = Callable[[np.random.Generator], float]
@@ -268,6 +274,5 @@ def misalignment_rho_sweep(
     the sweep and the displacements actually used.
     """
     displacements = _displacement_draw(sampler, seed, 0)
-    u_arr = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    stacked = pattern_set(plate, mask, u_arr, displacements=displacements)
-    return RhoSweep(u_arr, stacked, sorkin_curves(stacked, guard)), displacements
+    return rho_sweep(plate, mask, u_grid, displacements=displacements,
+                     guard=guard), displacements

@@ -33,10 +33,10 @@ from bornlab.systematics import (
     DetectorModel,
     PowerModel,
     detector_response,
-    detector_rho_sweep,
     misalignment_rho_sweep,
     poisson_sigma_curves,
     power_sigma_curves,
+    rho_sweep,
     uniform_displacement_sampler,
 )
 from conftest import combination_probabilities
@@ -195,8 +195,8 @@ def test_criterion_06_dead_time_figures():
     plate = triple_slit_plate()
     mask = combination_mask_for_plate(plate)
     u = np.linspace(-3e4, 3e4, 601)
-    sweep = detector_rho_sweep(
-        plate, mask, DetectorModel(dead_time=50e-9), u,
+    sweep = rho_sweep(
+        plate, mask, u, detector=DetectorModel(dead_time=50e-9),
         peak_rate=80000.0, dynamic_range=100.0,
     )
     center = int(np.argmin(np.abs(u)))
@@ -212,10 +212,10 @@ def test_criterion_07_nonlinearity_band():
     plate = triple_slit_plate()
     mask = combination_mask_for_plate(plate)
     u = np.linspace(-3e4, 3e4, 601)
-    sweep = detector_rho_sweep(
-        plate, mask,
-        DetectorModel(nonlinearity=0.01, full_scale_rate=80000.0),
-        u, peak_rate=80000.0, dynamic_range=100.0,
+    sweep = rho_sweep(
+        plate, mask, u,
+        detector=DetectorModel(nonlinearity=0.01, full_scale_rate=80000.0),
+        peak_rate=80000.0, dynamic_range=100.0,
     )
     d = sweep.curves.rho_defined
     max_rho = float(np.max(np.abs(sweep.curves.rho[d])))

@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import json
 import math
@@ -406,6 +407,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read config: {cfg}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["patterns", "sorkin"])
+    def test_byte_order_mark_gives_the_output_of_the_file_without_it(
+            self, tmp_path, capsys, command):
+        # spreadsheet exports lead a UTF-8 file with the mark EF BB BF
+        if command == "sorkin":
+            text = (ROOT / "tests" / "data" / "sorkin_counts.csv").read_bytes()
+        else:
+            text = b"u_points = 51\nmask_leakage = 0.01\n"
+        out = tmp_path / "out"
+        results = []
+        for name, data in (("plain", text), ("marked", codecs.BOM_UTF8 + text)):
+            path = tmp_path / name
+            path.write_bytes(data)
+            args = [str(path)] if command == "sorkin" else ["--config", str(path)]
+            assert main([command, *args, "--out", str(out)]) == 0
+            results.append((capsys.readouterr(),
+                            {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert results[0] == results[1]
 
     def test_non_utf8_counts_file_exits_2_naming_the_file(self, tmp_path, capsys):
         counts = tmp_path / "bad.csv"

@@ -50,9 +50,20 @@ class TestRunCounts:
          "repetition 1, combination AB: monitor counts must be finite"),
         ({"dwell_time": 0.0}, r"dwell_time must be > 0 \(got 0.0\)"),
         ({"dwell_time": -2.0}, r"dwell_time must be > 0 \(got -2.0\)"),
+        ({"counts": np.full((2, 8), "1")},
+         r"counts must be a bool, integer or float array \(got dtype <U1\)"),
+        ({"counts": np.full((2, 8), 1 + 0j, dtype=object)},
+         r"counts must be a bool, integer or float array \(got dtype object\)"),
+        ({"monitor": np.full((2, 8), "1")},
+         r"monitor counts must be a bool, integer or float array \(got dtype <U1\)"),
+        ({"timestamps": np.full((2, 8), 1.7)},
+         r"timestamps must have an integer dtype \(got float64\)"),
+        ({"timestamps": np.full((2, 8), "1")},
+         r"timestamps must have an integer dtype \(got <U1\)"),
     ], ids=["zero-rows", "seven-columns", "timestamps-shape", "monitor-shape",
             "negative-count", "nan-count", "infinite-monitor", "zero-dwell",
-            "negative-dwell"])
+            "negative-dwell", "str-counts", "object-counts", "str-monitor",
+            "float-timestamps", "str-timestamps"])
     def test_validation(self, change, match):
         valid = {"counts": np.zeros((2, 8)), "dwell_time": 1.0, "timestamps": dwell_indices(2)}
         RunCounts(**valid)

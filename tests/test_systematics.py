@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from bornlab import systematics
 from bornlab._streams import TAG_DISPLACEMENT, substream
@@ -14,7 +17,10 @@ from bornlab.interference import (
 from bornlab.optics import (
     BLOCKING,
     OPENING,
+    CombinationAperture,
+    build_combination_aperture,
     combination_mask_for_plate,
+    far_field_amplitude,
     pattern_set,
     triple_slit_plate,
 )
@@ -22,10 +28,10 @@ from bornlab.systematics import (
     DetectorModel,
     PowerModel,
     detector_response,
-    detector_rho_sweep,
     misalignment_rho_sweep,
     poisson_sigma_curves,
     power_sigma_curves,
+    rho_sweep,
     uniform_displacement_sampler,
 )
 from conftest import combination_probabilities, random_triple
@@ -274,15 +280,15 @@ class TestDetectorResponse:
 class TestDetectorSweep:
     def test_ideal_detector_is_null(self, plate, mask):
         u = np.linspace(-3e4, 3e4, 301)
-        sweep = detector_rho_sweep(plate, mask, DetectorModel(), u)
+        sweep = rho_sweep(plate, mask, u, detector=DetectorModel())
         d = sweep.curves.rho_defined
         assert np.max(np.abs(sweep.curves.rho[d])) < 1e-12
 
     def test_nonlinearity_band(self, plate, mask):
         u = np.linspace(-3e4, 3e4, 601)
         m = DetectorModel(nonlinearity=0.01, full_scale_rate=80000.0)
-        sweep = detector_rho_sweep(plate, mask, m, u, peak_rate=80000.0,
-                                   dynamic_range=100.0)
+        sweep = rho_sweep(plate, mask, u, detector=m, peak_rate=80000.0,
+                          dynamic_range=100.0)
         d = sweep.curves.rho_defined
         max_rho = np.max(np.abs(sweep.curves.rho[d]))
         assert 0.002 <= max_rho <= 0.02
@@ -290,16 +296,16 @@ class TestDetectorSweep:
     def test_dead_time_center_value(self, plate, mask):
         u = np.linspace(-3e4, 3e4, 601)
         m = DetectorModel(dead_time=50e-9)
-        sweep = detector_rho_sweep(plate, mask, m, u, peak_rate=80000.0,
-                                   dynamic_range=100.0)
+        sweep = rho_sweep(plate, mask, u, detector=m, peak_rate=80000.0,
+                          dynamic_range=100.0)
         center = np.argmin(np.abs(u))
         rho0 = abs(sweep.curves.rho[center])
         assert 0.003 / 2 <= rho0 <= 0.003 * 2
 
     def test_detected_range_matches_anchors(self, plate, mask):
         u = np.linspace(-3e4, 3e4, 601)
-        sweep = detector_rho_sweep(plate, mask, DetectorModel(), u,
-                                   peak_rate=50000.0, dynamic_range=100.0)
+        sweep = rho_sweep(plate, mask, u, detector=DetectorModel(),
+                          peak_rate=50000.0, dynamic_range=100.0)
         assert np.max(sweep.patterns) == pytest.approx(50000.0, rel=1e-12)
         assert np.min(sweep.patterns) == pytest.approx(500.0, rel=1e-12)
 
@@ -307,11 +313,105 @@ class TestDetectorSweep:
         leaky = triple_slit_plate(leakage_amplitude=0.1)
         m = combination_mask_for_plate(leaky)
         with pytest.raises(ValueError, match="zero leakage"):
-            detector_rho_sweep(leaky, m, DetectorModel(), np.array([0.0]))
+            rho_sweep(leaky, m, np.array([0.0]), detector=DetectorModel())
         plate = triple_slit_plate()
         displaced = combination_mask_for_plate(plate, displacement=1e-6)
         with pytest.raises(ValueError, match="displacement"):
-            detector_rho_sweep(plate, displaced, DetectorModel(), np.array([0.0]))
+            rho_sweep(plate, displaced, np.array([0.0]), detector=DetectorModel())
+
+    def test_detector_with_displacements_raises(self, plate, mask):
+        with pytest.raises(ValueError, match="detector sweep requires zero mask displacement"):
+            rho_sweep(plate, mask, np.array([0.0]), displacements={"AB": 1e-6},
+                      detector=DetectorModel())
+
+
+@st.composite
+def sweep_inputs(draw):
+    """Arguments of a ``rho_sweep`` call: a detector or none; ideal optics
+    under a detector, else ideal or leaky optics with per-combination
+    displacements or none; a mirror or non-mirror grid of 1-64 points."""
+    detector = draw(st.none() | st.builds(
+        DetectorModel, dead_time=st.floats(0.0, 1e-6), nonlinearity=st.floats(0.0, 0.5),
+        full_scale_rate=st.floats(1e4, 1e7), dark_rate=st.floats(0.0, 1e3)))
+    scheme = draw(st.sampled_from([OPENING, BLOCKING]))
+    leakage = st.floats(0.0, 1.0) if detector is None else st.just(0.0)
+    plate = triple_slit_plate(leakage_amplitude=draw(leakage))
+    mask = combination_mask_for_plate(plate, scheme, leakage_amplitude=draw(leakage))
+    shifts = st.floats(-20e-6, 20e-6) if detector is None else st.just(0.0)
+    displacements = draw(st.none() | st.dictionaries(st.sampled_from(COMBINATIONS), shifts))
+    if draw(st.booleans()):
+        upper = sorted(draw(st.lists(st.floats(1.0, 4e4), min_size=1, max_size=32,
+                                     unique=True)))
+        u = np.array([-x for x in upper[::-1]] + [0.0] * draw(st.booleans()) + upper)
+    else:
+        u = np.array(draw(st.lists(st.floats(-4e4, 4e4), min_size=1, max_size=64)))
+    keywords = {"peak_rate": draw(st.floats(1.0, 1e6)),
+                "dynamic_range": draw(st.floats(1.5, 1e4)),
+                "guard": draw(st.floats(1e-12, 1e-3))}
+    return plate, mask, u, displacements, detector, keywords
+
+
+def composed_sweep(plate, mask, u, displacements, detector, peak_rate, dynamic_range,
+                   guard):
+    """The stages of a sweep called one by one: the patterns, then the
+    peak and floor scale and the detector response when a detector is
+    given, then the statistics."""
+    patterns = pattern_set(plate, mask, u, displacements=displacements)
+    if detector is not None:
+        floor = peak_rate / dynamic_range
+        patterns = detector_response(detector, (peak_rate - floor) * patterns + floor)
+    return patterns, sorkin_curves(patterns, guard)
+
+
+class TestRhoSweep:
+    @seed(20240811)
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_inputs())
+    def test_has_the_bits_of_its_stages(self, inputs):
+        plate, mask, u, displacements, detector, keywords = inputs
+        try:
+            patterns, curves = composed_sweep(plate, mask, u, displacements, detector,
+                                              **keywords)
+        except ValueError as exc:
+            # a grid or geometry with no light on the all-open curve
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                rho_sweep(plate, mask, u, displacements=displacements, detector=detector,
+                          **keywords)
+            return
+        sweep = rho_sweep(plate, mask, u, displacements=displacements, detector=detector,
+                          **keywords)
+        assert sweep.u.tobytes() == u.tobytes()
+        assert sweep.patterns.tobytes() == patterns.tobytes()
+        for got, want in zip(sweep.curves, curves, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+MASK = combination_mask_for_plate(triple_slit_plate())
+CURVES = synthetic_curves(delta=1.0, rho=0.0, signs=(1, 1, 1))
+_STR_INPUT = np.array(["0.5", "0.5"])
+_OBJECT_INPUT = np.array([0.5 + 0j, 0.5 + 0j], dtype=object)
+
+
+@pytest.mark.parametrize("bad", [_STR_INPUT, _OBJECT_INPUT], ids=["str", "object"])
+@pytest.mark.parametrize("name, call", [
+    ("edges", lambda bad: CombinationAperture(bad, np.array([0.5]), "A")),
+    ("values", lambda bad: CombinationAperture(np.array([0.0, 1e-4, 2e-4]), bad, "A")),
+    ("u grid", lambda bad: pattern_set(triple_slit_plate(), MASK, bad)),
+    ("u grid", lambda bad: far_field_amplitude(
+        build_combination_aperture(triple_slit_plate(), MASK, "ABC"), bad)),
+    ("u grid", lambda bad: rho_sweep(triple_slit_plate(), MASK, bad)),
+    ("patterns", lambda bad: sorkin_curves(bad)),
+    ("patterns", lambda bad: power_sigma_curves(bad, CURVES)),
+    ("counts", lambda bad: poisson_sigma_curves(bad, CURVES)),
+    ("true_rate", lambda bad: detector_response(DetectorModel(), bad)),
+], ids=["aperture-edges", "aperture-values", "pattern_set", "far_field_amplitude",
+        "rho_sweep", "sorkin_curves", "power_sigma_curves", "poisson_sigma_curves",
+        "detector_response"])
+def test_numeric_inputs_reject_strings_and_objects(name, call, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be a bool, integer or float array "
+                                         rf"\(got dtype {re.escape(str(bad.dtype))}\)$"):
+        call(bad)
+
 
 
 class TestEndToEndNull:
@@ -328,8 +428,8 @@ class TestEndToEndNull:
         guard = 1e-9
         u = np.linspace(-4e4, 4e4, 1001)  # includes envelope zeros
         m = DetectorModel(nonlinearity=0.01, full_scale_rate=80000.0)
-        sweep = detector_rho_sweep(plate, mask, m, u, peak_rate=80000.0,
-                                   dynamic_range=100.0, guard=guard)
+        sweep = rho_sweep(plate, mask, u, detector=m, peak_rate=80000.0,
+                          dynamic_range=100.0, guard=guard)
         d = sweep.curves.rho_defined
         assert np.all(np.abs(sweep.curves.rho[d]) <= 1.0 / guard)
         assert np.all(np.isnan(sweep.curves.rho[~d]))
